@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -246,6 +247,8 @@ def _parse_p(raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError("p", f"expected a number, got {raw!r}")
     p = float(raw)
+    if not math.isfinite(p):
+        raise ConfigError("p", f"exponent must be finite, got {raw!r}")
     if p < 1:
         raise ConfigError("p", f"exponent must be >= 1, got {raw!r}")
     return p
@@ -638,6 +641,28 @@ def cmd_audit(args) -> int:
 # Entry point
 
 
+def _length_arg(text: str) -> int:
+    """argparse type of ``--length``: a pseudotrajectory has at least two points."""
+    try:
+        length = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if length < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {length}")
+    return length
+
+
+def _delta_arg(text: str) -> float:
+    """argparse type of ``--delta``: a finite pseudotrajectory tolerance above 0."""
+    try:
+        delta = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(delta) and delta > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return delta
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftlab",
@@ -671,8 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     shadow_cmd = sub.add_parser("shadow", help="correct a seeded pseudotrajectory")
     shadow_cmd.add_argument("config")
-    shadow_cmd.add_argument("--delta", type=float, default=1e-3, metavar="D")
-    shadow_cmd.add_argument("--length", type=int, default=201, metavar="L")
+    shadow_cmd.add_argument("--delta", type=_delta_arg, default=1e-3, metavar="D")
+    shadow_cmd.add_argument("--length", type=_length_arg, default=201, metavar="L")
     shadow_cmd.add_argument("--seed", type=int, default=0, metavar="S")
     shadow_cmd.add_argument("--json", action="store_true")
     shadow_cmd.set_defaults(func=cmd_shadow)

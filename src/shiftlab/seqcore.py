@@ -96,6 +96,8 @@ class EventuallyPeriodicSequence:
         object.__setattr__(self, "_core_logs", tuple(_log_fraction(f) for f in self.core))
         object.__setattr__(self, "_neg_logs", tuple(_log_fraction(f) for f in self.neg_period))
         object.__setattr__(self, "_pos_logs", tuple(_log_fraction(f) for f in self.pos_period))
+        # Memo of tail_sign_vs_one by side; not a field, so ==, hash and repr ignore it.
+        object.__setattr__(self, "_tail_signs", {})
 
     @classmethod
     def from_values(
@@ -234,8 +236,17 @@ def tail_sign_vs_one(seq: EventuallyPeriodicSequence, side: str) -> int:
 
     Exact presentations compare the rational period product against 1
     exactly; float-tainted presentations fall back to a log tolerance of
-    REL_LOG_TOL per period entry.
+    REL_LOG_TOL per period entry.  The result is computed once per
+    sequence and side, then read from the sequence's memo.
     """
+    sign = seq._tail_signs.get(side)
+    if sign is None:
+        sign = _tail_sign(seq, side)
+        seq._tail_signs[side] = sign
+    return sign
+
+
+def _tail_sign(seq: EventuallyPeriodicSequence, side: str) -> int:
     if side == "neg":
         period = seq.neg_period
     elif side == "pos":

@@ -53,6 +53,9 @@ class MeasureSequence:
             raise InvalidSystem("base measure must be positive")
         if self.ratio.exp != 1.0:
             raise InvalidSystem("ratio sequences carry no exponent")
+        # Memo of log_mu by index; not a field, so ==, hash and repr ignore it.
+        object.__setattr__(self, "_log_mu0", _log_fraction(self.mu0))
+        object.__setattr__(self, "_log_mu_memo", {})
 
     @classmethod
     def from_values(
@@ -64,11 +67,19 @@ class MeasureSequence:
         return cls(frac, ratio, exact and ratio.exact)
 
     def log_mu(self, k: int) -> float:
-        total = _log_fraction(self.mu0)
-        if k > 0:
-            total += sum(self.ratio.log_at(j) for j in range(0, k))
-        elif k < 0:
-            total -= sum(self.ratio.log_at(j) for j in range(k, 0))
+        """log mu_k, summed over the ratio entries once per k and then memoized.
+
+        The sequential sum fixes every bit of the result; a closed form
+        (prefix sums plus whole periods) rounds differently.
+        """
+        total = self._log_mu_memo.get(k)
+        if total is None:
+            total = self._log_mu0
+            if k > 0:
+                total += sum(self.ratio.log_at(j) for j in range(0, k))
+            elif k < 0:
+                total -= sum(self.ratio.log_at(j) for j in range(k, 0))
+            self._log_mu_memo[k] = total
         return total
 
     def mu(self, k: int) -> float:
@@ -147,6 +158,14 @@ class DissipativeSystem:
             raise InvalidSystem("exponent p must be a finite real >= 1")
         if self.cells is not None:
             self._validate_cells()
+            cells = self.cells
+            log_mu0 = self.measures._log_mu0
+            # log(beta_j / mu0) per cell and log theta_{k, j} per wobble entry,
+            # read by site_log_measure; not fields, so ==, hash and repr ignore them.
+            object.__setattr__(self, "_cell_log_shares",
+                               tuple(_log_fraction(b) - log_mu0 for b in cells.beta))
+            object.__setattr__(self, "_wobble_logs",
+                               tuple(tuple(_log_fraction(t) for t in row) for row in cells.wobble))
         if self.distortion_constant is None:
             cert = check_bounded_distortion(self)
             object.__setattr__(self, "distortion_constant", cert.k_min)
@@ -187,9 +206,12 @@ class DissipativeSystem:
         base = self.measures.log_mu(k)
         if cell is None or self.cells is None:
             return base
-        cells = self.cells
-        part = _log_fraction(cells.beta[cell]) - _log_fraction(self.measures.mu0)
-        return base + part + _log_fraction(cells.theta(k, cell))
+        total = base + self._cell_log_shares[cell]
+        # Outside the wobble window theta is 1, whose log adds exactly 0.0.
+        offset = k - self.cells.wobble_lo
+        if 0 <= offset < len(self._wobble_logs):
+            total += self._wobble_logs[offset][cell]
+        return total
 
     def site_measure_fraction(self, k: int, cell: int | None = None) -> Fraction:
         value = self.measures.mu_fraction(k)

@@ -174,6 +174,20 @@ def test_undersized_distortion_constant_rejected(config_file, capsys):
     assert "distortion" in err
 
 
+def test_infinite_p_rejected(config_file, capsys):
+    bad = dict(DOUBLING_SHIFT, p=float("inf"))
+    code, _, err = run(capsys, "classify", config_file(bad))
+    assert code == EXIT_CONFIG
+    assert "p: exponent must be finite" in err
+
+
+def test_nan_p_rejected_by_shadow(config_file, capsys):
+    bad = dict(DOUBLING_SHIFT, p=float("nan"))
+    code, _, err = run(capsys, "shadow", config_file(bad))
+    assert code == EXIT_CONFIG
+    assert "p: exponent must be finite" in err
+
+
 def test_parse_config_round_trips_the_preset():
     parsed = parse_config(json.dumps(PEAK))
     assert parsed.kind == "dissipative"
@@ -237,6 +251,23 @@ def test_shadow_human_output(config_file, capsys):
     code, out, _ = run(capsys, "shadow", config_file(DOUBLING_SHIFT), "--length", "51")
     assert code == EXIT_OK
     assert "bound_ok    : pass" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--length", "1", "must be at least 2"),
+        ("--delta", "0", "must be a finite number > 0"),
+        ("--delta", "nan", "must be a finite number > 0"),
+    ],
+)
+def test_shadow_rejects_bad_flag(config_file, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exited:
+        main(["shadow", config_file(DOUBLING_SHIFT), flag, value])
+    assert exited.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "Traceback" not in err
 
 
 # -- reduce -----------------------------------------------------------------------

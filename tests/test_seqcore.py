@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.seqcore import (
+    REL_LOG_TOL,
     Direction,
     EventuallyPeriodicSequence,
     Quantifier,
@@ -150,6 +151,39 @@ def test_tail_sign_flips_under_negative_power():
     inverted = s.elementwise_pow(-1.0)
     assert tail_sign_vs_one(s, "neg") == -tail_sign_vs_one(inverted, "neg")
     assert tail_sign_vs_one(s, "pos") == -tail_sign_vs_one(inverted, "pos")
+
+
+def tail_sign_uncached(s, side):
+    """The tail trichotomy recomputed from the period, with no memo."""
+    period = s.neg_period if side == "neg" else s.pos_period
+    if s.exact:
+        product = math.prod(period, start=Fraction(1))
+        raw = (product > 1) - (product < 1)
+    else:
+        log_sum = sum(math.log(f.numerator) - math.log(f.denominator) for f in period)
+        raw = 0 if abs(log_sum) <= len(period) * REL_LOG_TOL else (1 if log_sum > 0 else -1)
+    return raw if s.exp > 0 else -raw
+
+
+@given(
+    neg=st.lists(st.sampled_from([1, 2, 3, "1/2", "1/3", 0.5, 2.0, 0.501]), min_size=1, max_size=4),
+    pos=st.lists(st.sampled_from([1, 2, 3, "1/2", "1/3", 0.5, 2.0, 0.501]), min_size=1, max_size=4),
+    power=st.sampled_from([1.0, -1.0, 0.5, -2.0]),
+    sides=st.lists(st.sampled_from(["neg", "pos"]), min_size=1, max_size=6),
+)
+def test_tail_sign_memo_matches_fresh_computation(neg, pos, power, sides):
+    s = seq(0, [1], neg, pos).elementwise_pow(power)
+    for side in sides:
+        assert tail_sign_vs_one(s, side) == tail_sign_uncached(s, side)
+
+
+def test_filled_tail_sign_memo_leaves_eq_hash_and_repr_alone():
+    used, twin = seq(0, [1], ["1/3"], [5, "1/2"]), seq(0, [1], ["1/3"], [5, "1/2"])
+    before = (repr(used), hash(used))
+    tail_sign_vs_one(used, "neg")
+    tail_sign_vs_one(used, "pos")
+    assert (repr(used), hash(used)) == before
+    assert used == twin and hash(used) == hash(twin) and repr(used) == repr(twin)
 
 
 def test_tail_sign_rejects_unknown_side():

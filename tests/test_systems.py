@@ -74,6 +74,31 @@ def test_mu_matches_recursion_oracle(k):
     )
 
 
+def log_mu_sequential(ms, k):
+    """log mu_k as one sequential sum over the ratio entries, with no memo."""
+    total = math.log(ms.mu0.numerator) - math.log(ms.mu0.denominator)
+    if k > 0:
+        total += sum(ms.ratio.log_at(j) for j in range(0, k))
+    elif k < 0:
+        total -= sum(ms.ratio.log_at(j) for j in range(k, 0))
+    return total
+
+
+@pytest.mark.parametrize(
+    "ms",
+    [
+        MeasureSequence(F(3, 2), ratio(-1, ["1/3", 4], [2, "1/5"], ["7/2"])),
+        MeasureSequence.from_values(0.7, ratio(2, [0.3, 1.9], [1.1, 0.45, 2.0], [0.8, 1.3])),
+    ],
+)
+def test_log_mu_memo_is_bit_identical_to_sequential_sum(ms):
+    order = list(range(-300, 0)) + list(range(300, -301, -1))
+    shuffled = list(range(-300, 301))
+    random.Random(5).shuffle(shuffled)
+    for k in order + shuffled + order:
+        assert ms.log_mu(k) == log_mu_sequential(ms, k)
+
+
 def test_side_rates_peak():
     rates = peak().measures.side_rates()
     assert rates.gm_neg == pytest.approx(2.0)
@@ -228,6 +253,64 @@ def test_distortion_invariants_hold(system):
     h = derived_distortion_bound(system)
     assert float(h_direct(system)) == pytest.approx(h)
     assert h <= cert.k_min ** 2 * (1 + 1e-12)
+
+
+def site_log_measure_direct(system, k, cell):
+    """The cell site measure read straight from beta, mu0 and the wobble table."""
+
+    def log(frac):
+        return math.log(frac.numerator) - math.log(frac.denominator)
+
+    cells = system.cells
+    part = log(cells.beta[cell]) - log(system.measures.mu0)
+    return system.measures.log_mu(k) + part + log(cells.theta(k, cell))
+
+
+def off_unit_cell_system():
+    """mu0 = 3/2 split 1/3 : 2/3 with two wobble rows from k = -1."""
+    cells = CellStructure(
+        beta=(F(1, 2), F(1)),
+        wobble_lo=-1,
+        wobble=((F(2), F(1, 2)), (F(1, 2), F(5, 4))),
+    )
+    return DissipativeSystem(
+        p=2.0,
+        measures=MeasureSequence(F(3, 2), ratio(-1, ["1/3", 4], [2, "1/5"], ["7/2"])),
+        cells=cells,
+    )
+
+
+@pytest.mark.parametrize("factory", [cell_system, off_unit_cell_system])
+def test_site_log_measure_matches_direct_expression(factory):
+    system = factory()
+    cells = system.cells
+    for k in range(cells.wobble_lo - 4, cells.wobble_hi + 5):
+        assert system.site_log_measure(k) == system.measures.log_mu(k)
+        for j in range(cells.n_cells):
+            assert system.site_log_measure(k, j) == site_log_measure_direct(system, k, j)
+
+
+@given(system=wobble_systems(), k=st.integers(-6, 6))
+@settings(max_examples=50)
+def test_site_log_measure_matches_direct_on_random_wobble(system, k):
+    for j in range(system.cells.n_cells):
+        assert system.site_log_measure(k, j) == site_log_measure_direct(system, k, j)
+
+
+def test_filled_caches_leave_eq_hash_and_repr_alone():
+    used, twin = off_unit_cell_system(), off_unit_cell_system()
+    before = (repr(used), hash(used), repr(used.measures), hash(used.measures),
+              repr(used.measures.ratio), hash(used.measures.ratio))
+    for k in range(-40, 41):
+        used.site_log_measure(k, k % 2)
+    used.measures.tail_sign("neg")
+    used.measures.tail_sign("pos")
+    after = (repr(used), hash(used), repr(used.measures), hash(used.measures),
+             repr(used.measures.ratio), hash(used.measures.ratio))
+    assert after == before
+    assert used == twin and used.measures == twin.measures
+    assert used.measures.ratio == twin.measures.ratio
+    assert hash(used) == hash(twin) and repr(used) == repr(twin)
 
 
 def test_cell_ratio_widens_core():
