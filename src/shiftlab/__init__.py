@@ -11,27 +11,18 @@ from .classify import (
     classify_atomic_expansive,
     classify_atomic_uniform,
     classify_expansive,
-    classify_not_structurally_stable,
     classify_positively_expansive,
     classify_report,
-    classify_shadowing_gh,
     classify_shift,
     classify_sss,
-    classify_structurally_stable,
-    classify_uniformly_expansive,
     classify_uniformly_positively_expansive,
     implication_audit,
 )
 from .seqcore import (
-    Direction,
     EventuallyPeriodicSequence,
-    Quantifier,
     SequenceError,
     SideRate,
-    rate_exact,
-    rate_horizon,
     side_geometric_means,
-    window_product,
 )
 from .simulate import (
     AtomicOperator,

@@ -1,20 +1,21 @@
 """Verdicts for the dynamical properties of shifts and dissipative systems.
 
-Each classifier reads the two tail geometric means of a ratio (or weight)
-presentation and applies a strict-inequality rule table.  Verdicts carry
-the citation tag of the rule that decided them, a margin (distance of the
-decisive rates from 1), and, where the rule is existential, a concrete
-witness.  Rates sitting exactly on a boundary never satisfy a strict
-condition; rule families whose boundary cases are genuinely open return
-Undecided rather than guessing.
+Each system is read through one rate view: the two tail geometric means of
+its ratio (or weight) presentation and their signs against 1.  Every
+verdict is a strict-inequality rule on that view, most of them looked up
+in one table keyed by the sign pattern.  Verdicts carry the citation tag
+of the rule that decided them, a margin (distance of the decisive rates
+from 1), and, where the rule is existential, a concrete witness.  Rates
+sitting exactly on a boundary never satisfy a strict condition; rule
+families whose boundary cases are genuinely open return Undecided.
 
 Citation tags used here: ED1..ED4 (expansivity rules for dissipative
 systems), UE1/UE2/UE3 (the uniform-expansivity trichotomy), HC/HD/GH (the
 splitting conditions), SC1/SC2 (stability and shadowing rules), C
 (stability forces shadowing under positive expansivity), P41 (expanding
 far tail with contracting near tail certifies instability), E1..E4
-(atomic expansivity rules), B-a/B-b/B-c and B (the weighted-shift table),
-W (the weight reduction), and OpenProblem for honest Undecided.
+(atomic expansivity rules), B-a/B-b/B-c and B (the weighted-shift table
+of Bernardes and Messaoudi), and OpenProblem for honest Undecided.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ class _RateView:
     method: str
 
     @property
+    def signs(self) -> tuple[int, int]:
+        return (self.sign_minus, self.sign_plus)
+
+    @property
     def margin_minus(self) -> float:
         return abs(self.g_minus - 1.0)
 
@@ -128,7 +133,9 @@ def _sign_of(value: float) -> int:
     return 1 if value > 1.0 else -1
 
 
-def _view(seq: EventuallyPeriodicSequence, method: Method, horizon: int, k_span: int) -> _RateView:
+def _view(
+    seq: EventuallyPeriodicSequence, method: Method = "exact", horizon: int = 200
+) -> _RateView:
     if method == "exact":
         rates = side_geometric_means(seq)
         return _RateView(
@@ -151,16 +158,27 @@ def _view(seq: EventuallyPeriodicSequence, method: Method, horizon: int, k_span:
     )
 
 
-def _dissipative_view(
-    system: DissipativeSystem, method: Method, horizon: int, k_span: int
-) -> _RateView:
+def _dissipative_view(system: DissipativeSystem, method: Method, horizon: int) -> _RateView:
     cert = check_bounded_distortion(system)
     if not cert.ok:
         raise DistortionError(
             f"declared distortion constant {cert.declared} is below the "
             f"minimal value {cert.k_min}"
         )
-    return _view(system.measures.ratio, method, horizon, k_span)
+    return _view(system.measures.ratio, method, horizon)
+
+
+# The rule tags each strict sign pattern (sign_minus, sign_plus) fires:
+# the uniform-expansivity trichotomy, the splitting condition, and the
+# branch of the weighted-shift table.  Patterns with a rate on the
+# boundary (a sign of 0) fire none of them.
+_SIGN_TABLE: dict[tuple[int, int], tuple[str | None, str | None, str | None]] = {
+    (1, 1): ("UE1", "HC", "B-b"),
+    (-1, -1): ("UE2", "HD", "B-a"),
+    (-1, 1): ("UE3", None, "B-c"),
+    (1, -1): (None, "GH", None),
+}
+_NO_RULE = (None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +188,12 @@ _BLOWUP_LOG = math.log(1e6)
 _WITNESS_CAP = 100_000
 
 
-def _backward_blowup(system: DissipativeSystem) -> dict | None:
-    """Smallest n with mu_{-n} > 1e6 mu_0, scanned incrementally."""
+def _blowup(system: DissipativeSystem, backward: bool) -> dict | None:
+    """Smallest n with mu_{-n} (or mu_n) > 1e6 mu_0, scanned incrementally."""
     ratio = system.measures.ratio
     total = 0.0
     for n in range(1, _WITNESS_CAP + 1):
-        total -= ratio.log_at(-n)
-        if total > _BLOWUP_LOG:
-            return {"n": n, "measure_ratio": math.exp(total)}
-    return None
-
-
-def _forward_blowup(system: DissipativeSystem) -> dict | None:
-    ratio = system.measures.ratio
-    total = 0.0
-    for n in range(1, _WITNESS_CAP + 1):
-        total += ratio.log_at(n - 1)
+        total += -ratio.log_at(-n) if backward else ratio.log_at(n - 1)
         if total > _BLOWUP_LOG:
             return {"n": n, "measure_ratio": math.exp(total)}
     return None
@@ -195,181 +203,97 @@ def _rates_witness(view: _RateView) -> dict:
     return {"g_minus": view.g_minus, "g_plus": view.g_plus}
 
 
+def _decided(
+    holds: bool, citation: str, view: _RateView, margin: float, witness: dict | None
+) -> Verdict:
+    return Verdict(Status.HOLDS if holds else Status.FAILS, citation, view.method, margin, witness)
+
+
 # ---------------------------------------------------------------------------
-# Dissipative classifiers
+# Dissipative verdicts
+
+
+def _dissipative_verdicts(system: DissipativeSystem, view: _RateView) -> dict[str, Verdict]:
+    """The ten verdicts of REPORT_PROPERTIES, read from one rate view.
+
+    ED1/ED3 need g_minus < 1 and ED2 needs g_minus < 1 or g_plus > 1; the
+    uniform rule and the splitting condition come from the sign-pattern
+    table.  Shadowing and strong structural stability follow the
+    splitting; without one, positive expansivity settles stability
+    negatively (C, P41) and anything else is open.  The exact method
+    attaches blow-up witnesses to the expansivity verdicts.
+    """
+    uniform, splitting, _ = _SIGN_TABLE.get(view.signs, _NO_RULE)
+    exact = view.method == "exact"
+    backward = view.sign_minus < 0
+    minus, plus, both = view.margin_minus, view.margin_plus, view.margin_both
+    rates = _rates_witness(view)
+    conditioned = dict(rates, condition=splitting) if splitting is not None else rates
+
+    blowup = _blowup(system, backward=True) if exact and backward else None
+    if backward and (view.sign_plus <= 0 or minus >= plus):
+        expansive = _decided(True, "ED2", view, minus, {"side": "backward", **(blowup or rates)})
+    elif view.sign_plus > 0:
+        forward = _blowup(system, backward=False) if exact else None
+        expansive = _decided(True, "ED2", view, plus, {"side": "forward", **(forward or rates)})
+    else:
+        expansive = _decided(False, "ED2", view, both, rates)
+
+    if splitting is not None:
+        sss = _decided(True, "SC1", view, both, conditioned)
+    elif backward:
+        sss = _decided(False, "C", view, minus, rates)
+    else:
+        sss = Verdict(Status.UNDECIDED, "OpenProblem", view.method, None, rates)
+    hyperbolic = splitting in ("HC", "HD")
+    return {
+        "positively_expansive": _decided(
+            backward, "ED1", view, minus, blowup if exact and backward else rates
+        ),
+        "expansive": expansive,
+        "uniformly_positively_expansive": _decided(backward, "ED3", view, minus, rates),
+        "uniformly_expansive": _decided(uniform is not None, uniform or "ED4", view, both, rates),
+        "shadowing": _decided(splitting is not None, "SC2", view, both, conditioned),
+        "hyperbolic": _decided(hyperbolic, splitting if hyperbolic else "SC1", view, both, rates),
+        "generalized_hyperbolic": _decided(
+            splitting is not None, splitting or "SC2", view, both, rates
+        ),
+        "strong_structural_stability": sss,
+        "structurally_stable": _decided(False, "P41", view, minus, rates) if sss.fails else sss,
+        "not_structurally_stable": _decided(view.signs == (-1, 1), "P41", view, both, rates),
+    }
+
+
+def _read(system: DissipativeSystem, prop: str, method: Method, horizon: int) -> Verdict:
+    return _dissipative_verdicts(system, _dissipative_view(system, method, horizon))[prop]
 
 
 def classify_positively_expansive(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
+    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
 ) -> Verdict:
     """Backward orbit measures of the window must blow up: g_minus < 1."""
-    view = _dissipative_view(system, method, horizon, k_span)
-    if view.sign_minus < 0:
-        witness = _backward_blowup(system) if method == "exact" else _rates_witness(view)
-        return Verdict(Status.HOLDS, "ED1", view.method, view.margin_minus, witness)
-    return Verdict(Status.FAILS, "ED1", view.method, view.margin_minus, _rates_witness(view))
+    return _read(system, "positively_expansive", method, horizon)
 
 
 def classify_expansive(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
+    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
 ) -> Verdict:
     """Either tail escapes: g_minus < 1 or g_plus > 1."""
-    view = _dissipative_view(system, method, horizon, k_span)
-    if view.sign_minus < 0 or view.sign_plus > 0:
-        if view.sign_minus < 0 and (view.sign_plus <= 0 or view.margin_minus >= view.margin_plus):
-            margin = view.margin_minus
-            witness = _backward_blowup(system) if method == "exact" else None
-            side = "backward"
-        else:
-            margin = view.margin_plus
-            witness = _forward_blowup(system) if method == "exact" else None
-            side = "forward"
-        payload = {"side": side}
-        if witness:
-            payload.update(witness)
-        else:
-            payload.update(_rates_witness(view))
-        return Verdict(Status.HOLDS, "ED2", view.method, margin, payload)
-    return Verdict(Status.FAILS, "ED2", view.method, view.margin_both, _rates_witness(view))
+    return _read(system, "expansive", method, horizon)
 
 
 def classify_uniformly_positively_expansive(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
+    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
 ) -> Verdict:
     """Same rate rule as positive expansivity, made uniform: g_minus < 1."""
-    view = _dissipative_view(system, method, horizon, k_span)
-    status = Status.HOLDS if view.sign_minus < 0 else Status.FAILS
-    return Verdict(status, "ED3", view.method, view.margin_minus, _rates_witness(view))
-
-
-def classify_uniformly_expansive(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
-) -> Verdict:
-    """Trichotomy: both rates above 1, both below 1, or split g_plus > 1 > g_minus."""
-    view = _dissipative_view(system, method, horizon, k_span)
-    fired: str | None = None
-    if view.sign_minus > 0 and view.sign_plus > 0:
-        fired = "UE1"
-    elif view.sign_minus < 0 and view.sign_plus < 0:
-        fired = "UE2"
-    elif view.sign_plus > 0 and view.sign_minus < 0:
-        fired = "UE3"
-    if fired is not None:
-        return Verdict(Status.HOLDS, fired, view.method, view.margin_both, _rates_witness(view))
-    return Verdict(Status.FAILS, "ED4", view.method, view.margin_both, _rates_witness(view))
-
-
-def _splitting_condition(view: _RateView) -> str | None:
-    if view.sign_minus > 0 and view.sign_plus > 0:
-        return "HC"
-    if view.sign_minus < 0 and view.sign_plus < 0:
-        return "HD"
-    if view.sign_minus > 0 and view.sign_plus < 0:
-        return "GH"
-    return None
-
-
-def classify_shadowing_gh(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
-) -> tuple[Verdict, Verdict, Verdict]:
-    """(shadowing, hyperbolic, generalized hyperbolic) from the splitting trio."""
-    view = _dissipative_view(system, method, horizon, k_span)
-    fired = _splitting_condition(view)
-    margin = view.margin_both
-    witness = _rates_witness(view)
-    if fired is not None:
-        gh = Verdict(Status.HOLDS, fired, view.method, margin, witness)
-        shadowing = Verdict(
-            Status.HOLDS, "SC2", view.method, margin, dict(witness, condition=fired)
-        )
-    else:
-        gh = Verdict(Status.FAILS, "SC2", view.method, margin, witness)
-        shadowing = Verdict(Status.FAILS, "SC2", view.method, margin, witness)
-    if fired in ("HC", "HD"):
-        hyperbolic = Verdict(Status.HOLDS, fired, view.method, margin, witness)
-    else:
-        hyperbolic = Verdict(Status.FAILS, "SC1", view.method, margin, witness)
-    return shadowing, hyperbolic, gh
-
-
-def classify_not_structurally_stable(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
-) -> Verdict:
-    """Certified instability: expanding positive tail over a contracting negative one."""
-    view = _dissipative_view(system, method, horizon, k_span)
-    if view.sign_plus > 0 and view.sign_minus < 0:
-        return Verdict(Status.HOLDS, "P41", view.method, view.margin_both, _rates_witness(view))
-    return Verdict(Status.FAILS, "P41", view.method, view.margin_both, _rates_witness(view))
+    return _read(system, "uniformly_positively_expansive", method, horizon)
 
 
 def classify_sss(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
+    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
 ) -> Verdict:
-    """Strong structural stability, decided by the rule table.
-
-    Shadowing settles it positively; positive expansivity without
-    shadowing settles it negatively; the certified-instability rates also
-    settle it negatively.  Anything else is genuinely open.
-    """
-    view = _dissipative_view(system, method, horizon, k_span)
-    fired = _splitting_condition(view)
-    witness = _rates_witness(view)
-    if fired is not None:
-        return Verdict(
-            Status.HOLDS, "SC1", view.method, view.margin_both, dict(witness, condition=fired)
-        )
-    if view.sign_minus < 0:
-        return Verdict(Status.FAILS, "C", view.method, view.margin_minus, witness)
-    if view.sign_plus > 0 and view.sign_minus < 0:  # subsumed by the branch above
-        return Verdict(Status.FAILS, "P41", view.method, view.margin_both, witness)
-    return Verdict(Status.UNDECIDED, "OpenProblem", view.method, None, witness)
-
-
-def classify_structurally_stable(
-    system: DissipativeSystem,
-    *,
-    method: Method = "exact",
-    horizon: int = 200,
-    k_span: int = 500,
-) -> Verdict:
-    """Plain structural stability, as far as the rule tables reach."""
-    sss = classify_sss(system, method=method, horizon=horizon, k_span=k_span)
-    if sss.holds:
-        return Verdict(Status.HOLDS, sss.citation, sss.method, sss.margin, sss.witness)
-    view = _dissipative_view(system, method, horizon, k_span)
-    if view.sign_minus < 0 and _splitting_condition(view) not in ("HC", "HD"):
-        return Verdict(
-            Status.FAILS, "P41", view.method, view.margin_minus, _rates_witness(view)
-        )
-    return Verdict(Status.UNDECIDED, "OpenProblem", view.method, None, _rates_witness(view))
+    """Strong structural stability: Holds on a splitting, Fails under g_minus < 1."""
+    return _read(system, "strong_structural_stability", method, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +378,7 @@ class ClassificationReport:
     g_plus: float
     method: str
     horizon: int
-    k_span: int
+    k_span: int  # echoed from the caller; no rule reads it
     verdicts: dict[str, Verdict]
     violations: tuple[str, ...] = ()
 
@@ -482,23 +406,8 @@ def classify_report(
     k_span: int = 500,
 ) -> ClassificationReport:
     """Full verdict table for a dissipative system, with the audit attached."""
-    kwargs = dict(method=method, horizon=horizon, k_span=k_span)
-    shadowing, hyperbolic, gh = classify_shadowing_gh(system, **kwargs)
-    verdicts = {
-        "positively_expansive": classify_positively_expansive(system, **kwargs),
-        "expansive": classify_expansive(system, **kwargs),
-        "uniformly_positively_expansive": classify_uniformly_positively_expansive(
-            system, **kwargs
-        ),
-        "uniformly_expansive": classify_uniformly_expansive(system, **kwargs),
-        "shadowing": shadowing,
-        "hyperbolic": hyperbolic,
-        "generalized_hyperbolic": gh,
-        "strong_structural_stability": classify_sss(system, **kwargs),
-        "structurally_stable": classify_structurally_stable(system, **kwargs),
-        "not_structurally_stable": classify_not_structurally_stable(system, **kwargs),
-    }
-    view = _dissipative_view(system, method, horizon, k_span)
+    view = _dissipative_view(system, method, horizon)
+    verdicts = _dissipative_verdicts(system, view)
     return ClassificationReport(
         kind="dissipative",
         label=label,
@@ -528,34 +437,21 @@ def classify_shift(
 ) -> ClassificationReport:
     """Stability table for an invertible weighted shift.
 
-    The three branches: both weight rates below 1 (contraction), both
-    above 1 (expansion), or contracting on the left with expansion on the
-    right.  Any branch gives strong structural stability and shadowing;
-    the first two give hyperbolicity; outside the table stability Fails.
+    The three branches of the sign-pattern table: both weight rates below
+    1 (contraction), both above 1 (expansion), or contracting on the left
+    with expansion on the right.  Any branch gives strong structural
+    stability and shadowing; the first two give hyperbolicity; outside the
+    table stability Fails.  ``k_span`` is only echoed into the report.
     """
-    view = _view(weights.values, method, horizon, k_span)
-    witness = _rates_witness(view)
+    view = _view(weights.values, method, horizon)
+    branch = _SIGN_TABLE.get(view.signs, _NO_RULE)[2]
+    rates = _rates_witness(view)
     margin = view.margin_both
-    if view.sign_minus < 0 and view.sign_plus < 0:
-        branch = "B-a"
-    elif view.sign_minus > 0 and view.sign_plus > 0:
-        branch = "B-b"
-    elif view.sign_minus < 0 and view.sign_plus > 0:
-        branch = "B-c"
-    else:
-        branch = None
-    if branch is not None:
-        sss = Verdict(Status.HOLDS, branch, view.method, margin, witness)
-        shadowing = Verdict(
-            Status.HOLDS, "B", view.method, margin, dict(witness, condition=branch)
-        )
-    else:
-        sss = Verdict(Status.FAILS, "B", view.method, margin, witness)
-        shadowing = Verdict(Status.FAILS, "B", view.method, margin, witness)
-    if branch in ("B-a", "B-b"):
-        hyperbolic = Verdict(Status.HOLDS, branch, view.method, margin, witness)
-    else:
-        hyperbolic = Verdict(Status.FAILS, "B", view.method, margin, witness)
+    conditioned = dict(rates, condition=branch) if branch is not None else rates
+    hyperbolic_branch = branch if branch in ("B-a", "B-b") else None
+    sss = _decided(branch is not None, branch or "B", view, margin, rates)
+    shadowing = _decided(branch is not None, "B", view, margin, conditioned)
+    hyperbolic = _decided(bool(hyperbolic_branch), hyperbolic_branch or "B", view, margin, rates)
     verdicts = {
         "strong_structural_stability": sss,
         "shadowing": shadowing,
@@ -590,18 +486,6 @@ class ExpansivityMode(Enum):
     TWOSIDED = "twosided"
 
 
-def _line_view(line: Line) -> _RateView:
-    seq = line.measures.ratio
-    rates = side_geometric_means(seq)
-    return _RateView(
-        g_minus=rates.gm_neg,
-        g_plus=rates.gm_pos,
-        sign_minus=tail_sign_vs_one(seq, "neg"),
-        sign_plus=tail_sign_vs_one(seq, "pos"),
-        method="exact",
-    )
-
-
 def classify_atomic_expansive(system: AtomicSystem, mode: ExpansivityMode) -> Verdict:
     """Pointwise expansivity on a union of cycles and lines.
 
@@ -619,7 +503,7 @@ def classify_atomic_expansive(system: AtomicSystem, mode: ExpansivityMode) -> Ve
                 Status.FAILS, citation, "exact", None,
                 {"component": index, "kind": "cycle", "orbit_measure_sup": cap},
             )
-        view = _line_view(comp)
+        view = _view(comp.measures.ratio)
         if mode is ExpansivityMode.POSITIVE:
             good = view.sign_minus < 0
             margins.append(view.margin_minus)
@@ -635,16 +519,6 @@ def classify_atomic_expansive(system: AtomicSystem, mode: ExpansivityMode) -> Ve
             )
     return Verdict(Status.HOLDS, citation, "exact", min(margins) if margins else None,
                    {"components": len(system.components)})
-
-
-def _uniform_line_ok(view: _RateView, mode: ExpansivityMode) -> bool:
-    if mode is ExpansivityMode.POSITIVE:
-        return view.sign_minus < 0
-    return (
-        (view.sign_minus > 0 and view.sign_plus > 0)
-        or (view.sign_minus < 0 and view.sign_plus < 0)
-        or (view.sign_plus > 0 and view.sign_minus < 0)
-    )
 
 
 def _atomic_site_log_mu(comp: Cycle | Line, index: int) -> float:
@@ -694,55 +568,50 @@ def classify_atomic_uniform(
     rule table that disagrees with direct measurement cannot be trusted.
     """
     citation = "E3" if mode is ExpansivityMode.POSITIVE else "E4"
-    verdict: Verdict | None = None
+    views: list[_RateView] = []
     for index, comp in enumerate(system.components):
         if isinstance(comp, Cycle):
-            verdict = Verdict(
+            return Verdict(
                 Status.FAILS, citation, "exact", None,
                 {"component": index, "kind": "cycle",
                  "orbit_measure_sup": float(max(comp.measures))},
             )
-            break
-        view = _line_view(comp)
-        if not _uniform_line_ok(view, mode):
-            verdict = Verdict(
+        view = _view(comp.measures.ratio)
+        if mode is ExpansivityMode.POSITIVE:
+            ok = view.sign_minus < 0
+        else:
+            ok = _SIGN_TABLE.get(view.signs, _NO_RULE)[0] is not None
+        if not ok:
+            estimates = _view(comp.measures.ratio, "horizon", horizon)
+            for estimate, sign in ((estimates.g_minus, view.sign_minus),
+                                   (estimates.g_plus, view.sign_plus)):
+                if sign <= 0 and estimate > 1.1:
+                    return Verdict(
+                        Status.UNDECIDED, citation, "exact", None,
+                        {"sampler": "contradiction", "estimate": estimate},
+                    )
+            return Verdict(
                 Status.FAILS, citation, "exact", view.margin_both,
                 {"component": index, "kind": "line", "g_minus": view.g_minus,
                  "g_plus": view.g_plus},
             )
-            break
-    if verdict is None:
-        margins = [_line_view(c).margin_both for c in system.components]  # type: ignore[arg-type]
-        verdict = Verdict(Status.HOLDS, citation, "exact", min(margins),
-                          {"components": len(system.components)})
+        views.append(view)
 
     rng = random.Random(seed)
-    if verdict.holds:
-        for atoms in _sample_sets(system, rng, sample_budget):
-            base = _set_log_measure(system, atoms, 0)
-            backward = _set_log_measure(system, atoms, -horizon) - base
-            forward = _set_log_measure(system, atoms, horizon) - base
-            threshold = math.log(2.0)
-            if mode is ExpansivityMode.POSITIVE:
-                ok = backward >= threshold
-            else:
-                ok = max(backward, forward) >= threshold
-            if not ok:
-                return Verdict(
-                    Status.UNDECIDED, citation, "exact", None,
-                    {"sampler": "contradiction", "atoms": [list(a) for a in atoms],
-                     "horizon": horizon},
-                )
-    elif verdict.witness is not None and verdict.witness.get("kind") == "line":
-        comp = system.components[verdict.witness["component"]]
-        assert isinstance(comp, Line)
-        est_minus = _aligned_tail_estimate(comp.measures.ratio, "neg", horizon)
-        est_plus = _aligned_tail_estimate(comp.measures.ratio, "pos", horizon)
-        view = _line_view(comp)
-        for estimate, sign in ((est_minus, view.sign_minus), (est_plus, view.sign_plus)):
-            if sign <= 0 and estimate > 1.1:
-                return Verdict(
-                    Status.UNDECIDED, citation, "exact", None,
-                    {"sampler": "contradiction", "estimate": estimate},
-                )
-    return verdict
+    threshold = math.log(2.0)
+    for atoms in _sample_sets(system, rng, sample_budget):
+        base = _set_log_measure(system, atoms, 0)
+        backward = _set_log_measure(system, atoms, -horizon) - base
+        forward = _set_log_measure(system, atoms, horizon) - base
+        if mode is ExpansivityMode.POSITIVE:
+            ok = backward >= threshold
+        else:
+            ok = max(backward, forward) >= threshold
+        if not ok:
+            return Verdict(
+                Status.UNDECIDED, citation, "exact", None,
+                {"sampler": "contradiction", "atoms": [list(a) for a in atoms],
+                 "horizon": horizon},
+            )
+    return Verdict(Status.HOLDS, citation, "exact", min(v.margin_both for v in views),
+                   {"components": len(system.components)})

@@ -641,15 +641,19 @@ def cmd_audit(args) -> int:
 # Entry point
 
 
-def _length_arg(text: str) -> int:
-    """argparse type of ``--length``: a pseudotrajectory has at least two points."""
-    try:
-        length = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if length < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {length}")
-    return length
+def _int_at_least(minimum: int):
+    """argparse type of an integer flag that must be at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _delta_arg(text: str) -> float:
@@ -678,8 +682,9 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("config", help="path to a system config (JSON)")
     classify.add_argument("--json", action="store_true", help="canonical JSON output")
     classify.add_argument("--method", choices=("exact", "horizon"), default="exact")
-    classify.add_argument("--horizon", type=int, default=200, metavar="N")
-    classify.add_argument("--kspan", type=int, default=500, metavar="M")
+    classify.add_argument("--horizon", type=_int_at_least(1), default=200, metavar="N")
+    classify.add_argument("--kspan", type=_int_at_least(0), default=500, metavar="M",
+                          help="echoed into the report; no rule reads it")
     classify.set_defaults(func=cmd_classify)
 
     simulate = sub.add_parser("simulate", help="orbit norms as CSV")
@@ -697,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     shadow_cmd = sub.add_parser("shadow", help="correct a seeded pseudotrajectory")
     shadow_cmd.add_argument("config")
     shadow_cmd.add_argument("--delta", type=_delta_arg, default=1e-3, metavar="D")
-    shadow_cmd.add_argument("--length", type=_length_arg, default=201, metavar="L")
+    # A pseudotrajectory has at least two points.
+    shadow_cmd.add_argument("--length", type=_int_at_least(2), default=201, metavar="L")
     shadow_cmd.add_argument("--seed", type=int, default=0, metavar="S")
     shadow_cmd.add_argument("--json", action="store_true")
     shadow_cmd.set_defaults(func=cmd_shadow)
@@ -711,8 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optional dissipative config audited first")
     audit.add_argument("--count", type=int, default=50, metavar="C")
     audit.add_argument("--seed", type=int, default=0, metavar="S")
-    audit.add_argument("--horizon", type=int, default=200, metavar="N")
-    audit.add_argument("--kspan", type=int, default=500, metavar="M")
+    audit.add_argument("--horizon", type=_int_at_least(1), default=200, metavar="N")
+    audit.add_argument("--kspan", type=_int_at_least(0), default=500, metavar="M",
+                       help="echoed into the summary; no rule reads it")
     audit.add_argument("--json", action="store_true")
     audit.add_argument("--inject-corruption", action="store_true",
                        help=argparse.SUPPRESS)

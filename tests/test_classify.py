@@ -6,11 +6,14 @@ entry.  The remaining tests push on boundaries, the horizon estimator,
 and the consistency cross-checks.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import shiftlab.classify
+from shiftlab.canon import canonical_json
 from shiftlab.classify import (
     ClassificationReport,
     DistortionError,
@@ -173,6 +176,62 @@ def test_margins_reflect_rate_distance():
     verdict = classify_positively_expansive(decay())
     assert verdict.margin == pytest.approx(0.5)
     assert classify_sss(flat()).margin is None
+
+
+# sha256 of canonical_json over REPORT_PIN_SYSTEMS' reports, recorded before the
+# classifier read its verdicts from the sign-pattern table.  It pins every
+# byte of the reports: rates, margins, witnesses and citations.
+REPORT_PIN_DIGEST = "ae47b4d8c1439e5d7d3f5cabfa286e461c4c6239e560db54bbc55c19bbb76f0e"
+
+
+def pinned_reports():
+    from shiftlab.cli import random_dissipative
+
+    rng = random.Random(7)
+    systems = [(name, CANONICAL[name](2.0)) for name in sorted(CANONICAL)]
+    systems += [(f"rand-{i}", random_dissipative(rng)) for i in range(20)]
+    methods = ("exact", "horizon")
+    reports = [
+        classify_report(system, label=label, method=method).to_dict()
+        for label, system in systems
+        for method in methods
+    ]
+    reports += [
+        classify_shift(factory(), label=factory.__name__, method=method).to_dict()
+        for factory in (doubling_weights, split_weights)
+        for method in methods
+    ]
+    return reports
+
+
+def test_report_bytes_are_pinned():
+    text = canonical_json(pinned_reports())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_PIN_DIGEST
+
+
+def test_rate_view_is_built_once_per_report(monkeypatch):
+    calls = {"distortion": 0, "tail": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        shiftlab.classify, "check_bounded_distortion",
+        counted("distortion", shiftlab.classify.check_bounded_distortion),
+    )
+    monkeypatch.setattr(
+        shiftlab.classify, "_aligned_tail_estimate",
+        counted("tail", shiftlab.classify._aligned_tail_estimate),
+    )
+    for name in sorted(CANONICAL):
+        for method, tails in (("exact", 0), ("horizon", 2)):
+            calls.update(distortion=0, tail=0)
+            classify_report(CANONICAL[name](2.0), method=method)
+            assert calls == {"distortion": 1, "tail": tails}, (name, method)
 
 
 # -- boundary honesty ------------------------------------------------------------

@@ -253,17 +253,24 @@ def test_shadow_human_output(config_file, capsys):
     assert "bound_ok    : pass" in out
 
 
+BAD_FLAG_CONFIGS = {"shadow": DOUBLING_SHIFT, "classify": PEAK, "audit": PEAK}
+
+
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "command, flag, value, message",
     [
-        ("--length", "1", "must be at least 2"),
-        ("--delta", "0", "must be a finite number > 0"),
-        ("--delta", "nan", "must be a finite number > 0"),
+        ("shadow", "--length", "1", "must be at least 2"),
+        ("shadow", "--delta", "0", "must be a finite number > 0"),
+        ("shadow", "--delta", "nan", "must be a finite number > 0"),
+        ("classify", "--horizon", "0", "must be at least 1"),
+        ("audit", "--horizon", "-5", "must be at least 1"),
+        ("classify", "--kspan", "-1", "must be at least 0"),
+        ("audit", "--kspan", "-1", "must be at least 0"),
     ],
 )
-def test_shadow_rejects_bad_flag(config_file, capsys, flag, value, message):
+def test_rejects_bad_flag(config_file, capsys, command, flag, value, message):
     with pytest.raises(SystemExit) as exited:
-        main(["shadow", config_file(DOUBLING_SHIFT), flag, value])
+        main([command, config_file(BAD_FLAG_CONFIGS[command]), flag, value])
     assert exited.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"argument {flag}: {message}" in err
