@@ -19,9 +19,13 @@ from .classify import (
     implication_audit,
 )
 from .seqcore import (
+    Direction,
     EventuallyPeriodicSequence,
+    Quantifier,
     SequenceError,
     SideRate,
+    rate_exact,
+    rate_horizon,
     side_geometric_means,
 )
 from .simulate import (

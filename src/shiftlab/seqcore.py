@@ -4,8 +4,10 @@ Everything the classifier decides reduces to the asymptotics of products
 ``v_k * v_{k+1} * ...`` over long windows of a positive two-sided sequence
 that is exactly periodic far enough to the left and right of a finite core
 table.  Those limits are the geometric means of the two periodic tails.
-This module holds that presentation, the two tail means, and their
-trichotomy against 1.
+This module holds that presentation, the two tail means, their trichotomy
+against 1, and the quantified window-product rates (`rate_exact`) with
+their finite-horizon estimates (`rate_horizon`), which the classifier does
+not read.
 
 Values are kept as exact fractions with a sequence-level real exponent, so
 the comparisons that decide a classification (tail geometric mean against 1)
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -177,12 +180,36 @@ class EventuallyPeriodicSequence:
                             self._core_logs + self._neg_logs + self._pos_logs))
 
 
+class Quantifier(Enum):
+    SUP_ALL = "sup_all_k"
+    INF_ALL = "inf_all_k"
+    SUP_NEG = "sup_k_in_negatives"
+    INF_NAT = "inf_k_in_naturals"
+
+    @property
+    def is_sup(self) -> bool:
+        return self in (Quantifier.SUP_ALL, Quantifier.SUP_NEG)
+
+
+class Direction(Enum):
+    FORWARD = "forward"
+    BACKWARD = "backward"
+
+
 @dataclass(frozen=True)
 class SideRate:
     """Geometric means of the two periodic tails."""
 
     gm_neg: float
     gm_pos: float
+
+    @property
+    def min(self) -> float:
+        return min(self.gm_neg, self.gm_pos)
+
+    @property
+    def max(self) -> float:
+        return max(self.gm_neg, self.gm_pos)
 
 
 def _tail_log_mean(seq: EventuallyPeriodicSequence, logs: tuple[float, ...]) -> float:
@@ -233,3 +260,73 @@ def _tail_sign(seq: EventuallyPeriodicSequence, side: str) -> int:
     if seq.exp == 0:
         return 0
     return raw_sign if seq.exp > 0 else -raw_sign
+
+
+def rate_exact(
+    seq: EventuallyPeriodicSequence,
+    quantifier: Quantifier,
+    direction: Direction,
+) -> float:
+    """Closed-form limit of the quantified window-product rate.
+
+    Matched one-sided pairs see a single tail: anchors in the negatives
+    with backward windows give the negative-tail mean, anchors in the
+    naturals with forward windows give the positive-tail mean.  Every
+    other combination sweeps windows into both tails, so the limit is the
+    larger (sup) or smaller (inf) of the two tail means.
+    """
+    rates = side_geometric_means(seq)
+    if quantifier is Quantifier.SUP_NEG and direction is Direction.BACKWARD:
+        return rates.gm_neg
+    if quantifier is Quantifier.INF_NAT and direction is Direction.FORWARD:
+        return rates.gm_pos
+    return rates.max if quantifier.is_sup else rates.min
+
+
+def rate_horizon(
+    seq: EventuallyPeriodicSequence,
+    quantifier: Quantifier,
+    direction: Direction,
+    n: int,
+    k_span: int,
+) -> float:
+    """Finite-horizon estimate of the quantified window-product rate.
+
+    Takes the geometric mean of the window product (n + 1 factors) over
+    every admissible anchor with |k| <= k_span, then extremizes per the
+    quantifier.  Converges to `rate_exact` as n grows once k_span clears
+    n plus the core width.
+    """
+    if n < 1:
+        raise SequenceError("horizon must be at least 1")
+    if k_span < 0:
+        raise SequenceError("k_span must be nonnegative")
+    if quantifier in (Quantifier.SUP_ALL, Quantifier.INF_ALL):
+        anchors = range(-k_span, k_span + 1)
+    elif quantifier is Quantifier.SUP_NEG:
+        anchors = range(-k_span, 1)
+    else:
+        anchors = range(0, k_span + 1)
+
+    if direction is Direction.FORWARD:
+        lo, hi = anchors[0], anchors[-1] + n
+    else:
+        lo, hi = anchors[0] - n, anchors[-1]
+    prefix = [0.0]
+    for j in range(lo, hi + 1):
+        prefix.append(prefix[-1] + seq.log_at(j))
+
+    best: float | None = None
+    for k in anchors:
+        if direction is Direction.FORWARD:
+            total = prefix[k + n - lo + 1] - prefix[k - lo]
+        else:
+            total = prefix[k - lo + 1] - prefix[k - n - lo]
+        if best is None:
+            best = total
+        elif quantifier.is_sup:
+            best = max(best, total)
+        else:
+            best = min(best, total)
+    assert best is not None
+    return math.exp(best / (n + 1))
