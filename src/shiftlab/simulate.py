@@ -78,6 +78,10 @@ class ShiftOperator:
             raise ValueError("norm exponent p must be a finite real >= 1")
         self.weights = weights
         self.p = p
+        # One-step factors by site, exp(log w_k) forward and exp(-log w_{k+1})
+        # backward: the same floats apply() would compute afresh.
+        self._forward: dict[int, float] = {}
+        self._backward: dict[int, float] = {}
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         w = self.weights.values
@@ -85,11 +89,19 @@ class ShiftOperator:
         for _ in range(abs(steps)):
             moved: Vec = {}
             if steps > 0:
+                factors = self._forward
                 for k, c in current.items():
-                    moved[k - 1] = c * math.exp(w.log_at(k))
+                    f = factors.get(k)
+                    if f is None:
+                        f = factors[k] = math.exp(w.log_at(k))
+                    moved[k - 1] = c * f
             else:
+                factors = self._backward
                 for k, c in current.items():
-                    moved[k + 1] = c * math.exp(-w.log_at(k + 1))
+                    f = factors.get(k)
+                    if f is None:
+                        f = factors[k] = math.exp(-w.log_at(k + 1))
+                    moved[k + 1] = c * f
             current = moved
         return current
 
@@ -99,6 +111,10 @@ class ShiftOperator:
         return _logsumexp(
             self.p * math.log(abs(c)) for c in vec.values() if c != 0
         ) / self.p
+
+    def log_term(self, site, c: float) -> float:
+        """log ||c e_site||^p of one entry: its term inside log_norm (-inf at 0)."""
+        return self.p * math.log(abs(c)) if c else -math.inf
 
     def norm(self, vec: Vec) -> float:
         try:
@@ -163,6 +179,13 @@ class CompositionOperator:
                 continue
             terms.append(self.p * math.log(abs(c)) + self.system.site_log_measure(k, j))
         return _logsumexp(terms) / self.p
+
+    def log_term(self, site, c: float) -> float:
+        """log ||c chi_site||^p of one entry: its term inside log_norm (-inf at 0)."""
+        if not c:
+            return -math.inf
+        k, j = site
+        return self.p * math.log(abs(c)) + self.system.site_log_measure(k, j)
 
     def norm(self, vec: Vec) -> float:
         try:
@@ -785,23 +808,6 @@ def _series_sum(table: tuple[float, ...], window: int, include_zero: bool) -> fl
     return total
 
 
-def _extension(table: tuple[float, ...], window: int, j: int) -> float:
-    if j == 0:
-        return 1.0
-    if j <= window:
-        return table[j - 1]
-    q, r = divmod(j, window)
-    base = table[window - 1] ** q
-    return base * (1.0 if r == 0 else table[r - 1])
-
-
-def _tail_mass(table: tuple[float, ...], window: int, depth: int) -> float:
-    # Exact sum over j > depth of the extension: the extension scales by
-    # table[window-1] every `window` steps, so one block determines the rest.
-    block = sum(_extension(table, window, depth + r) for r in range(1, window + 1))
-    return block / (1.0 - table[window - 1])
-
-
 def _sup_forward_factor(line: EventuallyPeriodicSequence, j: int, cut: int | None) -> float:
     """Sup over stable anchors k of the log product of w[k-j+1 .. k]."""
     k_lo = line.core_lo - len(line.neg_period)
@@ -922,6 +928,7 @@ class ShadowResult:
     splitting: Splitting
 
 
+# Drop floor for correction entries, relative to the largest one-step error.
 _TRUNC = 1e-15
 
 
@@ -932,10 +939,17 @@ def shadow(
 ) -> ShadowResult:
     """Correct a pseudotrajectory to a verified true orbit.
 
-    Stable error parts are pushed forward from the past, unstable parts
-    pulled backward from the future; both series are evaluated directly
-    with a truncation whose tail mass is added to eps_achieved.  The
-    result is checked against the orbit relation before being returned.
+    With errors e_i = T x_i - x_{i+1}, the correction d_i = s_i - u_i comes
+    from two exact recursions: s_0 = 0, s_i = T s_{i-1} + P_s e_{i-1} forward
+    from the past, and u_{n-1} = 0, u_i = T^-1 (u_{i+1} + P_u e_i) backward
+    from the future, so that T d_i + e_i = d_{i+1}.  Each step drops the
+    entries whose own norm is below _TRUNC times the largest error, which
+    keeps the supports bounded and the run linear in the length.  With
+    `lost` the largest norm dropped in one step, the splitting's series
+    bounds what the drops could add to any d_i: a_priori_bound(lost), plus
+    lost for the unstable j = 0 term that bound leaves out.  eps_achieved is
+    max ||d_i|| plus this.  The result is checked against the orbit relation
+    before being returned.
     """
     if isinstance(op, AtomicOperator):
         raise NoSplitting("atomic unions are not supported by the shadowing engine")
@@ -944,6 +958,21 @@ def shadow(
     errors = pt.errors(op)
     count = len(pt.points)
     delta_eff = max((op.norm(e) for e in errors), default=0.0)
+    floor = op.p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
+    lost_terms: list[float] = []
+
+    def pruned(vec: Vec) -> Vec:
+        kept: Vec = {}
+        dropped = []
+        for s, c in vec.items():
+            term = op.log_term(s, c)
+            if term < floor:
+                dropped.append(term)
+            else:
+                kept[s] = c
+        if dropped:
+            lost_terms.append(_logsumexp(dropped))
+        return kept
 
     def p_stable(vec: Vec) -> Vec:
         return {s: c for s, c in vec.items() if op.site_is_stable(s, splitting)}
@@ -951,56 +980,21 @@ def shadow(
     def p_unstable(vec: Vec) -> Vec:
         return {s: c for s, c in vec.items() if not op.site_is_stable(s, splitting)}
 
-    m = splitting.window
-    use_stable = splitting.kind != "expansion"
-    use_unstable = splitting.kind != "contraction"
+    corrections: list[Vec] = [{} for _ in range(count)]
+    if splitting.kind != "expansion":
+        stable: Vec = {}
+        for i in range(1, count):
+            stable = pruned(vec_add(op.apply(stable, 1), p_stable(errors[i - 1])))
+            corrections[i] = stable
+    if splitting.kind != "contraction":
+        unstable: Vec = {}
+        for i in range(count - 2, -1, -1):
+            unstable = pruned(op.apply(vec_add(unstable, p_unstable(errors[i])), -1))
+            corrections[i] = vec_sub(corrections[i], unstable)
 
-    def trunc_depth(table: tuple[float, ...]) -> int:
-        j = 1
-        while j < count and _extension(table, m, j) >= _TRUNC:
-            j += 1
-        return j
-
-    stable_depth = trunc_depth(splitting.stable_table) if use_stable else 0
-    unstable_depth = trunc_depth(splitting.unstable_table) if use_unstable else 0
-
-    stable_imgs: list[list[Vec]] = []
-    unstable_imgs: list[list[Vec]] = []
-    for e in errors:
-        if use_stable:
-            imgs = [p_stable(e)]
-            for _ in range(stable_depth):
-                imgs.append(op.apply(imgs[-1], 1))
-            stable_imgs.append(imgs)
-        if use_unstable:
-            imgs = [p_unstable(e)]
-            for _ in range(unstable_depth):
-                imgs.append(op.apply(imgs[-1], -1))
-            unstable_imgs.append(imgs)
-
-    corrections: list[Vec] = []
-    for i in range(count):
-        d: Vec = {}
-        if use_stable:
-            for j in range(0, min(i, stable_depth + 1)):
-                k = i - 1 - j
-                if k < 0:
-                    break
-                d = vec_add(d, stable_imgs[k][j])
-        if use_unstable:
-            for j in range(1, unstable_depth + 1):
-                k = i - 1 + j
-                if k > count - 2:
-                    break
-                d = vec_sub(d, unstable_imgs[k][j])
-        corrections.append(d)
-
-    tail = 0.0
-    if use_stable:
-        tail += _tail_mass(splitting.stable_table, m, stable_depth)
-    if use_unstable:
-        tail += _tail_mass(splitting.unstable_table, m, unstable_depth)
-    eps = max((op.norm(d) for d in corrections), default=0.0) + tail * delta_eff
+    lost = math.exp(max(lost_terms) / op.p) if lost_terms else 0.0
+    eps = max((op.norm(d) for d in corrections), default=0.0)
+    eps += splitting.a_priori_bound(lost) + lost
 
     max_residual = 0.0
     for i in range(count - 1):

@@ -112,3 +112,36 @@ def norm_direct(vec, p, site_log_mu):
     for site, coeff in vec.items():
         total += abs(coeff) ** p * math.exp(site_log_mu(site))
     return total ** (1.0 / p)
+
+
+def shadow_exact_corrections(op, pt, splitting):
+    """Untruncated shadowing corrections, one series term at a time.
+
+    d_i = sum_{k < i} T^(i-1-k) P_s e_k - sum_{k >= i} T^-(k-i+1) P_u e_k with
+    e_k = T x_k - x_(k+1), every term built by repeated one-step apply and
+    nothing dropped: O(n^2) applications, independent of the recursions.
+    """
+
+    def add_into(acc, vec, sign):
+        for site, c in vec.items():
+            acc[site] = acc.get(site, 0.0) + sign * c
+
+    def stable(site):
+        return splitting.covers_stable(site[0] if isinstance(site, tuple) else site)
+
+    points = pt.points
+    n = len(points)
+    corrections = [{} for _ in range(n)]
+    for k in range(n - 1):
+        error = dict(op.apply(points[k], 1))
+        add_into(error, points[k + 1], -1.0)
+        error = {s: c for s, c in error.items() if c != 0.0}
+        image = {s: c for s, c in error.items() if stable(s)}
+        for i in range(k + 1, n):
+            add_into(corrections[i], image, 1.0)
+            image = op.apply(image, 1)
+        image = op.apply({s: c for s, c in error.items() if not stable(s)}, -1)
+        for i in range(k, -1, -1):
+            add_into(corrections[i], image, -1.0)
+            image = op.apply(image, -1)
+    return corrections

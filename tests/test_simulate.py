@@ -45,7 +45,7 @@ from shiftlab.systems import (
     check_star,
 )
 
-from _oracles import norm_direct
+from _oracles import norm_direct, shadow_exact_corrections
 
 F = Fraction
 
@@ -115,6 +115,44 @@ def test_shift_forward_steps_frozen(k):
     moved = op.apply({k: 1.0}, 3)
     assert set(moved) == {k - 3}
     assert moved[k - 3] == pytest.approx(8.0, rel=1e-12)
+
+
+FLOAT_WEIGHTS = WeightSequence(ratio(-1, [0.37, 2.6], [0.81], [1.3, 1.9]))
+
+
+def direct_shift_apply(weights, vec, steps):
+    w = weights.values
+    current = vec
+    for _ in range(abs(steps)):
+        if steps > 0:
+            current = {k - 1: c * math.exp(w.log_at(k)) for k, c in current.items()}
+        else:
+            current = {k + 1: c * math.exp(-w.log_at(k + 1)) for k, c in current.items()}
+    return current
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [doubling_weights(), split_weights(), FLOAT_WEIGHTS],
+    ids=["doubling", "split", "float"],
+)
+def test_shift_apply_memo_matches_direct_factors(weights):
+    op = ShiftOperator(weights, 2.0)
+    rng = random.Random(11)
+    for _ in range(4):
+        vec = {k: rng.uniform(-2.0, 2.0) for k in rng.sample(range(-12, 13), 8)}
+        for steps in (1, 2, 3, -1, -2, -3):
+            want = list(direct_shift_apply(weights, vec, steps).items())
+            assert list(op.apply(vec, steps).items()) == want, steps
+            assert list(op.apply(vec, steps).items()) == want, steps  # memo now warm
+
+
+def test_shift_apply_memo_is_per_operator():
+    vec = {k: 1.0 for k in range(-4, 5)}
+    ops = [ShiftOperator(doubling_weights(), 1.0), ShiftOperator(FLOAT_WEIGHTS, 1.0)]
+    for op in ops + ops:
+        for steps in (1, -1):
+            assert op.apply(vec, steps) == direct_shift_apply(op.weights, vec, steps)
 
 
 def test_operator_for_dispatch():
@@ -505,3 +543,69 @@ def test_shadow_refuses_atomic_unions():
     pt = Pseudotrajectory(start_index=0, points=({(0, 0): 1.0}, {(0, 1): 1.0}), delta=1.0)
     with pytest.raises(NoSplitting):
         shadow(op, pt)
+
+
+def shadow_case(family, length, seed):
+    if family == "peak":
+        op = CompositionOperator(peak(p=2.0))
+        x0 = op.normalized_basis((0, None))
+    else:
+        weights = {
+            "doubling": doubling_weights(),
+            "split": split_weights(),
+            "half": WeightSequence(ratio(0, ["1/2"], ["1/2"], ["1/2"])),
+        }[family]
+        op = ShiftOperator(weights, 1.0)
+        x0 = {0: 1.0}
+    return op, make_pseudotrajectory(op, x0, 1e-3, length, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "family, length", [("doubling", 61), ("split", 61), ("half", 61), ("peak", 41)]
+)
+def test_shadow_matches_the_exact_series(family, length, seed):
+    op, pt = shadow_case(family, length, seed)
+    result = shadow(op, pt)
+    exact = shadow_exact_corrections(op, pt, result.splitting)
+    exact_max = max(op.norm(d) for d in exact)
+    assert exact_max <= result.eps_achieved <= exact_max + 1e-12 * pt.delta
+    for z, x, d in zip(result.z_points, pt.points, exact):
+        assert op.norm(vec_sub(vec_sub(z, x), d)) <= 1e-15
+
+
+# Computed by the depth-truncated double series that the two recursions
+# replaced; both bound the same exact corrections.
+PINNED_EPS = {
+    ("doubling", 0): 3.902262703244218e-04,
+    ("doubling", 1): 3.7456932151797256e-04,
+    ("doubling", 2): 3.4566302041830443e-04,
+    ("split", 0): 1.2151693545472463e-03,
+    ("split", 1): 1.5316833463416663e-03,
+    ("split", 2): 1.251231825791405e-03,
+}
+
+
+@pytest.mark.parametrize("family, seed", sorted(PINNED_EPS))
+def test_shadow_eps_is_pinned(family, seed):
+    op, pt = shadow_case(family, 201, seed)
+    assert shadow(op, pt).eps_achieved == pytest.approx(PINNED_EPS[family, seed], rel=1e-12)
+
+
+@pytest.mark.parametrize("family, length, seed", [("split", 2001, 1), ("peak", 1001, 4)])
+def test_shadow_correction_support_stays_bounded(family, length, seed):
+    # Kept exactly, the corrections take in every earlier noise site: 417 and
+    # 255 sites here.  Dropping entries below the floor keeps them narrow.
+    op, pt = shadow_case(family, length, seed)
+    result = shadow(op, pt)
+    widest = max(len(vec_sub(z, x)) for z, x in zip(result.z_points, pt.points))
+    assert widest <= 128
+
+
+def test_shadow_survives_subnormal_errors():
+    # The drop floor 1e-15 * delta underflows to 0 here, and coefficients reach 0.
+    op = ShiftOperator(split_weights(), 1.0)
+    pt = make_pseudotrajectory(op, {0: 1.0}, 1e-320, 201, seed=0)
+    result = shadow(op, pt)
+    assert result.max_orbit_residual <= 1e-9
+    assert result.eps_achieved <= result.bound_a_priori
