@@ -3,7 +3,8 @@
 Exit codes are part of the contract: 0 for success, 2 for a rejected
 config or bad invocation, 3 when any internal audit finds a violation
 (the report is still emitted first), 4 when shadowing is requested for a
-system without a certified splitting.
+system without a certified splitting.  A config whose measures or weights
+put a vector beyond float range is a rejected config.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .simulate import (
     build_splitting,
     make_pseudotrajectory,
     operator_for,
-    orbit_norms,
+    orbit_log_norms,
     shadow,
 )
 from .systems import (
@@ -277,6 +278,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_LN10 = math.log(10.0)
+
+
+def _fmt_log(log_value: float) -> str:
+    """_fmt of exp(log_value), in the same 12-digit form beyond float range."""
+    if log_value == -math.inf:
+        return _fmt(0.0)
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if sys.float_info.min <= value < math.inf:
+        return _fmt(value)
+    log10 = log_value / _LN10
+    exponent = math.floor(log10)
+    mantissa = format(10.0 ** (log10 - exponent), ".12g")
+    if mantissa == "10":
+        mantissa, exponent = "1", exponent + 1
+    return f"{mantissa}e{exponent:+03d}"
+
+
 def _atomic_report(system: AtomicSystem, label: str | None) -> dict:
     verdicts = {
         "positively_expansive": classify_atomic_expansive(
@@ -368,16 +390,16 @@ def _simulate_site(parsed: ParsedConfig, args):
     if parsed.kind == "shift":
         return args.site
     if parsed.kind == "dissipative":
-        cell = args.cell - 1 if args.cell is not None else None
-        if cell is not None and cell >= parsed.system.n_cells:
-            raise ConfigError("--cell", f"system has {parsed.system.n_cells} cells")
-        return (args.site, cell)
-    component = args.component
-    if component >= len(parsed.system.components):
-        raise ConfigError(
-            "--component", f"system has {len(parsed.system.components)} components"
-        )
-    return (component, args.site)
+        n_cells = parsed.system.n_cells
+        if args.cell is not None and not 1 <= args.cell <= n_cells:
+            raise ConfigError("--cell", f"expected 1..{n_cells}, got {args.cell}")
+        if args.cell is None or parsed.system.cells is None:
+            return (args.site, None)
+        return (args.site, args.cell - 1)
+    count = len(parsed.system.components)
+    if not 0 <= args.component < count:
+        raise ConfigError("--component", f"expected 0..{count - 1}, got {args.component}")
+    return (args.component, args.site)
 
 
 def cmd_simulate(args) -> int:
@@ -388,8 +410,8 @@ def cmd_simulate(args) -> int:
     site = _simulate_site(parsed, args)
     vec = op.normalized_basis(site)
     print("n,norm")
-    for n, norm in orbit_norms(op, vec, args.nmin, args.nmax):
-        print(f"{n},{_fmt(norm)}")
+    for n, log_norm in orbit_log_norms(op, vec, args.nmin, args.nmax):
+        print(f"{n},{_fmt_log(log_norm)}")
     return EXIT_OK
 
 
@@ -738,6 +760,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (InvalidSystem, SequenceError, DistortionError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as err:
+        # e.g. a unit vector on a site whose measure is below float range
+        print(f"config error: values leave float range ({err})", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -66,6 +67,14 @@ def _logsumexp(values: Iterable[float]) -> float:
         return -math.inf
     top = max(items)
     return top + math.log(sum(math.exp(v - top) for v in items))
+
+
+def _exp(log_value: float) -> float:
+    """exp, saturating to inf beyond float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 class ShiftOperator:
@@ -325,24 +334,45 @@ def operator_for(obj, p: float | None = None) -> Operator:
     raise TypeError(f"no operator model for {type(obj).__name__}")
 
 
-def orbit_norms(op: Operator, vec: Vec, n_lo: int, n_hi: int) -> list[tuple[int, float]]:
-    """Norms of the orbit T^n x for n in [n_lo, n_hi], computed incrementally."""
+def _rescaled_step(op: Operator, vec: Vec, direction: int, log_scale: float) -> tuple[Vec, float]:
+    """One step of an orbit whose coefficients carry a running log scale.
+
+    A step that would leave the normal float range is taken again from the
+    vector rescaled to top coefficient 1 (an exact power of two), and the
+    scale moves into log_scale; in-range steps are left bit for bit.
+    """
+    moved = op.apply(vec, direction)
+    top = max(map(abs, moved.values()), default=0.0)
+    if vec and not sys.float_info.min <= top < math.inf:
+        shift = math.frexp(max(map(abs, vec.values())))[1]
+        moved = op.apply({s: math.ldexp(c, -shift) for s, c in vec.items()}, direction)
+        log_scale += shift * _LOG2
+    return moved, log_scale
+
+
+def orbit_log_norms(op: Operator, vec: Vec, n_lo: int, n_hi: int) -> list[tuple[int, float]]:
+    """log ||T^n x|| for n in [n_lo, n_hi], computed incrementally.
+
+    The coefficients are rescaled whenever a step would overflow or
+    underflow them, so the logs stay finite far beyond float range.
+    """
     if n_lo > n_hi:
         raise ValueError("empty orbit range")
     out: dict[int, float] = {}
     if n_lo <= 0 <= n_hi:
-        out[0] = op.norm(vec)
-    current = vec
-    for n in range(1, n_hi + 1):
-        current = op.apply(current, 1)
-        if n >= n_lo:
-            out[n] = op.norm(current)
-    current = vec
-    for n in range(-1, n_lo - 1, -1):
-        current = op.apply(current, -1)
-        if n <= n_hi:
-            out[n] = op.norm(current)
+        out[0] = op.log_norm(vec)
+    for direction, steps in ((1, range(1, n_hi + 1)), (-1, range(-1, n_lo - 1, -1))):
+        current, log_scale = vec, 0.0
+        for n in steps:
+            current, log_scale = _rescaled_step(op, current, direction, log_scale)
+            if n_lo <= n <= n_hi:
+                out[n] = op.log_norm(current) + log_scale
     return sorted(out.items())
+
+
+def orbit_norms(op: Operator, vec: Vec, n_lo: int, n_hi: int) -> list[tuple[int, float]]:
+    """Norms of the orbit T^n x for n in [n_lo, n_hi] (inf beyond float range)."""
+    return [(n, _exp(log_norm)) for n, log_norm in orbit_log_norms(op, vec, n_lo, n_hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +791,9 @@ def make_pseudotrajectory(
             points.append(dict(current))
         if i + 1 < length:
             current = op.apply(current, 1)
+    # Positive finite factors keep an overflowed coefficient non-finite.
+    if not all(map(math.isfinite, current.values())):
+        raise OverflowError("the orbit of x0 leaves float range")
     return Pseudotrajectory(start_index=start, points=tuple(points), delta=delta)
 
 
@@ -803,6 +836,8 @@ def _series_sum(table: tuple[float, ...], window: int, include_zero: bool) -> fl
         raise NoSplitting("certificate window does not contract")
     block = 1.0 + sum(table[: window - 1])  # j = 0 .. window-1
     total = block / (1.0 - a_m)
+    if not math.isfinite(total):
+        raise NoSplitting("certificate constants leave float range")
     if not include_zero:
         total -= 1.0
     return total
@@ -846,6 +881,14 @@ def _sup_backward_factor(line: EventuallyPeriodicSequence, j: int, cut: int | No
     return best
 
 
+def _table_entry(log_factor: float) -> float:
+    # An entry beyond float range puts the series bound beyond it too.
+    try:
+        return math.exp(log_factor)
+    except OverflowError:
+        raise NoSplitting("certificate constants leave float range") from None
+
+
 def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
 
@@ -885,11 +928,11 @@ def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
         for j in range(1, window + 1):
             if kind != "expansion":
                 stable_table.append(
-                    math.exp(max(_sup_forward_factor(line, j, cut) for line in lines))
+                    _table_entry(max(_sup_forward_factor(line, j, cut) for line in lines))
                 )
             if kind != "contraction":
                 unstable_table.append(
-                    math.exp(max(_sup_backward_factor(line, j, cut) for line in lines))
+                    _table_entry(max(_sup_backward_factor(line, j, cut) for line in lines))
                 )
         ok = True
         if kind != "expansion" and stable_table[window - 1] >= 1.0 - 1e-12:

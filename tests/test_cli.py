@@ -1,6 +1,8 @@
 """End-to-end command tests: configs in, reports and exit codes out."""
 
 import json
+import math
+from decimal import Decimal
 
 import pytest
 
@@ -363,3 +365,116 @@ def test_audit_text_output_lists_distribution(capsys):
 def test_missing_file_is_a_config_error(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/system.json")
     assert code == EXIT_CONFIG and "config error" in err
+
+
+# -- beyond float range and out-of-range flags (crashes found by test_cli_fuzz) ------
+
+CONSTANT_SEVEN = {
+    "kind": "shift",
+    "weights": {"core_lo": 0, "core": ["7"], "neg_period": ["7"], "pos_period": ["7"]},
+}
+
+HUGE_RATIOS = {
+    "kind": "dissipative",
+    "p": 1,
+    "mu0": "1",
+    "ratio": {"core_lo": 0, "core": [1e300], "neg_period": [1e300], "pos_period": [1e300]},
+}
+
+
+def csv_log10(out):
+    rows = {}
+    for line in out.splitlines()[1:]:
+        n, text = line.split(",")
+        mantissa, _, exponent = text.partition("e")
+        rows[int(n)] = math.log10(float(mantissa)) + int(exponent or 0)
+    return rows
+
+
+def test_simulate_prints_orbits_beyond_float_range(config_file, capsys):
+    # 7^400 overflows a float; the rows used to turn NaN and crash the printer.
+    code, out, err = run(capsys, "simulate", config_file(CONSTANT_SEVEN),
+                         "--nmin", "0", "--nmax", "400")
+    assert code == EXIT_OK and err == ""
+    rows = csv_log10(out)
+    assert sorted(rows) == list(range(401))
+    for n, log10 in rows.items():
+        assert log10 == pytest.approx(n * math.log10(7), abs=1e-9), n
+    assert out.splitlines()[-1] == f"400,{format(Decimal(7) ** 400, '.12g')}"
+
+
+def test_simulate_prints_measures_beyond_float_range(config_file, capsys):
+    code, out, err = run(capsys, "simulate", config_file(HUGE_RATIOS),
+                         "--nmin", "-5", "--nmax", "5")
+    assert code == EXIT_OK and err == ""
+    rows = csv_log10(out)
+    for n in range(-5, 6):
+        assert rows[n] == pytest.approx(-300 * n, abs=1e-9), n
+
+
+def test_simulate_in_range_rows_keep_their_digits(config_file, capsys):
+    code, out, _ = run(capsys, "simulate", config_file(PEAK), "--nmin", "-3", "--nmax", "3")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["n,norm", "-3,0.125", "-2,0.25", "-1,0.5", "0,1",
+                                "1,0.5", "2,0.25", "3,0.125"]
+
+
+@pytest.mark.parametrize(
+    "config, flag, value",
+    [(CELLS, "--cell", "0"), (CELLS, "--cell", "3"), (CELLS, "--cell", "-1"),
+     (THREE_CYCLE, "--component", "-1"), (THREE_CYCLE, "--component", "1")],
+)
+def test_simulate_rejects_out_of_range_site_flags(config_file, capsys, config, flag, value):
+    code, _, err = run(capsys, "simulate", config_file(config), flag, value)
+    assert code == EXIT_CONFIG
+    assert flag in err and "Traceback" not in err
+
+
+def test_simulate_cell_flag_on_a_window_reads_the_window(config_file, capsys):
+    code, out, _ = run(capsys, "simulate", config_file(DECAY), "--cell", "1",
+                       "--nmin", "-2", "--nmax", "2")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["n,norm", "-2,0.25", "-1,0.5", "0,1", "1,2", "2,4"]
+
+
+def test_shadow_rejects_an_orbit_beyond_float_range(config_file, capsys):
+    weights = {"core_lo": 0, "core": ["1"], "neg_period": [1e300], "pos_period": ["2"]}
+    code, _, err = run(capsys, "shadow", config_file({"kind": "shift", "weights": weights}),
+                       "--length", "9")
+    assert code == EXIT_CONFIG
+    assert "float range" in err and "Traceback" not in err
+
+
+def test_shadow_rejects_a_unit_vector_beyond_float_range(config_file, capsys):
+    # mu_{-2} = 1e-600: the normalized noise vector on that site overflows
+    config = {
+        "kind": "dissipative", "p": 1, "mu0": "1",
+        "ratio": {"core_lo": -1, "core": ["1e300", 1.0], "neg_period": [1.0, "1e300"],
+                  "pos_period": [1.0, 0.5]},
+        "cells": {"beta": ["5/5"], "wobble_lo": 1, "wobble": [["10/10"], ["15/15"]]},
+    }
+    code, _, err = run(capsys, "shadow", config_file(config), "--length", "21",
+                       "--seed", "2", "--json")
+    assert code == EXIT_CONFIG
+    assert "float range" in err and "Traceback" not in err
+
+
+def test_shadow_certificate_beyond_float_range_has_no_splitting(config_file, capsys):
+    weights = {"core_lo": -3, "core": [1e300, 1e300, "1e-300"],
+               "neg_period": ["1/2", 1.0, "1e-300"], "pos_period": [1e300, 1e300, "1e-300"]}
+    code, _, err = run(capsys, "shadow", config_file({"kind": "shift", "weights": weights, "p": 2}),
+                       "--length", "9", "--delta", "0.5", "--seed", "-3", "--json")
+    assert code == EXIT_NO_SPLITTING
+    assert "float range" in err
+
+
+def test_audit_rejects_samples_beyond_float_range(config_file, capsys):
+    config = {
+        "kind": "dissipative", "p": 1, "mu0": "1",
+        "ratio": {"core_lo": -3, "core": ["7"], "neg_period": [1.0, "1e300", 1e-300],
+                  "pos_period": ["1e-300"]},
+    }
+    code, _, err = run(capsys, "audit", config_file(config), "--count", "1", "--seed", "-2",
+                       "--horizon", "20")
+    assert code == EXIT_CONFIG
+    assert "float range" in err and "Traceback" not in err
