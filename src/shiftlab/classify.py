@@ -36,7 +36,6 @@ from .systems import (
     AtomicSystem,
     Cycle,
     DissipativeSystem,
-    Line,
     WeightSequence,
     check_bounded_distortion,
 )
@@ -521,13 +520,6 @@ def classify_atomic_expansive(system: AtomicSystem, mode: ExpansivityMode) -> Ve
                    {"components": len(system.components)})
 
 
-def _atomic_site_log_mu(comp: Cycle | Line, index: int) -> float:
-    if isinstance(comp, Cycle):
-        m = comp.measures[index % len(comp)]
-        return math.log(m.numerator) - math.log(m.denominator)
-    return comp.measures.log_mu(index)
-
-
 def _sample_sets(system: AtomicSystem, rng: random.Random, budget: int):
     """Random finite atom sets, as (component, index) pairs."""
     for _ in range(budget):
@@ -545,7 +537,7 @@ def _sample_sets(system: AtomicSystem, rng: random.Random, budget: int):
 
 def _set_log_measure(system: AtomicSystem, atoms, shift: int) -> float:
     logs = [
-        _atomic_site_log_mu(system.components[ci], idx + shift) for ci, idx in atoms
+        system.components[ci].log_mu(idx + shift) for ci, idx in atoms
     ]
     top = max(logs)
     return top + math.log(sum(math.exp(v - top) for v in logs))

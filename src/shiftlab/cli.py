@@ -423,8 +423,7 @@ def cmd_shadow(args) -> int:
     except NoSplitting as err:
         print(f"no splitting: {err}", file=sys.stderr)
         return EXIT_NO_SPLITTING
-    site = 0 if parsed.kind == "shift" else (0, None)
-    x0 = op.normalized_basis(site)
+    x0 = op.normalized_basis(op.origin)
     pt = make_pseudotrajectory(op, x0, args.delta, args.length, args.seed)
     try:
         result = shadow(op, pt, splitting)

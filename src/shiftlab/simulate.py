@@ -1,10 +1,19 @@
 """Operators on sequence spaces: orbits, expansivity probes, and shadowing.
 
-Vectors are sparse: a dict from site keys to coefficients.  A weighted
-shift uses integer sites; a composition operator over a dissipative
-system uses ``(k, cell)`` pairs; an atomic composition uses
-``(component, index)``.  All norm arithmetic runs in log space, so orbit
-norms stay meaningful far beyond float range.
+Every operator here is one line-sum core, ``LineSumOperator``: the space
+is a direct sum of measured lines, each site sits at an integer position
+on one line, and a line carries its weight line (the one-step norm
+factors that the basis walks and the splitting read) and its site log
+measure.  A weighted shift is one line with unit measures; a composition
+map over a dissipative system has one line per cell (or the window); an
+atomic union has one line per component, and a cycle of r atoms is the
+purely periodic weight line of period r.  The three operator classes only
+translate their site keys (integers, ``(k, cell)`` and ``(component,
+index)``) to lines and positions, label sites and apply the map.
+
+Vectors are sparse: a dict from site keys to coefficients.  Norms are
+summed in log space, and orbit_log_norms carries a running log scale, so
+orbit norms stay meaningful far beyond float range.
 
 The brute-force expansivity check follows the norm-threshold definition
 directly: a unit vector escapes once some iterate has norm at least 2.
@@ -18,8 +27,9 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable
 
 from .classify import Status, Verdict
@@ -28,7 +38,6 @@ from .systems import (
     AtomicSystem,
     Cycle,
     DissipativeSystem,
-    Line,
     WeightSequence,
     check_star,
 )
@@ -77,253 +86,255 @@ def _exp(log_value: float) -> float:
         return math.inf
 
 
-class ShiftOperator:
-    """Bilateral weighted backward shift: (B x)_j = w_{j+1} x_{j+1}."""
+class LineSumOperator:
+    """Composition-type operator on a direct sum of measured lines.
 
-    kind = "shift"
+    Every site sits at an integer position on one line.  A line carries
+    its weight line, the one-step norm factors w_k = ||T e_k|| / ||e_k||
+    that the basis walks and the splitting read, and its site log measure,
+    which the norm adds to p log|c|: 0 for a shift, the cell or window
+    measure for a composition map, log mu for an atom.  A cycle of r atoms
+    is the purely periodic weight line of period r, its positions read
+    mod r.  Subclasses translate site keys to (line, position) in
+    ``_locate`` and back in ``_key``, label sites, apply the operator, and
+    name their start site ``origin``.
+    """
+
+    def __init__(self, p: float, lines, periods=None, site_log_measure=None):
+        self.p = p
+        self.lines: tuple[EventuallyPeriodicSequence, ...] = tuple(lines)
+        self._periods = tuple(periods) if periods is not None else (None,) * len(self.lines)
+        # Called with the site key unpacked; None for unit site measures.
+        self._log_measure = site_log_measure
+
+    def _cover(self, site) -> list:
+        """The sites a key stands for: itself, unless it is a window over cells."""
+        return [site]
+
+    def log_norm(self, vec: Vec) -> float:
+        if not vec:
+            return -math.inf
+        p = self.p
+        measure = self._log_measure
+        if measure is None:
+            return _logsumexp(p * math.log(abs(c)) for c in vec.values() if c != 0) / p
+        terms = [p * math.log(abs(c)) + measure(*site) for site, c in vec.items() if c != 0]
+        return _logsumexp(terms) / p
+
+    def log_term(self, site, c: float) -> float:
+        """log ||c e_site||^p of one entry: its term inside log_norm (-inf at 0)."""
+        if not c:
+            return -math.inf
+        if self._log_measure is None:
+            return self.p * math.log(abs(c))
+        return self.p * math.log(abs(c)) + self._log_measure(*site)
+
+    def norm(self, vec: Vec) -> float:
+        return _exp(self.log_norm(vec))
+
+    def norm_upper_bound(self) -> float:
+        """Operator norm bound of a composition map: c^(1/p) of check_star."""
+        return check_star(self.system).norm_bound
+
+    def normalized_basis(self, site) -> Vec:
+        """Unit vector on a site; a window key spreads evenly over its cells."""
+        if self._log_measure is None:
+            return {site: 1.0}
+        sites = self._cover(site)
+        log_mass = _logsumexp([self.log_term(s, 1.0) for s in sites])
+        return dict.fromkeys(sites, math.exp(-log_mass / self.p))
+
+    def basis_sites(self, span: int) -> list:
+        """Every site of a cycle, and positions -span..span of every other line."""
+        return [
+            self._key(line, k)
+            for line, period in enumerate(self._periods)
+            for k in (range(period) if period else range(-span, span + 1))
+        ]
+
+    def _draw_site(self, rng: random.Random, reach: int):
+        """A seeded site near position 0: the line first, then the position."""
+        line = rng.randrange(len(self.lines))
+        period = self._periods[line]
+        return self._key(line, rng.randrange(period) if period else rng.randint(-reach, reach))
+
+    def noise_sites(self, rng: random.Random) -> object:
+        return self._draw_site(rng, 2)
+
+    def _sample_site(self, rng: random.Random) -> object:
+        return self._draw_site(rng, 12)
+
+    def site_line(self, site) -> tuple[EventuallyPeriodicSequence, int]:
+        """(weight line, position) carrying the basis walk of this site."""
+        line, position = self._locate(site)
+        return self.lines[line], position
+
+    def site_is_stable(self, site, splitting: "Splitting") -> bool:
+        return splitting.covers_stable(self._locate(site)[1])
+
+
+def _weight_line(ratio: EventuallyPeriodicSequence, p: float) -> EventuallyPeriodicSequence:
+    """w_k = (mu_{k-1}/mu_k)^(1/p) from the ratios mu_{k+1}/mu_k of one measured line."""
+    return ratio.shifted(1).elementwise_pow(-1.0 / p)
+
+
+def _cycle_ratio(cycle: Cycle) -> EventuallyPeriodicSequence:
+    """The ratios m_{k+1}/m_k of a cycle's atoms, periodic with period r."""
+    m = cycle.measures
+    ratios = tuple(m[(k + 1) % len(m)] / m[k] for k in range(len(m)))
+    return EventuallyPeriodicSequence(0, ratios, ratios, ratios, 1.0, cycle.exact)
+
+
+class ShiftOperator(LineSumOperator):
+    """Bilateral weighted backward shift: (B x)_j = w_{j+1} x_{j+1}.
+
+    One line with unit site measures; the sites are its integer positions.
+    """
+
+    origin = 0
 
     def __init__(self, weights: WeightSequence, p: float = 2.0):
         if p < 1 or not math.isfinite(p):
             raise ValueError("norm exponent p must be a finite real >= 1")
+        super().__init__(p, [weights.values])
         self.weights = weights
-        self.p = p
         # One-step factors by site, exp(log w_k) forward and exp(-log w_{k+1})
         # backward: the same floats apply() would compute afresh.
         self._forward: dict[int, float] = {}
         self._backward: dict[int, float] = {}
 
-    def apply(self, vec: Vec, steps: int = 1) -> Vec:
-        w = self.weights.values
-        current = vec
-        for _ in range(abs(steps)):
-            moved: Vec = {}
-            if steps > 0:
-                factors = self._forward
-                for k, c in current.items():
-                    f = factors.get(k)
-                    if f is None:
-                        f = factors[k] = math.exp(w.log_at(k))
-                    moved[k - 1] = c * f
-            else:
-                factors = self._backward
-                for k, c in current.items():
-                    f = factors.get(k)
-                    if f is None:
-                        f = factors[k] = math.exp(-w.log_at(k + 1))
-                    moved[k + 1] = c * f
-            current = moved
-        return current
+    def _locate(self, site) -> tuple[int, int]:
+        return 0, site
 
-    def log_norm(self, vec: Vec) -> float:
-        if not vec:
-            return -math.inf
-        return _logsumexp(
-            self.p * math.log(abs(c)) for c in vec.values() if c != 0
-        ) / self.p
+    def _key(self, line: int, position: int):
+        return position
 
-    def log_term(self, site, c: float) -> float:
-        """log ||c e_site||^p of one entry: its term inside log_norm (-inf at 0)."""
-        return self.p * math.log(abs(c)) if c else -math.inf
-
-    def norm(self, vec: Vec) -> float:
-        try:
-            return math.exp(self.log_norm(vec))
-        except OverflowError:
-            return math.inf
+    def _draw_site(self, rng: random.Random, reach: int):
+        return rng.randint(-reach, reach)
 
     def norm_upper_bound(self) -> float:
         return self.weights.sup
 
-    def basis_sites(self, span: int) -> list:
-        return list(range(-span, span + 1))
-
     def site_label(self, site) -> str:
         return f"e[{site}]"
 
-    def normalized_basis(self, site) -> Vec:
-        return {site: 1.0}
-
-    def site_log_norm_start(self, site) -> float:
-        return 0.0
-
-    def noise_sites(self, rng: random.Random) -> object:
-        return rng.randint(-2, 2)
-
-    def _weight_lines(self) -> list[EventuallyPeriodicSequence]:
-        return [self.weights.values]
-
-    def site_line(self, site) -> tuple[EventuallyPeriodicSequence, int]:
-        """(weight line, position) carrying the basis walk of this site."""
-        return self.weights.values, site
-
-    def site_is_stable(self, site, splitting: "Splitting") -> bool:
-        return splitting.covers_stable(site)
+    def apply(self, vec: Vec, steps: int = 1) -> Vec:
+        w = self.weights.values
+        forward = steps > 0
+        factors, move = (self._forward, -1) if forward else (self._backward, 1)
+        current = vec
+        for _ in range(abs(steps)):
+            moved: Vec = {}
+            for k, c in current.items():
+                f = factors.get(k)
+                if f is None:
+                    f = factors[k] = math.exp(w.log_at(k) if forward else -w.log_at(k + 1))
+                moved[k + move] = c * f
+            current = moved
+        return current
 
 
-class CompositionOperator:
+class CompositionOperator(LineSumOperator):
     """Composition with the underlying map on a dissipative system.
 
     Acts on simple functions by reindexing: the preimage of the k-th image
     of a cell is the (k-1)-st image of the same cell, so coefficients ride
-    along unchanged and only the site measures move the norm.
+    along unchanged and only the site measures move the norm.  Each cell
+    is one line, keyed (k, cell); without cells the window is the only
+    line, keyed (k, None).  On a celled system a window key (k, None)
+    stands for its cells: normalized_basis spreads it over them, and a
+    norm of a vector holding one raises ValueError.
     """
 
-    kind = "composition"
+    origin = (0, None)
 
     def __init__(self, system: DissipativeSystem):
         self.system = system
-        self.p = system.p
-        self._cells = list(range(system.n_cells)) if system.cells is not None else [None]
-        self._lines: dict = {}
+        self._cells = [None] if system.cells is None else list(range(system.n_cells))
+        super().__init__(
+            system.p,
+            [_weight_line(system.cell_ratio(cell), system.p) for cell in self._cells],
+            site_log_measure=(
+                system.site_log_measure if system.cells is None else self._cell_log_measure
+            ),
+        )
 
-    def apply(self, vec: Vec, steps: int = 1) -> Vec:
-        return {(k - steps, j): c for (k, j), c in vec.items()}
+    def _cell_log_measure(self, k: int, cell: int | None) -> float:
+        if cell is None:
+            raise ValueError(f"window site ({k}, None) of a celled system in a vector; "
+                             "normalized_basis spreads it over the cells")
+        return self.system.site_log_measure(k, cell)
 
-    def log_norm(self, vec: Vec) -> float:
-        if not vec:
-            return -math.inf
-        terms = []
-        for (k, j), c in vec.items():
-            if c == 0:
-                continue
-            terms.append(self.p * math.log(abs(c)) + self.system.site_log_measure(k, j))
-        return _logsumexp(terms) / self.p
+    def _locate(self, site) -> tuple[int, int]:
+        k, cell = site
+        if cell is None:
+            if self.system.cells is not None:
+                raise ValueError(f"window site ({k}, None) covers several cells")
+            return 0, k
+        return cell, k
 
-    def log_term(self, site, c: float) -> float:
-        """log ||c chi_site||^p of one entry: its term inside log_norm (-inf at 0)."""
-        if not c:
-            return -math.inf
-        k, j = site
-        return self.p * math.log(abs(c)) + self.system.site_log_measure(k, j)
+    def _key(self, line: int, position: int):
+        return (position, self._cells[line])
 
-    def norm(self, vec: Vec) -> float:
-        try:
-            return math.exp(self.log_norm(vec))
-        except OverflowError:
-            return math.inf
+    def _cover(self, site) -> list:
+        k, cell = site
+        return [site] if cell is not None else [(k, c) for c in self._cells]
 
-    def norm_upper_bound(self) -> float:
-        return check_star(self.system).norm_bound
-
-    def basis_sites(self, span: int) -> list:
-        return [(k, j) for k in range(-span, span + 1) for j in self._cells]
+    def _sample_site(self, rng: random.Random) -> object:
+        k = rng.randint(-12, 12)  # the position before the cell
+        return (k, self._cells[rng.randrange(len(self._cells))])
 
     def site_label(self, site) -> str:
         k, j = site
         return f"chi[{k}]" if j is None else f"chi[{k},cell{j + 1}]"
 
-    def normalized_basis(self, site) -> Vec:
-        k, j = site
-        return {site: math.exp(-self.system.site_log_measure(k, j) / self.p)}
-
-    def noise_sites(self, rng: random.Random) -> object:
-        cell = rng.choice(self._cells)
-        return (rng.randint(-2, 2), cell)
-
-    def _cell_line(self, cell) -> EventuallyPeriodicSequence:
-        line = self._lines.get(cell)
-        if line is None:
-            line = self.system.cell_ratio(cell).shifted(1).elementwise_pow(-1.0 / self.p)
-            self._lines[cell] = line
-        return line
-
-    def _weight_lines(self) -> list[EventuallyPeriodicSequence]:
-        return [self._cell_line(j) for j in self._cells]
-
-    def site_line(self, site) -> tuple[EventuallyPeriodicSequence, int]:
-        k, j = site
-        return self._cell_line(j), k
-
-    def site_is_stable(self, site, splitting: "Splitting") -> bool:
-        return splitting.covers_stable(site[0])
+    def apply(self, vec: Vec, steps: int = 1) -> Vec:
+        return {(k - steps, j): c for (k, j), c in vec.items()}
 
 
-class AtomicOperator:
-    """Composition over a union of cycles and lines of atoms."""
+class AtomicOperator(LineSumOperator):
+    """Composition over a union of cycles and lines of atoms.
 
-    kind = "atomic"
+    Component i is line i, keyed (i, index); a cycle's indices wrap mod r.
+    """
+
+    origin = (0, 0)
 
     def __init__(self, system: AtomicSystem):
         self.system = system
-        self.p = system.p
+        comps = system.components
+        periods = [len(c) if isinstance(c, Cycle) else None for c in comps]
+        ratios = [_cycle_ratio(c) if r else c.measures.ratio for c, r in zip(comps, periods)]
+        super().__init__(
+            system.p,
+            [_weight_line(ratio, system.p) for ratio in ratios],
+            periods,
+            lambda ci, index: comps[ci].log_mu(index),
+        )
 
-    def _move(self, site, steps: int):
-        ci, idx = site
-        comp = self.system.components[ci]
-        if isinstance(comp, Cycle):
-            return (ci, (idx - steps) % len(comp))
-        return (ci, idx - steps)
+    def _locate(self, site) -> tuple[int, int]:
+        return site
 
-    def apply(self, vec: Vec, steps: int = 1) -> Vec:
-        out: Vec = {}
-        for site, c in vec.items():
-            target = self._move(site, steps)
-            out[target] = out.get(target, 0.0) + c
-        return out
-
-    def _site_log_mu(self, site) -> float:
-        ci, idx = site
-        comp = self.system.components[ci]
-        if isinstance(comp, Cycle):
-            m = comp.measures[idx % len(comp)]
-            return math.log(m.numerator) - math.log(m.denominator)
-        return comp.measures.log_mu(idx)
-
-    def log_norm(self, vec: Vec) -> float:
-        if not vec:
-            return -math.inf
-        terms = [
-            self.p * math.log(abs(c)) + self._site_log_mu(site)
-            for site, c in vec.items()
-            if c != 0
-        ]
-        return _logsumexp(terms) / self.p
-
-    def norm(self, vec: Vec) -> float:
-        try:
-            return math.exp(self.log_norm(vec))
-        except OverflowError:
-            return math.inf
-
-    def norm_upper_bound(self) -> float:
-        worst = 0.0
-        for comp in self.system.components:
-            if isinstance(comp, Cycle):
-                hi, lo = max(comp.measures), min(comp.measures)
-                worst = max(worst, float(hi / lo) ** (1.0 / self.p))
-            else:
-                w = comp.measures.ratio.shifted(1).elementwise_pow(-1.0 / self.p)
-                worst = max(worst, w.sup_value())
-        return worst
-
-    def basis_sites(self, span: int) -> list:
-        sites = []
-        for ci, comp in enumerate(self.system.components):
-            if isinstance(comp, Cycle):
-                sites.extend((ci, i) for i in range(len(comp)))
-            else:
-                sites.extend((ci, k) for k in range(-span, span + 1))
-        return sites
+    def _key(self, line: int, position: int):
+        return (line, position)
 
     def site_label(self, site) -> str:
         return f"atom[{site[0]},{site[1]}]"
 
-    def normalized_basis(self, site) -> Vec:
-        return {site: math.exp(-self._site_log_mu(site) / self.p)}
-
-    def noise_sites(self, rng: random.Random) -> object:
-        ci = rng.randrange(len(self.system.components))
-        comp = self.system.components[ci]
-        if isinstance(comp, Cycle):
-            return (ci, rng.randrange(len(comp)))
-        return (ci, rng.randint(-2, 2))
+    def apply(self, vec: Vec, steps: int = 1) -> Vec:
+        out: Vec = {}
+        for (ci, idx), c in vec.items():
+            period = self._periods[ci]
+            target = (ci, (idx - steps) % period if period else idx - steps)
+            out[target] = out.get(target, 0.0) + c
+        return out
 
 
-Operator = ShiftOperator | CompositionOperator | AtomicOperator
+Operator = LineSumOperator
 
 
 def operator_for(obj, p: float | None = None) -> Operator:
-    if isinstance(obj, (ShiftOperator, CompositionOperator, AtomicOperator)):
+    if isinstance(obj, LineSumOperator):
         return obj
     if isinstance(obj, WeightSequence):
         return ShiftOperator(obj, p if p is not None else 2.0)
@@ -334,27 +345,12 @@ def operator_for(obj, p: float | None = None) -> Operator:
     raise TypeError(f"no operator model for {type(obj).__name__}")
 
 
-def _rescaled_step(op: Operator, vec: Vec, direction: int, log_scale: float) -> tuple[Vec, float]:
-    """One step of an orbit whose coefficients carry a running log scale.
-
-    A step that would leave the normal float range is taken again from the
-    vector rescaled to top coefficient 1 (an exact power of two), and the
-    scale moves into log_scale; in-range steps are left bit for bit.
-    """
-    moved = op.apply(vec, direction)
-    top = max(map(abs, moved.values()), default=0.0)
-    if vec and not sys.float_info.min <= top < math.inf:
-        shift = math.frexp(max(map(abs, vec.values())))[1]
-        moved = op.apply({s: math.ldexp(c, -shift) for s, c in vec.items()}, direction)
-        log_scale += shift * _LOG2
-    return moved, log_scale
-
-
 def orbit_log_norms(op: Operator, vec: Vec, n_lo: int, n_hi: int) -> list[tuple[int, float]]:
     """log ||T^n x|| for n in [n_lo, n_hi], computed incrementally.
 
-    The coefficients are rescaled whenever a step would overflow or
-    underflow them, so the logs stay finite far beyond float range.
+    A step that would take the coefficients out of the normal float range
+    is taken again from the vector rescaled by an exact power of two, and
+    the scale is carried in log space; steps in range are left bit for bit.
     """
     if n_lo > n_hi:
         raise ValueError("empty orbit range")
@@ -364,7 +360,12 @@ def orbit_log_norms(op: Operator, vec: Vec, n_lo: int, n_hi: int) -> list[tuple[
     for direction, steps in ((1, range(1, n_hi + 1)), (-1, range(-1, n_lo - 1, -1))):
         current, log_scale = vec, 0.0
         for n in steps:
-            current, log_scale = _rescaled_step(op, current, direction, log_scale)
+            moved = op.apply(current, direction)
+            if current and not sys.float_info.min <= max(map(abs, moved.values())) < math.inf:
+                shift = math.frexp(max(map(abs, current.values())))[1]
+                moved = op.apply({s: math.ldexp(c, -shift) for s, c in current.items()}, direction)
+                log_scale += shift * _LOG2
+            current = moved
             if n_lo <= n <= n_hi:
                 out[n] = op.log_norm(current) + log_scale
     return sorted(out.items())
@@ -439,20 +440,6 @@ def _line_walk(
     return _walk_analysis(inc, n_enter, period, drift, horizon, want_curve)
 
 
-def _cycle_walk(
-    comp: Cycle, p: float, idx: int, direction: int, horizon: int, *, want_curve: bool
-) -> DirectionalWalk:
-    r = len(comp)
-    logs = [math.log(m.numerator) - math.log(m.denominator) for m in comp.measures]
-
-    def inc(n: int) -> float:
-        now = (idx - direction * n) % r
-        before = (idx - direction * (n - 1)) % r
-        return (logs[now] - logs[before]) / p
-
-    return _walk_analysis(inc, 1, r, 0, horizon, want_curve)
-
-
 def _walk_analysis(
     inc, n_enter: int, period: int, drift: int, horizon: int, want_curve: bool
 ) -> DirectionalWalk:
@@ -489,30 +476,10 @@ def _walk_analysis(
             period=period,
             sup_norm=math.exp(sup),
         )
-    if want_curve and len(curve) < horizon:
-        # finish the curve for uniform-mode alignment
-        while len(curve) < horizon:
-            n_next = len(curve) + 1
-            cum = (curve[-1] if curve else 0.0) + inc(n_next)
-            curve.append(cum)
-    return DirectionalWalk(
-        crossed_at=crossed,
-        certificate=certificate,
-        sup_log_norm=sup,
-        log_norms=tuple(curve),
-    )
-
-
-def _basis_walk(op: Operator, site, direction: int, horizon: int, want_curve: bool) -> DirectionalWalk:
-    if isinstance(op, AtomicOperator):
-        ci, idx = site
-        comp = op.system.components[ci]
-        if isinstance(comp, Cycle):
-            return _cycle_walk(comp, op.p, idx, direction, horizon, want_curve=want_curve)
-        line = comp.measures.ratio.shifted(1).elementwise_pow(-1.0 / op.p)
-        return _line_walk(line, idx, direction, horizon, want_curve=want_curve)
-    line, position = op.site_line(site)
-    return _line_walk(line, position, direction, horizon, want_curve=want_curve)
+    # finish the curve for uniform-mode alignment
+    while want_curve and len(curve) < horizon:
+        curve.append((curve[-1] if curve else 0.0) + inc(len(curve) + 1))
+    return DirectionalWalk(crossed, certificate, sup, tuple(curve))
 
 
 def _random_sample(op: Operator, rng: random.Random) -> Vec:
@@ -522,17 +489,7 @@ def _random_sample(op: Operator, rng: random.Random) -> Vec:
     guard = 0
     while len(sites) < size and guard < 200:
         guard += 1
-        if isinstance(op, ShiftOperator):
-            sites.add(rng.randint(-12, 12))
-        elif isinstance(op, CompositionOperator):
-            sites.add((rng.randint(-12, 12), rng.choice(op._cells)))
-        else:
-            ci = rng.randrange(len(op.system.components))
-            comp = op.system.components[ci]
-            if isinstance(comp, Cycle):
-                sites.add((ci, rng.randrange(len(comp))))
-            else:
-                sites.add((ci, rng.randint(-12, 12)))
+        sites.add(op._sample_site(rng))
     vec: Vec = {}
     for site in sites:
         vec[site] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
@@ -591,9 +548,10 @@ def brute_force_expansivity(
     curves_bwd: list[tuple[float, ...]] = []
 
     for site in op.basis_sites(horizon):
-        fwd = _basis_walk(op, site, +1, horizon, want_curve)
+        line, position = op.site_line(site)
+        fwd = _line_walk(line, position, +1, horizon, want_curve=want_curve)
         bwd = (
-            _basis_walk(op, site, -1, horizon, want_curve)
+            _line_walk(line, position, -1, horizon, want_curve=want_curve)
             if mode.twosided
             else None
         )
@@ -673,23 +631,10 @@ def _brute_verdict(
     twosided = mode.twosided
     for outcome in outcomes:
         if _sample_bounded(outcome, twosided):
-            cert = outcome.certificate
-            assert cert is not None
-            witness = {
-                "sample": outcome.label,
-                "certificate": {
-                    "kind": cert.kind,
-                    "period": cert.period,
-                    "sup_norm": cert.sup_norm,
-                },
-            }
+            assert outcome.certificate is not None
+            witness = {"sample": outcome.label, "certificate": asdict(outcome.certificate)}
             if twosided and outcome.backward_certificate is not None:
-                back = outcome.backward_certificate
-                witness["backward_certificate"] = {
-                    "kind": back.kind,
-                    "period": back.period,
-                    "sup_norm": back.sup_norm,
-                }
+                witness["backward_certificate"] = asdict(outcome.backward_certificate)
             return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
 
     if mode.uniform:
@@ -852,9 +797,7 @@ def _sup_forward_factor(line: EventuallyPeriodicSequence, j: int, cut: int | Non
         k_hi = cut
         k_lo = min(k_lo, cut)
     logs = [line.log_at(i) for i in range(k_lo - j + 1, k_hi + 1)]
-    prefix = [0.0]
-    for value in logs:
-        prefix.append(prefix[-1] + value)
+    prefix = list(accumulate(logs, initial=0.0))
     best = -math.inf
     for k in range(k_lo, k_hi + 1):
         hi_idx = k - (k_lo - j + 1) + 1
@@ -871,9 +814,7 @@ def _sup_backward_factor(line: EventuallyPeriodicSequence, j: int, cut: int | No
         k_lo = cut + 1
         k_hi = max(k_hi, k_lo)
     logs = [line.log_at(i) for i in range(k_lo + 1, k_hi + j + 1)]
-    prefix = [0.0]
-    for value in logs:
-        prefix.append(prefix[-1] + value)
+    prefix = list(accumulate(logs, initial=0.0))
     best = -math.inf
     for k in range(k_lo, k_hi + 1):
         lo_idx = k + 1 - (k_lo + 1)
@@ -889,8 +830,9 @@ def _table_entry(log_factor: float) -> float:
         raise NoSplitting("certificate constants leave float range") from None
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+def _window_rate(table: list[float]) -> float | None:
+    # per-step rate certified by the last entry of a window's table
+    return table[-1] ** (1.0 / len(table)) if table else None
 
 
 def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
@@ -900,13 +842,14 @@ def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
     contraction, both above 1 an expansion, and contraction on the left
     with expansion on the right splits the sites at the end of the core.
     Everything else (any tail rate equal to 1, or the reversed split) has
-    no splitting to offer.
+    no splitting to offer, and neither have lines whose tails disagree: a
+    cycle's unit rates never split.
     """
-    if isinstance(op, AtomicOperator):
-        raise NoSplitting("atomic unions are not supported by the splitting builder")
-    lines = op._weight_lines()
-    sign_neg = tail_sign_vs_one(lines[0], "neg")
-    sign_pos = tail_sign_vs_one(lines[0], "pos")
+    lines = op.lines
+    signs = {(tail_sign_vs_one(line, "neg"), tail_sign_vs_one(line, "pos")) for line in lines}
+    if len(signs) > 1:
+        raise NoSplitting("the lines' weight tail rates differ")
+    ((sign_neg, sign_pos),) = signs
     if sign_neg < 0 and sign_pos < 0:
         kind, cut = "contraction", None
     elif sign_neg > 0 and sign_pos > 0:
@@ -918,42 +861,24 @@ def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
             "weight tail rates do not separate into contraction and expansion"
         )
 
-    m0 = 1
-    for line in lines:
-        m0 = _lcm(m0, _lcm(len(line.neg_period), len(line.pos_period)))
-    window = m0
+    tails = [tail for line in lines for tail in (line.neg_period, line.pos_period)]
+    window = math.lcm(*map(len, tails))
     while window <= max_window:
-        stable_table = []
-        unstable_table = []
-        for j in range(1, window + 1):
-            if kind != "expansion":
-                stable_table.append(
-                    _table_entry(max(_sup_forward_factor(line, j, cut) for line in lines))
-                )
-            if kind != "contraction":
-                unstable_table.append(
-                    _table_entry(max(_sup_backward_factor(line, j, cut) for line in lines))
-                )
-        ok = True
-        if kind != "expansion" and stable_table[window - 1] >= 1.0 - 1e-12:
-            ok = False
-        if kind != "contraction" and unstable_table[window - 1] >= 1.0 - 1e-12:
-            ok = False
-        if ok:
+        stable_table = [
+            _table_entry(max(_sup_forward_factor(line, j, cut) for line in lines))
+            for j in range(1, window + 1)
+        ] if kind != "expansion" else []
+        unstable_table = [
+            _table_entry(max(_sup_backward_factor(line, j, cut) for line in lines))
+            for j in range(1, window + 1)
+        ] if kind != "contraction" else []
+        if all(table[-1] < 1.0 - 1e-12 for table in (stable_table, unstable_table) if table):
             return Splitting(
                 kind=kind,
                 cut=cut,
                 window=window,
-                lam_stable=(
-                    stable_table[window - 1] ** (1.0 / window)
-                    if kind != "expansion"
-                    else None
-                ),
-                lam_unstable=(
-                    unstable_table[window - 1] ** (1.0 / window)
-                    if kind != "contraction"
-                    else None
-                ),
+                lam_stable=_window_rate(stable_table),
+                lam_unstable=_window_rate(unstable_table),
                 stable_table=tuple(stable_table),
                 unstable_table=tuple(unstable_table),
             )
@@ -966,6 +891,7 @@ class ShadowResult:
     start_index: int
     z_points: tuple[Vec, ...]
     eps_achieved: float
+    dropped: float  # the largest norm the support bound dropped in one step
     bound_a_priori: float
     max_orbit_residual: float
     splitting: Splitting
@@ -988,14 +914,12 @@ def shadow(
     from the future, so that T d_i + e_i = d_{i+1}.  Each step drops the
     entries whose own norm is below _TRUNC times the largest error, which
     keeps the supports bounded and the run linear in the length.  With
-    `lost` the largest norm dropped in one step, the splitting's series
-    bounds what the drops could add to any d_i: a_priori_bound(lost), plus
-    lost for the unstable j = 0 term that bound leaves out.  eps_achieved is
-    max ||d_i|| plus this.  The result is checked against the orbit relation
-    before being returned.
+    `dropped` the largest norm dropped in one step, the splitting's series
+    bounds what the drops could add to any d_i: a_priori_bound(dropped),
+    plus dropped for the unstable j = 0 term that bound leaves out.
+    eps_achieved is max ||d_i|| plus this.  The result is checked against
+    the orbit relation before being returned.
     """
-    if isinstance(op, AtomicOperator):
-        raise NoSplitting("atomic unions are not supported by the shadowing engine")
     if splitting is None:
         splitting = build_splitting(op)
     errors = pt.errors(op)
@@ -1006,38 +930,35 @@ def shadow(
 
     def pruned(vec: Vec) -> Vec:
         kept: Vec = {}
-        dropped = []
+        below = []
         for s, c in vec.items():
             term = op.log_term(s, c)
             if term < floor:
-                dropped.append(term)
+                below.append(term)
             else:
                 kept[s] = c
-        if dropped:
-            lost_terms.append(_logsumexp(dropped))
+        if below:
+            lost_terms.append(_logsumexp(below))
         return kept
 
-    def p_stable(vec: Vec) -> Vec:
-        return {s: c for s, c in vec.items() if op.site_is_stable(s, splitting)}
-
-    def p_unstable(vec: Vec) -> Vec:
-        return {s: c for s, c in vec.items() if not op.site_is_stable(s, splitting)}
+    def part(vec: Vec, stable: bool) -> Vec:
+        return {s: c for s, c in vec.items() if op.site_is_stable(s, splitting) == stable}
 
     corrections: list[Vec] = [{} for _ in range(count)]
     if splitting.kind != "expansion":
         stable: Vec = {}
         for i in range(1, count):
-            stable = pruned(vec_add(op.apply(stable, 1), p_stable(errors[i - 1])))
+            stable = pruned(vec_add(op.apply(stable, 1), part(errors[i - 1], True)))
             corrections[i] = stable
     if splitting.kind != "contraction":
         unstable: Vec = {}
         for i in range(count - 2, -1, -1):
-            unstable = pruned(op.apply(vec_add(unstable, p_unstable(errors[i])), -1))
+            unstable = pruned(op.apply(vec_add(unstable, part(errors[i], False)), -1))
             corrections[i] = vec_sub(corrections[i], unstable)
 
-    lost = math.exp(max(lost_terms) / op.p) if lost_terms else 0.0
+    dropped = math.exp(max(lost_terms) / op.p) if lost_terms else 0.0
     eps = max((op.norm(d) for d in corrections), default=0.0)
-    eps += splitting.a_priori_bound(lost) + lost
+    eps += splitting.a_priori_bound(dropped) + dropped
 
     max_residual = 0.0
     for i in range(count - 1):
@@ -1053,6 +974,7 @@ def shadow(
         start_index=pt.start_index,
         z_points=z_points,
         eps_achieved=eps,
+        dropped=dropped,
         bound_a_priori=splitting.a_priori_bound(pt.delta),
         max_orbit_residual=max_residual,
         splitting=splitting,

@@ -289,6 +289,10 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.measures)
 
+    def log_mu(self, index: int) -> float:
+        """log of the measure of atom index (mod r)."""
+        return _log_fraction(self.measures[index % len(self.measures)])
+
 
 @dataclass(frozen=True)
 class Line:
@@ -299,6 +303,9 @@ class Line:
     """
 
     measures: MeasureSequence
+
+    def log_mu(self, index: int) -> float:
+        return self.measures.log_mu(index)
 
     def as_dissipative(self, p: float) -> DissipativeSystem:
         return DissipativeSystem(p=p, measures=self.measures)

@@ -127,7 +127,7 @@ def shadow_exact_corrections(op, pt, splitting):
             acc[site] = acc.get(site, 0.0) + sign * c
 
     def stable(site):
-        return splitting.covers_stable(site[0] if isinstance(site, tuple) else site)
+        return op.site_is_stable(site, splitting)
 
     points = pt.points
     n = len(points)

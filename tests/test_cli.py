@@ -16,6 +16,9 @@ from shiftlab.cli import (
 )
 from shiftlab.classify import classify_report
 from shiftlab.presets import peak
+from shiftlab.simulate import build_splitting, make_pseudotrajectory, operator_for
+
+from _oracles import shadow_exact_corrections
 
 PEAK = {
     "kind": "dissipative",
@@ -412,13 +415,6 @@ def test_simulate_prints_measures_beyond_float_range(config_file, capsys):
         assert rows[n] == pytest.approx(-300 * n, abs=1e-9), n
 
 
-def test_simulate_in_range_rows_keep_their_digits(config_file, capsys):
-    code, out, _ = run(capsys, "simulate", config_file(PEAK), "--nmin", "-3", "--nmax", "3")
-    assert code == EXIT_OK
-    assert out.splitlines() == ["n,norm", "-3,0.125", "-2,0.25", "-1,0.5", "0,1",
-                                "1,0.5", "2,0.25", "3,0.125"]
-
-
 @pytest.mark.parametrize(
     "config, flag, value",
     [(CELLS, "--cell", "0"), (CELLS, "--cell", "3"), (CELLS, "--cell", "-1"),
@@ -478,3 +474,57 @@ def test_audit_rejects_samples_beyond_float_range(config_file, capsys):
                        "--horizon", "20")
     assert code == EXIT_CONFIG
     assert "float range" in err and "Traceback" not in err
+
+
+# -- shadowing through the line-sum core --------------------------------------------
+
+TWO_SPLIT_LINES = {
+    "kind": "atomic",
+    "p": 1,
+    "components": [
+        {"type": "line", "mu0": "1",
+         "ratio": {"core_lo": 0, "core": ["1/2"], "neg_period": ["2"], "pos_period": ["1/2"]}},
+        {"type": "line", "mu0": "3",
+         "ratio": {"core_lo": 0, "core": ["1/3"], "neg_period": ["3"], "pos_period": ["1/3"]}},
+    ],
+}
+
+
+def test_celled_shadow_reports_the_exact_series_eps(config_file, capsys):
+    code, out, _ = run(capsys, "shadow", config_file(CELLS), "--length", "41", "--seed", "3",
+                       "--json")
+    assert code == EXIT_OK
+    eps = json.loads(out)["eps_achieved"]
+    op = operator_for(parse_config(json.dumps(CELLS)).system)
+    pt = make_pseudotrajectory(op, op.normalized_basis(op.origin), 1e-3, 41, 3)
+    exact_max = max(op.norm(d) for d in shadow_exact_corrections(op, pt, build_splitting(op)))
+    # the payload carries 12 significant digits
+    assert eps == pytest.approx(exact_max, abs=1e-12 * pt.delta + 5e-12 * exact_max)
+
+
+def mixed_union(second):
+    config = json.loads(json.dumps(TWO_SPLIT_LINES))
+    config["components"][1] = second
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        (TWO_SPLIT_LINES, EXIT_OK),
+        (mixed_union({"type": "line", "mu0": "1", "ratio": {
+            "core_lo": 0, "core": ["1/2"], "neg_period": ["1/2"], "pos_period": ["1/2"]}}),
+         EXIT_NO_SPLITTING),
+        (mixed_union({"type": "cycle", "measures": ["1", "2"]}), EXIT_NO_SPLITTING),
+        (THREE_CYCLE, EXIT_NO_SPLITTING),
+    ],
+    ids=["split-lines", "mismatched-tails", "line-and-cycle", "cycle"],
+)
+def test_shadow_atomic_configs(config_file, capsys, config, expected):
+    code, out, err = run(capsys, "shadow", config_file(config), "--length", "41", "--json")
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == EXIT_OK:
+        assert json.loads(out)["bound_satisfied"] is True
+    else:
+        assert "no splitting" in err

@@ -17,7 +17,7 @@ from shiftlab.presets import (
     split_weights,
     valley,
 )
-from shiftlab.seqcore import EventuallyPeriodicSequence
+from shiftlab.seqcore import EventuallyPeriodicSequence, tail_sign_vs_one
 from shiftlab.simulate import (
     AtomicOperator,
     BruteMode,
@@ -40,6 +40,7 @@ from shiftlab.systems import (
     CellStructure,
     Cycle,
     DissipativeSystem,
+    Line,
     MeasureSequence,
     WeightSequence,
     check_star,
@@ -609,3 +610,101 @@ def test_shadow_survives_subnormal_errors():
     result = shadow(op, pt)
     assert result.max_orbit_residual <= 1e-9
     assert result.eps_achieved <= result.bound_a_priori
+
+
+# -- the line-sum core -------------------------------------------------------------
+
+
+def quarter_cells(p=1.0):
+    cells = CellStructure(beta=(F(3, 4), F(1, 4)), wobble_lo=0, wobble=())
+    measures = MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"]))
+    return DissipativeSystem(p=p, measures=measures, cells=cells)
+
+
+def test_window_key_in_a_celled_vector_is_rejected():
+    # Read as a site disjoint from its cells, this norm came out 1.75; it is 0.25.
+    op = CompositionOperator(quarter_cells())
+    with pytest.raises(ValueError):
+        op.norm({(0, None): 1.0, (0, 0): -1.0})
+    with pytest.raises(ValueError):
+        op.log_term((0, None), 1.0)
+    assert op.norm({(0, 1): 1.0}) == pytest.approx(0.25, rel=1e-15)
+
+
+def test_window_basis_spreads_over_the_cells():
+    system = quarter_cells(p=2.0)
+    op = CompositionOperator(system)
+    vec = op.normalized_basis((0, None))
+    assert set(vec) == {(0, 0), (0, 1)}
+    assert op.norm(vec) == pytest.approx(1.0, rel=1e-15)
+    for n in (-3, 2):
+        ratio_mu = system.measures.mu(-n) / system.measures.mu(0)
+        assert op.norm(op.apply(vec, n)) ** 2 == pytest.approx(ratio_mu, rel=1e-12)
+
+
+def test_cycle_is_a_periodic_weight_line():
+    measures = [1, 2, 3]
+    op = AtomicOperator(AtomicSystem(p=2.0, components=(Cycle.from_values(measures),)))
+    line, position = op.site_line((0, 1))
+    assert position == 1
+    for k in range(-7, 8):
+        expected = (measures[(k - 1) % 3] / measures[k % 3]) ** 0.5
+        assert line.value_at(k) == pytest.approx(expected, rel=1e-15), k
+    assert (tail_sign_vs_one(line, "neg"), tail_sign_vs_one(line, "pos")) == (0, 0)
+    assert op.basis_sites(50) == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_atomic_norms_read_the_component_measures():
+    system = two_split_lines(p=2.0)
+    op = AtomicOperator(system)
+    vec = {(0, -2): 0.5, (1, 3): -2.0}
+    expected = norm_direct(vec, 2.0, lambda site: system.components[site[0]].log_mu(site[1]))
+    assert op.norm(vec) == pytest.approx(expected, rel=1e-12)
+    assert op.norm(op.normalized_basis((1, 4))) == pytest.approx(1.0, rel=1e-15)
+    assert op.norm_upper_bound() == check_star(system).norm_bound
+
+
+def two_split_lines(p=1.0):
+    # measures 2^-|k| and 3 * 3^-|k|: both weight lines contract left and expand right
+    return AtomicSystem(p=p, components=(
+        Line(MeasureSequence(F(1), ratio(0, ["1/2"], ["2"], ["1/2"]))),
+        Line(MeasureSequence(F(3), ratio(0, ["1/3"], ["3"], ["1/3"]))),
+    ))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_atomic_union_shadows_like_the_exact_series(seed):
+    op = AtomicOperator(two_split_lines())
+    pt = make_pseudotrajectory(op, op.normalized_basis(op.origin), 1e-3, 41, seed)
+    result = shadow(op, pt)
+    assert result.splitting.kind == "split"
+    error_sites = {site for e in pt.errors(op) for site in e}
+    assert {site[0] for site in error_sites} == {0, 1}
+    assert {op.site_is_stable(site, result.splitting) for site in error_sites} == {True, False}
+    exact = shadow_exact_corrections(op, pt, result.splitting)
+    exact_max = max(op.norm(d) for d in exact)
+    assert exact_max <= result.eps_achieved <= exact_max + 1e-12 * pt.delta
+    for z, x, d in zip(result.z_points, pt.points, exact):
+        assert op.norm(vec_sub(vec_sub(z, x), d)) <= 1e-15
+
+
+def test_atomic_unions_without_a_common_splitting():
+    split = two_split_lines().components[0]
+    expanding = Line(MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"])))
+    for components in ((split, expanding), (split, Cycle.from_values([1, 2]))):
+        op = AtomicOperator(AtomicSystem(p=1.0, components=components))
+        with pytest.raises(NoSplitting):
+            build_splitting(op)
+
+
+def test_eps_carries_the_dropped_mass():
+    # One error carried down by 1/2 per step falls below the drop floor
+    # near step 51; with x_i = 0 afterwards, z_i - x_i is d_i exactly.
+    op = ShiftOperator(WeightSequence(ratio(0, ["1/2"], ["1/2"], ["1/2"])), 1.0)
+    pt = Pseudotrajectory(start_index=0, points=({0: 1.0},) + ({},) * 59, delta=0.5)
+    result = shadow(op, pt)
+    assert result.dropped > 0.0
+    widest = max(op.norm(vec_sub(z, x)) for z, x in zip(result.z_points, pt.points))
+    dropped_mass = result.splitting.a_priori_bound(result.dropped) + result.dropped
+    assert result.eps_achieved == widest + dropped_mass
+    assert result.eps_achieved > widest

@@ -432,3 +432,16 @@ def test_random_mu_recursion_against_oracle():
         )
         k = rng.randint(-15, 15)
         assert ms.mu_fraction(k) == mu_direct(ms.mu0, lambda j: ms.ratio.base_at(j), k)
+
+
+def test_atomic_components_report_their_log_measures():
+    cycle = Cycle.from_values(["1/2", 3, "7/5"])
+    for index in range(-7, 8):
+        m = cycle.measures[index % 3]
+        assert cycle.log_mu(index) == math.log(m.numerator) - math.log(m.denominator)
+    line = Line(MeasureSequence.from_values(2, EventuallyPeriodicSequence.from_values(
+        -1, ["3", "1/2"], ["2"], ["1/3"])))
+    for k in range(-9, 10):
+        assert line.log_mu(k) == line.measures.log_mu(k)
+        assert math.exp(line.log_mu(k)) == pytest.approx(
+            float(mu_direct(2, line.measures.ratio.base_at, k)), rel=1e-12)
