@@ -278,9 +278,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_LN10 = math.log(10.0)
-
-
 def _fmt_log(log_value: float) -> str:
     """_fmt of exp(log_value), in the same 12-digit form beyond float range."""
     if log_value == -math.inf:
@@ -291,7 +288,7 @@ def _fmt_log(log_value: float) -> str:
         value = math.inf
     if sys.float_info.min <= value < math.inf:
         return _fmt(value)
-    log10 = log_value / _LN10
+    log10 = log_value / math.log(10.0)
     exponent = math.floor(log10)
     mantissa = format(10.0 ** (log10 - exponent), ".12g")
     if mantissa == "10":

@@ -130,7 +130,10 @@ class LineSumOperator:
         return self.p * math.log(abs(c)) + self._log_measure(*site)
 
     def norm(self, vec: Vec) -> float:
-        return _exp(self.log_norm(vec))
+        try:
+            return math.exp(self.log_norm(vec))
+        except OverflowError:
+            return math.inf
 
     def norm_upper_bound(self) -> float:
         """Operator norm bound of a composition map: c^(1/p) of check_star."""
@@ -209,8 +212,11 @@ class ShiftOperator(LineSumOperator):
     def _key(self, line: int, position: int):
         return position
 
-    def _draw_site(self, rng: random.Random, reach: int):
-        return rng.randint(-reach, reach)
+    def noise_sites(self, rng: random.Random) -> object:
+        return rng.randint(-2, 2)
+
+    def _sample_site(self, rng: random.Random) -> object:
+        return rng.randint(-12, 12)
 
     def norm_upper_bound(self) -> float:
         return self.weights.sup
@@ -220,16 +226,23 @@ class ShiftOperator(LineSumOperator):
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         w = self.weights.values
-        forward = steps > 0
-        factors, move = (self._forward, -1) if forward else (self._backward, 1)
         current = vec
         for _ in range(abs(steps)):
             moved: Vec = {}
-            for k, c in current.items():
-                f = factors.get(k)
-                if f is None:
-                    f = factors[k] = math.exp(w.log_at(k) if forward else -w.log_at(k + 1))
-                moved[k + move] = c * f
+            if steps > 0:
+                factors = self._forward
+                for k, c in current.items():
+                    f = factors.get(k)
+                    if f is None:
+                        f = factors[k] = math.exp(w.log_at(k))
+                    moved[k - 1] = c * f
+            else:
+                factors = self._backward
+                for k, c in current.items():
+                    f = factors.get(k)
+                    if f is None:
+                        f = factors[k] = math.exp(-w.log_at(k + 1))
+                    moved[k + 1] = c * f
             current = moved
         return current
 
@@ -861,8 +874,7 @@ def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
             "weight tail rates do not separate into contraction and expansion"
         )
 
-    tails = [tail for line in lines for tail in (line.neg_period, line.pos_period)]
-    window = math.lcm(*map(len, tails))
+    window = math.lcm(*(len(tail) for line in lines for tail in (line.neg_period, line.pos_period)))
     while window <= max_window:
         stable_table = [
             _table_entry(max(_sup_forward_factor(line, j, cut) for line in lines))
@@ -942,6 +954,8 @@ def shadow(
         return kept
 
     def part(vec: Vec, stable: bool) -> Vec:
+        if splitting.cut is None:  # every site is on the one side the loops below read
+            return vec
         return {s: c for s, c in vec.items() if op.site_is_stable(s, splitting) == stable}
 
     corrections: list[Vec] = [{} for _ in range(count)]
