@@ -104,7 +104,7 @@ class LineSumOperator:
         self.p = p
         self.lines: tuple[EventuallyPeriodicSequence, ...] = tuple(lines)
         self._periods = tuple(periods) if periods is not None else (None,) * len(self.lines)
-        # Called with the site key unpacked; None for unit site measures.
+        # Called with the two parts of a site key; None for unit site measures.
         self._log_measure = site_log_measure
 
     def _cover(self, site) -> list:
@@ -118,7 +118,7 @@ class LineSumOperator:
         measure = self._log_measure
         if measure is None:
             return _logsumexp(p * math.log(abs(c)) for c in vec.values() if c != 0) / p
-        terms = [p * math.log(abs(c)) + measure(*site) for site, c in vec.items() if c != 0]
+        terms = [p * math.log(abs(c)) + measure(a, b) for (a, b), c in vec.items() if c != 0]
         return _logsumexp(terms) / p
 
     def log_term(self, site, c: float) -> float:
@@ -885,15 +885,9 @@ def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
             for j in range(1, window + 1)
         ] if kind != "contraction" else []
         if all(table[-1] < 1.0 - 1e-12 for table in (stable_table, unstable_table) if table):
-            return Splitting(
-                kind=kind,
-                cut=cut,
-                window=window,
-                lam_stable=_window_rate(stable_table),
-                lam_unstable=_window_rate(unstable_table),
-                stable_table=tuple(stable_table),
-                unstable_table=tuple(unstable_table),
-            )
+            return Splitting(kind, cut, window, _window_rate(stable_table),
+                             _window_rate(unstable_table), tuple(stable_table),
+                             tuple(unstable_table))
         window *= 2
     raise NoSplitting("no contracting certificate window within the scan bound")
 
