@@ -468,10 +468,7 @@ def _walk_analysis(
     sup = 0.0
     cum = 0.0
     curve: list[float] = []
-    n = 0
-    limit = max(horizon, cert_end)
-    while n < limit:
-        n += 1
+    for n in range(1, max(horizon, cert_end) + 1):
         cum += inc(n)
         if n <= horizon and want_curve:
             curve.append(cum)
@@ -947,21 +944,27 @@ def shadow(
             lost_terms.append(_logsumexp(below))
         return kept
 
-    def part(vec: Vec, stable: bool) -> Vec:
-        if splitting.cut is None:  # every site is on the one side the loops below read
-            return vec
-        return {s: c for s, c in vec.items() if op.site_is_stable(s, splitting) == stable}
+    def halves(vec: Vec) -> tuple[Vec, Vec]:
+        """(P_s vec, P_u vec); without a cut, vec is on the one side the loops read."""
+        if splitting.cut is None:
+            return vec, vec
+        stable: Vec = {}
+        unstable: Vec = {}
+        for s, c in vec.items():
+            (stable if op.site_is_stable(s, splitting) else unstable)[s] = c
+        return stable, unstable
 
+    split_errors = [halves(e) for e in errors]
     corrections: list[Vec] = [{} for _ in range(count)]
     if splitting.kind != "expansion":
         stable: Vec = {}
         for i in range(1, count):
-            stable = pruned(vec_add(op.apply(stable, 1), part(errors[i - 1], True)))
+            stable = pruned(vec_add(op.apply(stable, 1), split_errors[i - 1][0]))
             corrections[i] = stable
     if splitting.kind != "contraction":
         unstable: Vec = {}
         for i in range(count - 2, -1, -1):
-            unstable = pruned(op.apply(vec_add(unstable, part(errors[i], False)), -1))
+            unstable = pruned(op.apply(vec_add(unstable, split_errors[i][1]), -1))
             corrections[i] = vec_sub(corrections[i], unstable)
 
     dropped = math.exp(max(lost_terms) / op.p) if lost_terms else 0.0
