@@ -948,11 +948,11 @@ def shadow(
         """(P_s vec, P_u vec); without a cut, vec is on the one side the loops read."""
         if splitting.cut is None:
             return vec, vec
-        stable: Vec = {}
-        unstable: Vec = {}
+        stable_part: Vec = {}
+        unstable_part: Vec = {}
         for s, c in vec.items():
-            (stable if op.site_is_stable(s, splitting) else unstable)[s] = c
-        return stable, unstable
+            (stable_part if op.site_is_stable(s, splitting) else unstable_part)[s] = c
+        return stable_part, unstable_part
 
     split_errors = [halves(e) for e in errors]
     corrections: list[Vec] = [{} for _ in range(count)]
