@@ -30,7 +30,6 @@ import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable
 
 from .classify import Status, Verdict
 from .seqcore import EventuallyPeriodicSequence, tail_sign_vs_one
@@ -40,6 +39,8 @@ from .systems import (
     DissipativeSystem,
     WeightSequence,
     check_star,
+    draw_site,
+    logsumexp,
 )
 
 Vec = dict  # site key -> float coefficient
@@ -68,14 +69,6 @@ def vec_scale(a: Vec, factor: float) -> Vec:
     if factor == 0.0:
         return {}
     return {site: c * factor for site, c in a.items()}
-
-
-def _logsumexp(values: Iterable[float]) -> float:
-    items = [v for v in values if v != -math.inf]
-    if not items:
-        return -math.inf
-    top = max(items)
-    return top + math.log(sum(math.exp(v - top) for v in items))
 
 
 def _exp(log_value: float) -> float:
@@ -117,9 +110,9 @@ class LineSumOperator:
         p = self.p
         measure = self._log_measure
         if measure is None:
-            return _logsumexp(p * math.log(abs(c)) for c in vec.values() if c != 0) / p
+            return logsumexp(p * math.log(abs(c)) for c in vec.values() if c != 0) / p
         terms = [p * math.log(abs(c)) + measure(a, b) for (a, b), c in vec.items() if c != 0]
-        return _logsumexp(terms) / p
+        return logsumexp(terms) / p
 
     def log_term(self, site, c: float) -> float:
         """log ||c e_site||^p of one entry: its term inside log_norm (-inf at 0)."""
@@ -144,7 +137,7 @@ class LineSumOperator:
         if self._log_measure is None:
             return {site: 1.0}
         sites = self._cover(site)
-        log_mass = _logsumexp([self.log_term(s, 1.0) for s in sites])
+        log_mass = logsumexp([self.log_term(s, 1.0) for s in sites])
         return dict.fromkeys(sites, math.exp(-log_mass / self.p))
 
     def basis_sites(self, span: int) -> list:
@@ -157,9 +150,7 @@ class LineSumOperator:
 
     def _draw_site(self, rng: random.Random, reach: int):
         """A seeded site near position 0: the line first, then the position."""
-        line = rng.randrange(len(self.lines))
-        period = self._periods[line]
-        return self._key(line, rng.randrange(period) if period else rng.randint(-reach, reach))
+        return self._key(*draw_site(rng, self._periods, reach))
 
     def noise_sites(self, rng: random.Random) -> object:
         return self._draw_site(rng, 2)
@@ -316,7 +307,7 @@ class AtomicOperator(LineSumOperator):
     def __init__(self, system: AtomicSystem):
         self.system = system
         comps = system.components
-        periods = [len(c) if isinstance(c, Cycle) else None for c in comps]
+        periods = system.periods
         ratios = [_cycle_ratio(c) if r else c.measures.ratio for c, r in zip(comps, periods)]
         super().__init__(
             system.p,
@@ -708,9 +699,6 @@ class Pseudotrajectory:
     def max_residual(self, op: Operator) -> float:
         return max((op.norm(e) for e in self.errors(op)), default=0.0)
 
-    def is_valid(self, op: Operator) -> bool:
-        return self.max_residual(op) <= self.delta * (1 + 1e-9)
-
 
 def make_pseudotrajectory(
     op: Operator,
@@ -941,7 +929,7 @@ def shadow(
             else:
                 kept[s] = c
         if below:
-            lost_terms.append(_logsumexp(below))
+            lost_terms.append(logsumexp(below))
         return kept
 
     def halves(vec: Vec) -> tuple[Vec, Vec]:

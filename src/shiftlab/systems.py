@@ -15,25 +15,42 @@ the reduction from a composition presentation to shift weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .canon import fraction_text
 from .seqcore import (
     EventuallyPeriodicSequence,
     ScalarLike,
-    SequenceError,
-    SideRate,
     _coerce,
     _log_fraction,
-    side_geometric_means,
-    tail_sign_vs_one,
 )
 
 
 class InvalidSystem(ValueError):
     """A system presentation violates its structural constraints."""
+
+
+def logsumexp(values: Iterable[float]) -> float:
+    """log of the sum of exp(v), skipping -inf terms; -inf for no terms."""
+    items = [v for v in values if v != -math.inf]
+    if not items:
+        return -math.inf
+    top = max(items)
+    return top + math.log(sum(math.exp(v - top) for v in items))
+
+
+def draw_site(rng: random.Random, periods: Sequence[int | None], reach: int) -> tuple[int, int]:
+    """A seeded (line, position) near position 0: the line first, then the position.
+
+    A line with a period (a cycle) draws one of its positions 0..period-1;
+    any other line draws a position in -reach..reach.
+    """
+    line = rng.randrange(len(periods))
+    period = periods[line]
+    return line, rng.randrange(period) if period else rng.randint(-reach, reach)
 
 
 @dataclass(frozen=True)
@@ -95,13 +112,6 @@ class MeasureSequence:
                 value /= self.ratio.base_at(j)
         return value
 
-    def side_rates(self) -> SideRate:
-        return side_geometric_means(self.ratio)
-
-    def tail_sign(self, side: str) -> int:
-        # A float mu0 does not taint the ratio asymptotics.
-        return tail_sign_vs_one(self.ratio, side)
-
 
 @dataclass(frozen=True)
 class CellStructure:
@@ -148,6 +158,14 @@ class CellStructure:
 
 @dataclass(frozen=True)
 class DissipativeSystem:
+    """A dissipative system: window measures, optional cells, distortion constant K.
+
+    The distortion certificate is computed once, at construction, and kept
+    as ``distortion_certificate`` (not a field, so ==, hash and repr ignore
+    it).  An undeclared K is set to its certified minimum; a declared K
+    below that minimum is accepted here and refused by classification.
+    """
+
     p: float
     measures: MeasureSequence
     cells: CellStructure | None = None
@@ -166,11 +184,13 @@ class DissipativeSystem:
                                tuple(_log_fraction(b) - log_mu0 for b in cells.beta))
             object.__setattr__(self, "_wobble_logs",
                                tuple(tuple(_log_fraction(t) for t in row) for row in cells.wobble))
-        if self.distortion_constant is None:
-            cert = check_bounded_distortion(self)
-            object.__setattr__(self, "distortion_constant", cert.k_min)
-        elif self.distortion_constant < 1:
+        # Written as "not >= 1" so that a NaN constant is refused too.
+        if self.distortion_constant is not None and not self.distortion_constant >= 1:
             raise InvalidSystem("distortion constant must be at least 1")
+        cert = check_bounded_distortion(self)
+        object.__setattr__(self, "distortion_certificate", cert)
+        if self.distortion_constant is None:
+            object.__setattr__(self, "distortion_constant", cert.k_min)
 
     def _validate_cells(self) -> None:
         cells = self.cells
@@ -307,9 +327,6 @@ class Line:
     def log_mu(self, index: int) -> float:
         return self.measures.log_mu(index)
 
-    def as_dissipative(self, p: float) -> DissipativeSystem:
-        return DissipativeSystem(p=p, measures=self.measures)
-
 
 Component = Union[Cycle, Line]
 
@@ -324,6 +341,11 @@ class AtomicSystem:
             raise InvalidSystem("exponent p must be a finite real >= 1")
         if not self.components:
             raise InvalidSystem("an atomic system needs at least one component")
+
+    @property
+    def periods(self) -> tuple[int | None, ...]:
+        """Per component: the number of atoms of a cycle, None for a line."""
+        return tuple(len(c) if isinstance(c, Cycle) else None for c in self.components)
 
     def to_config(self, label: str | None = None) -> dict:
         parts = []
@@ -358,13 +380,6 @@ class WeightSequence:
     @property
     def sup(self) -> float:
         return self.values.sup_value()
-
-    @property
-    def inf(self) -> float:
-        return self.values.inf_value()
-
-    def side_rates(self) -> SideRate:
-        return side_geometric_means(self.values)
 
     def to_config(self, label: str | None = None) -> dict:
         config: dict = {"kind": "shift", "weights": eps_to_config(self.values)}
@@ -525,7 +540,7 @@ def derived_distortion_bound(system: DissipativeSystem) -> float:
     for j in range(cells.n_cells):
         column = [row[j] for row in cells.wobble] + [Fraction(1)]
         worst = max(worst, max(column) / min(column))
-    cert = check_bounded_distortion(system)
+    cert = system.distortion_certificate
     if cert.k_min_fraction is not None:
         assert worst <= cert.k_min_fraction ** 2
     return float(worst)
@@ -539,8 +554,3 @@ def induced_weights(system: DissipativeSystem) -> WeightSequence:
     """
     seq = system.measures.ratio.shifted(1).elementwise_pow(-1.0 / system.p)
     return WeightSequence(seq)
-
-
-def side_rates(obj: DissipativeSystem | MeasureSequence) -> SideRate:
-    ms = obj.measures if isinstance(obj, DissipativeSystem) else obj
-    return ms.side_rates()

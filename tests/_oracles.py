@@ -24,31 +24,6 @@ def eval_periodic(core_lo, core, neg, pos, k):
     return block[len(block) - steps]
 
 
-def window_product_direct(value_at, k, n):
-    product = 1.0
-    for j in range(k, k + n + 1):
-        product *= float(value_at(j))
-    return product
-
-
-def rate_brute(value_at, *, sup, anchors, forward, n):
-    """Quantified window rate by explicit enumeration, no logs."""
-    best = None
-    for k in anchors:
-        if forward:
-            product = window_product_direct(value_at, k, n)
-        else:
-            product = window_product_direct(value_at, k - n, n)
-        if best is None:
-            best = product
-        elif sup:
-            best = max(best, product)
-        else:
-            best = min(best, product)
-    assert best is not None
-    return best ** (1.0 / (n + 1))
-
-
 def mu_direct(mu0, ratio_at, k):
     """mu_k from the ratio recursion, as an exact fraction."""
     value = Fraction(mu0)

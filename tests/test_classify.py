@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import shiftlab.classify
+import shiftlab.systems
 from shiftlab.canon import canonical_json
 from shiftlab.classify import (
     ClassificationReport,
@@ -220,18 +221,21 @@ def test_rate_view_is_built_once_per_report(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        shiftlab.classify, "check_bounded_distortion",
-        counted("distortion", shiftlab.classify.check_bounded_distortion),
+        shiftlab.systems, "check_bounded_distortion",
+        counted("distortion", shiftlab.systems.check_bounded_distortion),
     )
     monkeypatch.setattr(
         shiftlab.classify, "_aligned_tail_estimate",
         counted("tail", shiftlab.classify._aligned_tail_estimate),
     )
     for name in sorted(CANONICAL):
+        calls.update(distortion=0, tail=0)
+        system = CANONICAL[name](2.0)
+        assert calls == {"distortion": 1, "tail": 0}, name
         for method, tails in (("exact", 0), ("horizon", 2)):
             calls.update(distortion=0, tail=0)
-            classify_report(CANONICAL[name](2.0), method=method)
-            assert calls == {"distortion": 1, "tail": tails}, (name, method)
+            classify_report(system, method=method)
+            assert calls == {"distortion": 0, "tail": tails}, (name, method)
 
 
 # -- boundary honesty ------------------------------------------------------------

@@ -179,6 +179,14 @@ def test_undersized_distortion_constant_rejected(config_file, capsys):
     assert "distortion" in err
 
 
+def test_nan_distortion_constant_rejected(config_file, capsys):
+    bad = json.loads(json.dumps(CELLS))
+    bad["distortion_constant"] = float("nan")
+    code, _, err = run(capsys, "classify", config_file(bad))
+    assert code == EXIT_CONFIG
+    assert "distortion constant must be at least 1" in err
+
+
 def test_infinite_p_rejected(config_file, capsys):
     bad = dict(DOUBLING_SHIFT, p=float("inf"))
     code, _, err = run(capsys, "classify", config_file(bad))

@@ -20,7 +20,8 @@ from shiftlab.cli import main
 ALLOWED_EXITS = {0, 2, 3, 4}
 
 entries = st.one_of(
-    st.sampled_from(["1", "2", "1/2", "7/3", "3/7", "1/7", "7", "1e300", "1e-300"]),
+    st.sampled_from(["1", "2", "1/2", "7/3", "3/7", "1/7", "7", "1e300", "1e-300",
+                    "1e400", "1e-400"]),
     st.sampled_from([0.5, 2.0, 1e300, 1e-300, 1.0]),
 )
 periods = st.lists(entries, min_size=1, max_size=3)

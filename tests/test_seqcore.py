@@ -1,25 +1,21 @@
-"""Sequence evaluation, tail means, and rate limits against oracles."""
+"""Sequence evaluation, tail means and tail signs against oracles."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftlab.seqcore import (
     REL_LOG_TOL,
-    Direction,
     EventuallyPeriodicSequence,
-    Quantifier,
     SequenceError,
-    rate_exact,
-    rate_horizon,
     side_geometric_means,
     tail_sign_vs_one,
 )
 
-from _oracles import eval_periodic, rate_brute
+from _oracles import eval_periodic
 
 EPS = EventuallyPeriodicSequence
 
@@ -67,13 +63,7 @@ def test_tail_periodicity(k, j):
 def test_constant_sequence():
     s = EPS.constant(2)
     assert s.base_at(-17) == s.base_at(0) == s.base_at(23) == 2
-    assert s.sup_value() == s.inf_value() == pytest.approx(2.0)
-
-
-def test_value_fraction_tracks_integer_exponent():
-    s = EPS.constant("1/2").elementwise_pow(-1.0)
-    assert s.value_fraction(5) == 2
-    assert EPS.constant(3).elementwise_pow(0.5).value_fraction(0) is None
+    assert s.sup_value() == pytest.approx(2.0)
 
 
 def test_shifted_reindexes():
@@ -90,7 +80,6 @@ def test_side_geometric_means_frozen():
     rates = side_geometric_means(s)
     assert rates.gm_neg == pytest.approx(2.0, rel=1e-12)
     assert rates.gm_pos == pytest.approx(4.0, rel=1e-12)
-    assert rates.min == pytest.approx(2.0) and rates.max == pytest.approx(4.0)
 
 
 def test_tail_sign_exact_boundary():
@@ -157,92 +146,6 @@ def test_filled_tail_sign_memo_leaves_eq_hash_and_repr_alone():
 def test_tail_sign_rejects_unknown_side():
     with pytest.raises(SequenceError):
         tail_sign_vs_one(VALLEY, "up")
-
-
-# -- rate limits -------------------------------------------------------------
-
-def test_rate_exact_frozen_values():
-    s = seq(0, [1], [1, 4], [2, 8])
-    assert rate_exact(s, Quantifier.SUP_NEG, Direction.BACKWARD) == pytest.approx(2.0)
-    assert rate_exact(s, Quantifier.INF_NAT, Direction.FORWARD) == pytest.approx(4.0)
-    assert rate_exact(s, Quantifier.SUP_ALL, Direction.FORWARD) == pytest.approx(4.0)
-    assert rate_exact(s, Quantifier.INF_ALL, Direction.FORWARD) == pytest.approx(2.0)
-
-
-def test_rate_horizon_constant_is_exact():
-    s = EPS.constant(2)
-    for quantifier in Quantifier:
-        for direction in Direction:
-            assert rate_horizon(s, quantifier, direction, 50, 100) == pytest.approx(
-                2.0, rel=1e-12
-            )
-
-
-def test_rate_horizon_valley_sup_frozen():
-    value = rate_horizon(VALLEY, Quantifier.SUP_ALL, Direction.FORWARD, 100, 500)
-    assert 1.9 <= value <= 2.0 * (1 + 1e-12)
-
-
-def test_rate_horizon_flat_inf():
-    s = EPS.constant(1)
-    assert rate_horizon(s, Quantifier.INF_ALL, Direction.BACKWARD, 80, 200) == pytest.approx(1.0)
-
-
-@given(
-    n=st.integers(1, 9),
-    k_span=st.integers(0, 11),
-    quantifier=st.sampled_from(list(Quantifier)),
-    direction=st.sampled_from(list(Direction)),
-)
-@settings(max_examples=60)
-def test_rate_horizon_matches_brute_quantification(n, k_span, quantifier, direction):
-    """The prefix-sum scan must agree with a plain double loop."""
-    s = seq(-1, [3, "1/2"], [2, "1/3"], ["5/2"])
-    if quantifier in (Quantifier.SUP_ALL, Quantifier.INF_ALL):
-        anchors = range(-k_span, k_span + 1)
-    elif quantifier is Quantifier.SUP_NEG:
-        anchors = range(-k_span, 1)
-    else:
-        anchors = range(0, k_span + 1)
-    direct = rate_brute(
-        lambda j: s.base_at(j),
-        sup=quantifier.is_sup,
-        anchors=anchors,
-        forward=direction is Direction.FORWARD,
-        n=n,
-    )
-    assert rate_horizon(s, quantifier, direction, n, k_span) == pytest.approx(
-        direct, rel=1e-9
-    )
-
-
-SAMPLE_SEQUENCES = [
-    VALLEY,
-    seq(0, ["1/2"], ["2"], ["1/2"]),
-    seq(-2, [3, "1/4", 2], [1, 4], [2, "1/8", 3]),
-    seq(1, ["7/6"], ["6/7", "7/6", "6/7"], ["3/2", "2/3", "3/2", "2/3"]),
-    EPS.constant("5/4"),
-]
-
-
-@pytest.mark.parametrize("s", SAMPLE_SEQUENCES)
-@pytest.mark.parametrize("quantifier", list(Quantifier))
-@pytest.mark.parametrize("direction", list(Direction))
-def test_horizon_approaches_exact(s, quantifier, direction):
-    exact = rate_exact(s, quantifier, direction)
-    estimate = rate_horizon(s, quantifier, direction, 200, 500)
-    assert abs(estimate - exact) <= 0.05
-    # and the envelope tightens as the horizon grows
-    coarse = abs(rate_horizon(s, quantifier, direction, 48, 500) - exact)
-    fine = abs(rate_horizon(s, quantifier, direction, 480, 1000) - exact)
-    assert fine <= coarse + 1e-12
-
-
-def test_rate_horizon_input_checks():
-    with pytest.raises(SequenceError):
-        rate_horizon(VALLEY, Quantifier.SUP_ALL, Direction.FORWARD, 0, 10)
-    with pytest.raises(SequenceError):
-        rate_horizon(VALLEY, Quantifier.SUP_ALL, Direction.FORWARD, 5, -1)
 
 
 # -- construction errors ------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.presets import decay, flat, growth, peak, valley
-from shiftlab.seqcore import EventuallyPeriodicSequence
+from shiftlab.seqcore import EventuallyPeriodicSequence, side_geometric_means, tail_sign_vs_one
 from shiftlab.systems import (
     AtomicSystem,
     CellStructure,
@@ -100,7 +100,7 @@ def test_log_mu_memo_is_bit_identical_to_sequential_sum(ms):
 
 
 def test_side_rates_peak():
-    rates = peak().measures.side_rates()
+    rates = side_geometric_means(peak().measures.ratio)
     assert rates.gm_neg == pytest.approx(2.0)
     assert rates.gm_pos == pytest.approx(0.5)
 
@@ -303,8 +303,8 @@ def test_filled_caches_leave_eq_hash_and_repr_alone():
               repr(used.measures.ratio), hash(used.measures.ratio))
     for k in range(-40, 41):
         used.site_log_measure(k, k % 2)
-    used.measures.tail_sign("neg")
-    used.measures.tail_sign("pos")
+    tail_sign_vs_one(used.measures.ratio, "neg")
+    tail_sign_vs_one(used.measures.ratio, "pos")
     after = (repr(used), hash(used), repr(used.measures), hash(used.measures),
              repr(used.measures.ratio), hash(used.measures.ratio))
     assert after == before
@@ -328,20 +328,21 @@ def test_cell_ratio_widens_core():
 
 def test_induced_weights_decay_p1():
     weights = induced_weights(decay(p=1.0))
+    assert weights.values.exp == -1.0
     for k in range(-8, 9):
-        assert weights.values.value_fraction(k) == 2
+        assert weights.values.base_at(k) ** -1 == 2
 
 
 def test_induced_weights_decay_p2():
     weights = induced_weights(decay(p=2.0))
     for k in (-3, 0, 4):
-        assert weights.values.value_at(k) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert math.exp(weights.values.log_at(k)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_induced_weights_flat_are_one():
     weights = induced_weights(flat(p=3.0))
     assert weights.sup == pytest.approx(1.0)
-    assert weights.inf == pytest.approx(1.0)
+    assert min(math.exp(weights.values.log_at(k)) for k in range(-8, 9)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
@@ -360,8 +361,8 @@ def test_induced_weights_carry_the_measure_ratios(factory, p):
 def test_weight_sequence_bounds():
     w = WeightSequence(ratio(0, [3], ["1/4"], [2]))
     assert w.sup == pytest.approx(3.0)
-    assert w.inf == pytest.approx(0.25)
-    rates = w.side_rates()
+    assert min(math.exp(w.values.log_at(k)) for k in range(-8, 9)) == pytest.approx(0.25)
+    rates = side_geometric_means(w.values)
     assert rates.gm_neg == pytest.approx(0.25)
     assert rates.gm_pos == pytest.approx(2.0)
 
@@ -376,12 +377,6 @@ def test_cycle_construction():
         Cycle.from_values([])
     with pytest.raises(InvalidSystem):
         Cycle((F(1), F(0)))
-
-
-def test_line_as_dissipative():
-    line = Line(MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"])))
-    system = line.as_dissipative(2.0)
-    assert system.measures.side_rates().gm_neg == pytest.approx(0.5)
 
 
 def test_atomic_system_validation():
