@@ -8,6 +8,7 @@ package's closed forms is what the derived-value tests actually check.
 from __future__ import annotations
 
 import math
+from enum import Enum
 from fractions import Fraction
 
 
@@ -22,6 +23,41 @@ def eval_periodic(core_lo, core, neg, pos, k):
     reps = -(-steps // len(neg))
     block = list(neg) * reps
     return block[len(block) - steps]
+
+
+class Quantifier(Enum):
+    SUP_ALL = "sup_all_k"
+    INF_ALL = "inf_all_k"
+    SUP_NEG = "sup_k_in_negatives"
+    INF_NAT = "inf_k_in_naturals"
+
+
+class Direction(Enum):
+    FORWARD = "forward"
+    BACKWARD = "backward"
+
+
+def window_rate(log_at, quantifier, direction, n, k_span):
+    """Quantified geometric mean of the (n + 1)-factor window products.
+
+    Anchors run over |k| <= k_span (only k <= 0 for SUP_NEG, only k >= 0
+    for INF_NAT); a forward window covers k..k+n, a backward one k-n..k.
+    """
+    if quantifier in (Quantifier.SUP_ALL, Quantifier.INF_ALL):
+        anchors = range(-k_span, k_span + 1)
+    elif quantifier is Quantifier.SUP_NEG:
+        anchors = range(-k_span, 1)
+    else:
+        anchors = range(0, k_span + 1)
+    starts = anchors if direction is Direction.FORWARD else range(
+        anchors[0] - n, anchors[-1] - n + 1)
+    lo = starts[0]
+    prefix = [0.0]
+    for j in range(lo, starts[-1] + n + 1):
+        prefix.append(prefix[-1] + log_at(j))
+    totals = [prefix[k + n - lo + 1] - prefix[k - lo] for k in starts]
+    pick = max if quantifier in (Quantifier.SUP_ALL, Quantifier.SUP_NEG) else min
+    return math.exp(pick(totals) / (n + 1))
 
 
 def mu_direct(mu0, ratio_at, k):

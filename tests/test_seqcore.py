@@ -15,7 +15,7 @@ from shiftlab.seqcore import (
     tail_sign_vs_one,
 )
 
-from _oracles import eval_periodic
+from _oracles import Direction, Quantifier, eval_periodic, window_rate
 
 EPS = EventuallyPeriodicSequence
 
@@ -146,6 +146,46 @@ def test_filled_tail_sign_memo_leaves_eq_hash_and_repr_alone():
 def test_tail_sign_rejects_unknown_side():
     with pytest.raises(SequenceError):
         tail_sign_vs_one(VALLEY, "up")
+
+
+# -- window-product rates ----------------------------------------------------
+
+def window_rate_limit(s, quantifier, direction):
+    """Where the quantified window rate must go, read off the tail means.
+
+    Matched one-sided pairs see a single tail; every other combination
+    sweeps windows into both tails and takes the larger or smaller mean.
+    """
+    rates = side_geometric_means(s)
+    if quantifier is Quantifier.SUP_NEG and direction is Direction.BACKWARD:
+        return rates.gm_neg
+    if quantifier is Quantifier.INF_NAT and direction is Direction.FORWARD:
+        return rates.gm_pos
+    pick = max if quantifier in (Quantifier.SUP_ALL, Quantifier.SUP_NEG) else min
+    return pick(rates.gm_neg, rates.gm_pos)
+
+
+SAMPLE_SEQUENCES = [
+    VALLEY,
+    seq(0, ["1/2"], ["2"], ["1/2"]),
+    seq(-2, [3, "1/4", 2], [1, 4], [2, "1/8", 3]),
+    seq(1, ["7/6"], ["6/7", "7/6", "6/7"], ["3/2", "2/3", "3/2", "2/3"]),
+    EPS.constant("5/4"),
+]
+
+
+@pytest.mark.parametrize("s", SAMPLE_SEQUENCES)
+@pytest.mark.parametrize("quantifier", list(Quantifier))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_horizon_approaches_exact(s, quantifier, direction):
+    """Long-window products of the sequence grow at the tail geometric means."""
+    exact = window_rate_limit(s, quantifier, direction)
+    estimate = window_rate(s.log_at, quantifier, direction, 200, 500)
+    assert abs(estimate - exact) <= 0.05
+    # and the envelope tightens as the horizon grows
+    coarse = abs(window_rate(s.log_at, quantifier, direction, 48, 500) - exact)
+    fine = abs(window_rate(s.log_at, quantifier, direction, 480, 1000) - exact)
+    assert fine <= coarse + 1e-12
 
 
 # -- construction errors ------------------------------------------------------
