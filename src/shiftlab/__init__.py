@@ -8,14 +8,11 @@ from .classify import (
     ExpansivityMode,
     Status,
     Verdict,
+    classify_atomic,
     classify_atomic_expansive,
     classify_atomic_uniform,
-    classify_expansive,
-    classify_positively_expansive,
     classify_report,
     classify_shift,
-    classify_sss,
-    classify_uniformly_positively_expansive,
     implication_audit,
 )
 from .seqcore import (

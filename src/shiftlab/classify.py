@@ -1,4 +1,5 @@
-"""Verdicts for the dynamical properties of shifts and dissipative systems.
+"""Verdicts for the dynamical properties of shifts, dissipative systems and
+atomic unions.
 
 Each system is read through one rate view: the two tail geometric means of
 its ratio (or weight) presentation and their signs against 1.  Every
@@ -8,6 +9,12 @@ of the rule that decided them, a margin (distance of the decisive rates
 from 1), and, where the rule is existential, a concrete witness.  Rates
 sitting exactly on a boundary never satisfy a strict condition; rule
 families whose boundary cases are genuinely open return Undecided.
+
+An atomic union is a direct sum of cycles and lines, and each line is a
+dissipative system with a one-atom window.  Its expansivity rules E1..E4
+are ED1, ED2, ED3 and UE read line by line; a cycle caps every orbit
+measure and fails all four.  A seeded sampler checks a Holds of E3 or E4
+on random finite sets of atoms, and can only downgrade it to Undecided.
 
 Citation tags used here: ED1..ED4 (expansivity rules for dissipative
 systems), UE1/UE2/UE3 (the uniform-expansivity trichotomy), HC/HD/GH (the
@@ -24,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, Mapping
+from typing import Callable, Literal, Mapping
 
 from .canon import fingerprint
 from .seqcore import (
@@ -210,34 +217,65 @@ def _decided(
 
 
 # ---------------------------------------------------------------------------
+# Expansivity line rules
+
+
+def _line_rules(view: _RateView) -> dict[str, bool]:
+    """Whether each expansivity rule holds on one line's rate view.
+
+    ED1 and ED3 need g_minus < 1, ED2 needs g_minus < 1 or g_plus > 1, and
+    UE needs a row of the sign-pattern table.  A dissipative system is one
+    line; an atomic union reads the same rules line by line as E1..E4.
+
+    ED3 is the rule of positive expansivity made uniform, not the uniform
+    definition of Bernardes, Cirilo, Darji, Messaoudi and Pujals (2018),
+    which asks for one n with ||T^n x|| >= 2 for every unit vector x.  On a
+    valley (g_minus < 1 < g_plus) the basis vector of site n has
+    ||T^n e_n|| -> 0, so that definition fails there while ED3 Holds.
+    """
+    return {
+        "positively_expansive": view.sign_minus < 0,
+        "expansive": view.sign_minus < 0 or view.sign_plus > 0,
+        "uniformly_positively_expansive": view.sign_minus < 0,
+        "uniformly_expansive": _SIGN_TABLE.get(view.signs, _NO_RULE)[0] is not None,
+    }
+
+
+def _escapes_backward(view: _RateView) -> bool:
+    """Whether ED2 reads its escape backward: the only side, or the wider margin."""
+    return view.sign_minus < 0 and (view.sign_plus <= 0 or view.margin_minus >= view.margin_plus)
+
+
+# ---------------------------------------------------------------------------
 # Dissipative verdicts
 
 
 def _dissipative_verdicts(system: DissipativeSystem, view: _RateView) -> dict[str, Verdict]:
     """The ten verdicts of REPORT_PROPERTIES, read from one rate view.
 
-    ED1/ED3 need g_minus < 1 and ED2 needs g_minus < 1 or g_plus > 1; the
-    uniform rule and the splitting condition come from the sign-pattern
-    table.  Shadowing and strong structural stability follow the
-    splitting; without one, positive expansivity settles stability
-    negatively (C, P41) and anything else is open.  The exact method
-    attaches blow-up witnesses to the expansivity verdicts.
+    The four expansivity verdicts follow the line rules; the splitting
+    condition comes from the sign-pattern table.  Shadowing and strong
+    structural stability follow the splitting; without one, positive
+    expansivity settles stability negatively (C, P41) and anything else
+    is open.  The exact method attaches blow-up witnesses to the
+    expansivity verdicts.
     """
+    rules = _line_rules(view)
     uniform, splitting, _ = _SIGN_TABLE.get(view.signs, _NO_RULE)
     exact = view.method == "exact"
-    backward = view.sign_minus < 0
+    backward = rules["positively_expansive"]
     minus, plus, both = view.margin_minus, view.margin_plus, view.margin_both
     rates = _rates_witness(view)
     conditioned = dict(rates, condition=splitting) if splitting is not None else rates
 
     blowup = _blowup(system, backward=True) if exact and backward else None
-    if backward and (view.sign_plus <= 0 or minus >= plus):
+    if not rules["expansive"]:
+        expansive = _decided(False, "ED2", view, both, rates)
+    elif _escapes_backward(view):
         expansive = _decided(True, "ED2", view, minus, {"side": "backward", **(blowup or rates)})
-    elif view.sign_plus > 0:
+    else:
         forward = _blowup(system, backward=False) if exact else None
         expansive = _decided(True, "ED2", view, plus, {"side": "forward", **(forward or rates)})
-    else:
-        expansive = _decided(False, "ED2", view, both, rates)
 
     if splitting is not None:
         sss = _decided(True, "SC1", view, both, conditioned)
@@ -251,8 +289,12 @@ def _dissipative_verdicts(system: DissipativeSystem, view: _RateView) -> dict[st
             backward, "ED1", view, minus, blowup if exact and backward else rates
         ),
         "expansive": expansive,
-        "uniformly_positively_expansive": _decided(backward, "ED3", view, minus, rates),
-        "uniformly_expansive": _decided(uniform is not None, uniform or "ED4", view, both, rates),
+        "uniformly_positively_expansive": _decided(
+            rules["uniformly_positively_expansive"], "ED3", view, minus, rates
+        ),
+        "uniformly_expansive": _decided(
+            rules["uniformly_expansive"], uniform or "ED4", view, both, rates
+        ),
         "shadowing": _decided(splitting is not None, "SC2", view, both, conditioned),
         "hyperbolic": _decided(hyperbolic, splitting if hyperbolic else "SC1", view, both, rates),
         "generalized_hyperbolic": _decided(
@@ -262,45 +304,6 @@ def _dissipative_verdicts(system: DissipativeSystem, view: _RateView) -> dict[st
         "structurally_stable": _decided(False, "P41", view, minus, rates) if sss.fails else sss,
         "not_structurally_stable": _decided(view.signs == (-1, 1), "P41", view, both, rates),
     }
-
-
-def _read(system: DissipativeSystem, prop: str, method: Method, horizon: int) -> Verdict:
-    return _dissipative_verdicts(system, _dissipative_view(system, method, horizon))[prop]
-
-
-def classify_positively_expansive(
-    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
-) -> Verdict:
-    """Backward orbit measures of the window must blow up: g_minus < 1."""
-    return _read(system, "positively_expansive", method, horizon)
-
-
-def classify_expansive(
-    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
-) -> Verdict:
-    """Either tail escapes: g_minus < 1 or g_plus > 1."""
-    return _read(system, "expansive", method, horizon)
-
-
-def classify_uniformly_positively_expansive(
-    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
-) -> Verdict:
-    """Rule ED3: Holds exactly when g_minus < 1, the rule of positive expansivity.
-
-    This is not the uniform definition of Bernardes, Cirilo, Darji,
-    Messaoudi and Pujals (2018), which asks for one n with ||T^n x|| >= 2
-    for every unit vector x.  On a valley (g_minus < 1 < g_plus) the basis
-    vector of site n has ||T^n e_n|| -> 0, so that definition fails there
-    while ED3 Holds.
-    """
-    return _read(system, "uniformly_positively_expansive", method, horizon)
-
-
-def classify_sss(
-    system: DissipativeSystem, *, method: Method = "exact", horizon: int = 200
-) -> Verdict:
-    """Strong structural stability: Holds on a splitting, Fails under g_minus < 1."""
-    return _read(system, "strong_structural_stability", method, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -493,74 +496,19 @@ class ExpansivityMode(Enum):
     TWOSIDED = "twosided"
 
 
-def classify_atomic_expansive(system: AtomicSystem, mode: ExpansivityMode) -> Verdict:
-    """Pointwise expansivity on a union of cycles and lines.
-
-    A cycle caps every backward and forward orbit measure, so its atoms
-    can never escape; a line escapes per its tail rates.  Positive mode
-    needs every line's backward rate below 1; twosided mode lets either
-    direction do the work.
-    """
-    citation = "E1" if mode is ExpansivityMode.POSITIVE else "E2"
-    margins: list[float] = []
-    for index, comp in enumerate(system.components):
-        if isinstance(comp, Cycle):
-            cap = float(max(comp.measures))
-            return Verdict(
-                Status.FAILS, citation, "exact", None,
-                {"component": index, "kind": "cycle", "orbit_measure_sup": cap},
-            )
-        view = _view(comp.measures.ratio)
-        if mode is ExpansivityMode.POSITIVE:
-            good = view.sign_minus < 0
-            margins.append(view.margin_minus)
-        else:
-            good = view.sign_minus < 0 or view.sign_plus > 0
-            margins.append(max(view.margin_minus if view.sign_minus < 0 else 0.0,
-                               view.margin_plus if view.sign_plus > 0 else 0.0))
-        if not good:
-            return Verdict(
-                Status.FAILS, citation, "exact", view.margin_both,
-                {"component": index, "kind": "line", "g_minus": view.g_minus,
-                 "g_plus": view.g_plus},
-            )
-    return Verdict(Status.HOLDS, citation, "exact", min(margins) if margins else None,
-                   {"components": len(system.components)})
+_SAMPLER_HORIZON = 200
+_SAMPLER_BUDGET = 24
 
 
-def _sample_sets(system: AtomicSystem, rng: random.Random, budget: int):
-    """Random finite atom sets, as (component, index) pairs."""
-    periods = system.periods
-    for _ in range(budget):
-        size = rng.randint(1, 4)
-        atoms = set()
-        while len(atoms) < size:
-            atoms.add(draw_site(rng, periods, 20))
-        yield tuple(sorted(atoms))
-
-
-def _set_log_measure(system: AtomicSystem, atoms, shift: int) -> float:
-    return logsumexp(system.components[ci].log_mu(idx + shift) for ci, idx in atoms)
-
-
-def classify_atomic_uniform(
-    system: AtomicSystem,
-    mode: ExpansivityMode,
-    *,
-    horizon: int = 200,
-    sample_budget: int = 24,
-    seed: int = 0,
+def _atomic_fold(
+    system: AtomicSystem, prop: str, citation: str, margin: Callable[[_RateView], float]
 ) -> Verdict:
-    """Uniform expansivity across all measurable unions of atoms.
+    """The line rule of ``prop`` folded over the components of a union.
 
-    The exact rule: no cycles allowed, and every line must satisfy the
-    rate trichotomy (backward rate below 1 in positive mode).  A seeded
-    sampler then stress-tests the exact answer on random finite atom
-    sets; a contradiction downgrades the verdict to Undecided, since a
-    rule table that disagrees with direct measurement cannot be trusted.
+    A cycle fails; otherwise the first line that breaks the rule fails, and
+    the verdict Holds with the least ``margin`` over the lines.
     """
-    citation = "E3" if mode is ExpansivityMode.POSITIVE else "E4"
-    views: list[_RateView] = []
+    margins: list[float] = []
     for index, comp in enumerate(system.components):
         if isinstance(comp, Cycle):
             return Verdict(
@@ -569,33 +517,80 @@ def classify_atomic_uniform(
                  "orbit_measure_sup": float(max(comp.measures))},
             )
         view = _view(comp.measures.ratio)
-        if mode is ExpansivityMode.POSITIVE:
-            ok = view.sign_minus < 0
-        else:
-            ok = _SIGN_TABLE.get(view.signs, _NO_RULE)[0] is not None
-        if not ok:
+        if not _line_rules(view)[prop]:
             return Verdict(
                 Status.FAILS, citation, "exact", view.margin_both,
                 {"component": index, "kind": "line", "g_minus": view.g_minus,
                  "g_plus": view.g_plus},
             )
-        views.append(view)
+        margins.append(margin(view))
+    return Verdict(Status.HOLDS, citation, "exact", min(margins),
+                   {"components": len(system.components)})
 
+
+def classify_atomic_expansive(system: AtomicSystem, mode: ExpansivityMode) -> Verdict:
+    """Pointwise expansivity on a union of cycles and lines: E1 or E2 per line."""
+    if mode is ExpansivityMode.POSITIVE:
+        return _atomic_fold(system, "positively_expansive", "E1", lambda v: v.margin_minus)
+    return _atomic_fold(
+        system, "expansive", "E2",
+        lambda v: v.margin_minus if _escapes_backward(v) else v.margin_plus,
+    )
+
+
+def classify_atomic_uniform(
+    system: AtomicSystem, mode: ExpansivityMode, *, seed: int = 0
+) -> Verdict:
+    """Uniform expansivity across all measurable unions of atoms: E3 or E4 per line.
+
+    A seeded sampler then stress-tests a Holds on random finite sets of
+    atoms; a set whose measure does not double within the horizon
+    downgrades the verdict to Undecided, since a rule that disagrees with
+    direct measurement cannot be trusted.
+    """
+    positive = mode is ExpansivityMode.POSITIVE
+    prop, citation = (
+        ("uniformly_positively_expansive", "E3") if positive else ("uniformly_expansive", "E4")
+    )
+    verdict = _atomic_fold(system, prop, citation, lambda v: v.margin_both)
+    if not verdict.holds:
+        return verdict
     rng = random.Random(seed)
-    threshold = math.log(2.0)
-    for atoms in _sample_sets(system, rng, sample_budget):
-        base = _set_log_measure(system, atoms, 0)
-        backward = _set_log_measure(system, atoms, -horizon) - base
-        forward = _set_log_measure(system, atoms, horizon) - base
-        if mode is ExpansivityMode.POSITIVE:
-            ok = backward >= threshold
-        else:
-            ok = max(backward, forward) >= threshold
-        if not ok:
+    periods = system.periods
+    for _ in range(_SAMPLER_BUDGET):
+        size = rng.randint(1, 4)
+        drawn = set()
+        while len(drawn) < size:
+            drawn.add(draw_site(rng, periods, 20))
+        atoms = sorted(drawn)
+        base, backward, forward = (
+            logsumexp(system.components[ci].log_mu(idx + shift) for ci, idx in atoms)
+            for shift in (0, -_SAMPLER_HORIZON, _SAMPLER_HORIZON)
+        )
+        if (backward if positive else max(backward, forward)) - base < math.log(2.0):
             return Verdict(
                 Status.UNDECIDED, citation, "exact", None,
                 {"sampler": "contradiction", "atoms": [list(a) for a in atoms],
-                 "horizon": horizon},
+                 "horizon": _SAMPLER_HORIZON},
             )
-    return Verdict(Status.HOLDS, citation, "exact", min(v.margin_both for v in views),
-                   {"components": len(system.components)})
+    return verdict
+
+
+def classify_atomic(system: AtomicSystem, *, label: str | None = None) -> dict:
+    """Report of an atomic union: its four expansivity verdicts, audited."""
+    verdicts = {
+        "positively_expansive": classify_atomic_expansive(system, ExpansivityMode.POSITIVE),
+        "expansive": classify_atomic_expansive(system, ExpansivityMode.TWOSIDED),
+        "uniformly_positively_expansive": classify_atomic_uniform(
+            system, ExpansivityMode.POSITIVE
+        ),
+        "uniformly_expansive": classify_atomic_uniform(system, ExpansivityMode.TWOSIDED),
+    }
+    return {
+        "kind": "atomic",
+        "label": label,
+        "p": system.p,
+        "fingerprint": fingerprint(system.to_config()),
+        "verdicts": {name: v.to_dict() for name, v in verdicts.items()},
+        "violations": list(implication_audit(verdicts)),
+    }

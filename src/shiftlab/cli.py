@@ -20,15 +20,12 @@ from fractions import Fraction
 
 from . import __version__
 from .canon import canonical_json
-from .canon import fingerprint
 from .classify import (
     REPORT_PROPERTIES,
     DistortionError,
-    ExpansivityMode,
     Status,
     Verdict,
-    classify_atomic_expansive,
-    classify_atomic_uniform,
+    classify_atomic,
     classify_report,
     classify_shift,
     implication_audit,
@@ -62,6 +59,9 @@ EXIT_VIOLATION = 3
 EXIT_NO_SPLITTING = 4
 
 AUDIT_MARGIN_GATE = 0.05
+# Horizon and random samples of the audit's brute-force expansivity probes
+_BRUTE_HORIZON = 40
+_BRUTE_SAMPLES = 3
 
 
 class ConfigError(ValueError):
@@ -111,18 +111,29 @@ def _as_scalar(value, path):
     return value
 
 
+def _coerce_config_scalar(value, path: str) -> tuple[Fraction, bool]:
+    try:
+        return _coerce(_as_scalar(value, path))
+    except SequenceError as err:
+        raise ConfigError(path, str(err)) from err
+
+
+def _parse_scalars(raw, path: str) -> tuple[tuple[Fraction, ...], bool]:
+    """An array of scalars as fractions, and whether every entry was exact."""
+    pairs = [_coerce_config_scalar(v, f"{path}[{i}]") for i, v in enumerate(_as_list(raw, path))]
+    return tuple(frac for frac, _ in pairs), all(exact for _, exact in pairs)
+
+
 def _parse_eps(raw, path: str) -> EventuallyPeriodicSequence:
     table = _as_dict(raw, path)
     core_lo = _as_int(_require(table, "core_lo", path), f"{path}.core_lo")
-    parts = {}
-    for key in ("core", "neg_period", "pos_period"):
-        entries = _as_list(_require(table, key, path), f"{path}.{key}")
-        for i, v in enumerate(entries):
-            _coerce_config_scalar(v, f"{path}.{key}[{i}]")
-        parts[key] = entries
+    (core, core_exact), (neg, neg_exact), (pos, pos_exact) = (
+        _parse_scalars(_require(table, key, path), f"{path}.{key}")
+        for key in ("core", "neg_period", "pos_period")
+    )
     try:
-        return EventuallyPeriodicSequence.from_values(
-            core_lo, parts["core"], parts["neg_period"], parts["pos_period"]
+        return EventuallyPeriodicSequence(
+            core_lo, core, neg, pos, 1.0, core_exact and neg_exact and pos_exact
         )
     except SequenceError as err:
         raise ConfigError(path, str(err)) from err
@@ -130,32 +141,16 @@ def _parse_eps(raw, path: str) -> EventuallyPeriodicSequence:
 
 def _parse_cells(raw, path: str, mu0_exact: bool) -> CellStructure:
     table = _as_dict(raw, path)
-    beta_raw = _as_list(_require(table, "beta", path), f"{path}.beta")
-    beta = []
-    exact = mu0_exact
-    for i, value in enumerate(beta_raw):
-        frac, is_exact = _coerce_config_scalar(value, f"{path}.beta[{i}]")
-        exact = exact and is_exact
-        beta.append(frac)
+    beta, exact = _parse_scalars(_require(table, "beta", path), f"{path}.beta")
     wobble_lo = _as_int(table.get("wobble_lo", 0), f"{path}.wobble_lo")
     rows = []
     for i, row_raw in enumerate(_as_list(table.get("wobble", []), f"{path}.wobble")):
-        row = []
-        for j, value in enumerate(_as_list(row_raw, f"{path}.wobble[{i}]")):
-            frac, is_exact = _coerce_config_scalar(value, f"{path}.wobble[{i}][{j}]")
-            exact = exact and is_exact
-            row.append(frac)
-        rows.append(tuple(row))
+        row, row_exact = _parse_scalars(row_raw, f"{path}.wobble[{i}]")
+        exact = exact and row_exact
+        rows.append(row)
     try:
-        return CellStructure(tuple(beta), wobble_lo, tuple(rows), exact)
+        return CellStructure(beta, wobble_lo, tuple(rows), mu0_exact and exact)
     except InvalidSystem as err:
-        raise ConfigError(path, str(err)) from err
-
-
-def _coerce_config_scalar(value, path: str) -> tuple[Fraction, bool]:
-    try:
-        return _coerce(_as_scalar(value, path))
-    except SequenceError as err:
         raise ConfigError(path, str(err)) from err
 
 
@@ -205,20 +200,12 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
             comp = _as_dict(comp_raw, f"components[{i}]")
             ctype = _require(comp, "type", f"components[{i}]")
             if ctype == "cycle":
-                measures = _as_list(
+                fracs, exact = _parse_scalars(
                     _require(comp, "measures", f"components[{i}]"),
                     f"components[{i}].measures",
                 )
-                fracs = []
-                exact = True
-                for j, value in enumerate(measures):
-                    frac, is_exact = _coerce_config_scalar(
-                        value, f"components[{i}].measures[{j}]"
-                    )
-                    exact = exact and is_exact
-                    fracs.append(frac)
                 try:
-                    comps.append(Cycle(tuple(fracs), exact))
+                    comps.append(Cycle(fracs, exact))
                 except InvalidSystem as err:
                     raise ConfigError(f"components[{i}]", str(err)) from err
             elif ctype == "line":
@@ -296,28 +283,6 @@ def _fmt_log(log_value: float) -> str:
     return f"{mantissa}e{exponent:+03d}"
 
 
-def _atomic_report(system: AtomicSystem, label: str | None) -> dict:
-    verdicts = {
-        "positively_expansive": classify_atomic_expansive(
-            system, ExpansivityMode.POSITIVE
-        ),
-        "expansive": classify_atomic_expansive(system, ExpansivityMode.TWOSIDED),
-        "uniformly_positively_expansive": classify_atomic_uniform(
-            system, ExpansivityMode.POSITIVE
-        ),
-        "uniformly_expansive": classify_atomic_uniform(system, ExpansivityMode.TWOSIDED),
-    }
-    violations = implication_audit(verdicts)
-    return {
-        "kind": "atomic",
-        "label": label,
-        "p": system.p,
-        "fingerprint": fingerprint(system.to_config()),
-        "verdicts": {name: v.to_dict() for name, v in verdicts.items()},
-        "violations": list(violations),
-    }
-
-
 def _emit_report(report: dict, as_json: bool) -> None:
     payload = dict(report)
     payload["version"] = __version__
@@ -361,24 +326,17 @@ def _emit_report(report: dict, as_json: bool) -> None:
 
 def cmd_classify(args) -> int:
     parsed = load_config(args.config)
-    if parsed.kind == "dissipative":
-        report = classify_report(
-            parsed.system,
-            label=parsed.label,
-            method=args.method,
-            horizon=args.horizon,
-            k_span=args.kspan,
-        ).to_dict()
-    elif parsed.kind == "shift":
-        report = classify_shift(
-            parsed.system,
-            label=parsed.label,
-            method=args.method,
-            horizon=args.horizon,
-            k_span=args.kspan,
-        ).to_dict()
+    if parsed.kind == "atomic":
+        report = classify_atomic(parsed.system, label=parsed.label)
     else:
-        report = _atomic_report(parsed.system, parsed.label)
+        classify = classify_report if parsed.kind == "dissipative" else classify_shift
+        report = classify(
+            parsed.system,
+            label=parsed.label,
+            method=args.method,
+            horizon=args.horizon,
+            k_span=args.kspan,
+        ).to_dict()
     _emit_report(report, args.json)
     return EXIT_VIOLATION if report["violations"] else EXIT_OK
 
@@ -519,8 +477,6 @@ def run_audit(
     base_system: DissipativeSystem | None = None,
     base_label: str | None = None,
     inject_corruption: bool = False,
-    brute_horizon: int = 40,
-    brute_samples: int = 3,
 ) -> dict:
     """Classify seeded random systems and cross-check every verdict.
 
@@ -578,8 +534,8 @@ def run_audit(
             brute = brute_force_expansivity(
                 system,
                 mode,
-                horizon=brute_horizon,
-                samples=brute_samples,
+                horizon=_BRUTE_HORIZON,
+                samples=_BRUTE_SAMPLES,
                 seed=seed + index,
             )
             brute_checks += 1

@@ -41,6 +41,7 @@ from .systems import (
     check_star,
     draw_site,
     logsumexp,
+    weight_line,
 )
 
 Vec = dict  # site key -> float coefficient
@@ -167,11 +168,6 @@ class LineSumOperator:
         return splitting.covers_stable(self._locate(site)[1])
 
 
-def _weight_line(ratio: EventuallyPeriodicSequence, p: float) -> EventuallyPeriodicSequence:
-    """w_k = (mu_{k-1}/mu_k)^(1/p) from the ratios mu_{k+1}/mu_k of one measured line."""
-    return ratio.shifted(1).elementwise_pow(-1.0 / p)
-
-
 def _cycle_ratio(cycle: Cycle) -> EventuallyPeriodicSequence:
     """The ratios m_{k+1}/m_k of a cycle's atoms, periodic with period r."""
     m = cycle.measures
@@ -257,7 +253,7 @@ class CompositionOperator(LineSumOperator):
         self._cells = [None] if system.cells is None else list(range(system.n_cells))
         super().__init__(
             system.p,
-            [_weight_line(system.cell_ratio(cell), system.p) for cell in self._cells],
+            [weight_line(system.cell_ratio(cell), system.p) for cell in self._cells],
             site_log_measure=(
                 system.site_log_measure if system.cells is None else self._cell_log_measure
             ),
@@ -311,7 +307,7 @@ class AtomicOperator(LineSumOperator):
         ratios = [_cycle_ratio(c) if r else c.measures.ratio for c, r in zip(comps, periods)]
         super().__init__(
             system.p,
-            [_weight_line(ratio, system.p) for ratio in ratios],
+            [weight_line(ratio, system.p) for ratio in ratios],
             periods,
             lambda ci, index: comps[ci].log_mu(index),
         )
@@ -833,7 +829,10 @@ def _window_rate(table: list[float]) -> float | None:
     return table[-1] ** (1.0 / len(table)) if table else None
 
 
-def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
+_MAX_WINDOW = 256
+
+
+def build_splitting(op: Operator) -> Splitting:
     """Stable/unstable splitting with certified contraction tables.
 
     The weight-line tails decide the shape: both tail rates below 1 give a
@@ -860,7 +859,7 @@ def build_splitting(op: Operator, *, max_window: int = 256) -> Splitting:
         )
 
     window = math.lcm(*(len(tail) for line in lines for tail in (line.neg_period, line.pos_period)))
-    while window <= max_window:
+    while window <= _MAX_WINDOW:
         stable_table = [
             _table_entry(max(_sup_forward_factor(line, j, cut) for line in lines))
             for j in range(1, window + 1)

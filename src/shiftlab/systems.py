@@ -546,11 +546,11 @@ def derived_distortion_bound(system: DissipativeSystem) -> float:
     return float(worst)
 
 
-def induced_weights(system: DissipativeSystem) -> WeightSequence:
-    """Shift weights carrying the composition operator to a weighted shift.
+def weight_line(ratio: EventuallyPeriodicSequence, p: float) -> EventuallyPeriodicSequence:
+    """w_k = (mu_{k-1}/mu_k)^(1/p) from the ratios mu_{k+1}/mu_k of one measured line."""
+    return ratio.shifted(1).elementwise_pow(-1.0 / p)
 
-    The k-th weight is (mu_{k-1}/mu_k)^{1/p}; in the presentation that is
-    a reindexing of the ratio sequence raised to the power -1/p.
-    """
-    seq = system.measures.ratio.shifted(1).elementwise_pow(-1.0 / system.p)
-    return WeightSequence(seq)
+
+def induced_weights(system: DissipativeSystem) -> WeightSequence:
+    """Shift weights carrying the composition operator to a weighted shift."""
+    return WeightSequence(weight_line(system.measures.ratio, system.p))

@@ -24,12 +24,8 @@ from shiftlab.classify import (
     Verdict,
     classify_atomic_expansive,
     classify_atomic_uniform,
-    classify_expansive,
-    classify_positively_expansive,
     classify_report,
-    classify_sss,
     classify_shift,
-    classify_uniformly_positively_expansive,
     implication_audit,
 )
 from shiftlab.presets import (
@@ -162,21 +158,21 @@ def test_report_covers_every_property():
 
 
 def test_decay_backward_blowup_witness():
-    verdict = classify_positively_expansive(decay())
+    verdict = classify_report(decay()).verdicts["positively_expansive"]
     # measures double per backward step; 2^20 is the first past 1e6
     assert verdict.witness["n"] == 20
     assert verdict.witness["measure_ratio"] == pytest.approx(2.0 ** 20, rel=1e-9)
 
 
 def test_expansive_side_witnesses():
-    assert classify_expansive(decay()).witness["side"] == "backward"
-    assert classify_expansive(growth()).witness["side"] == "forward"
+    for factory, side in ((decay, "backward"), (growth, "forward")):
+        assert classify_report(factory()).verdicts["expansive"].witness["side"] == side
 
 
 def test_margins_reflect_rate_distance():
-    verdict = classify_positively_expansive(decay())
+    verdict = classify_report(decay()).verdicts["positively_expansive"]
     assert verdict.margin == pytest.approx(0.5)
-    assert classify_sss(flat()).margin is None
+    assert classify_report(flat()).verdicts["strong_structural_stability"].margin is None
 
 
 # sha256 of canonical_json over REPORT_PIN_SYSTEMS' reports, recorded before the
@@ -244,20 +240,21 @@ def test_rate_view_is_built_once_per_report(monkeypatch):
 def test_boundary_rate_never_satisfies_strict_rule():
     # neg tail products 1/4 * 4 = 1: exactly on the boundary
     system = line_system(neg=["1/4", 4], pos=["1/2"])
-    verdict = classify_uniformly_positively_expansive(system)
+    verdict = classify_report(system).verdicts["uniformly_positively_expansive"]
     assert verdict.fails
     assert verdict.margin == pytest.approx(0.0)
 
 
 def test_boundary_goes_undecided_where_open():
     system = line_system(neg=["1/4", 4], pos=["1/2"])
-    assert classify_sss(system).status is Status.UNDECIDED
-    assert classify_sss(system).citation == "OpenProblem"
+    sss = classify_report(system).verdicts["strong_structural_stability"]
+    assert sss.status is Status.UNDECIDED
+    assert sss.citation == "OpenProblem"
 
 
 def test_float_boundary_uses_tolerance():
     system = line_system(neg=[2.0, 0.5], pos=[0.5])
-    assert classify_positively_expansive(system).fails
+    assert classify_report(system).verdicts["positively_expansive"].fails
 
 
 # -- estimator agreement ----------------------------------------------------------
@@ -344,7 +341,7 @@ def test_undersized_distortion_constant_blocks_classification():
         distortion_constant=1.5,
     )
     with pytest.raises(DistortionError):
-        classify_positively_expansive(system)
+        classify_report(system)
 
 
 # -- weighted shifts --------------------------------------------------------------
@@ -455,3 +452,66 @@ def test_uniform_sampler_is_deterministic():
     a = classify_atomic_uniform(system, ExpansivityMode.POSITIVE, seed=3)
     b = classify_atomic_uniform(system, ExpansivityMode.POSITIVE, seed=3)
     assert a == b
+
+
+def atomic_verdicts(system):
+    return {
+        "positively_expansive": classify_atomic_expansive(system, ExpansivityMode.POSITIVE),
+        "expansive": classify_atomic_expansive(system, ExpansivityMode.TWOSIDED),
+        "uniformly_positively_expansive": classify_atomic_uniform(
+            system, ExpansivityMode.POSITIVE
+        ),
+        "uniformly_expansive": classify_atomic_uniform(system, ExpansivityMode.TWOSIDED),
+    }
+
+
+def test_weak_backward_tail_leaves_the_sampler_undecided():
+    # 200 backward steps at ratio 999/1000 grow a set's measure by e^0.2 < 2
+    line = Line(MeasureSequence(F(1), ratio(0, [1], ["999/1000"], [2])))
+    v = atomic_verdicts(atoms(line))
+    assert v["positively_expansive"].holds
+    assert v["positively_expansive"].margin == pytest.approx(1e-3)
+    assert v["expansive"].holds and v["expansive"].margin == 1.0
+    upe = v["uniformly_positively_expansive"]
+    assert upe.status is Status.UNDECIDED and upe.citation == "E3"
+    assert upe.witness["sampler"] == "contradiction" and upe.witness["horizon"] == 200
+    assert v["uniformly_expansive"].holds
+
+
+# Ratio tails of the pinned unions: contracting, expanding, unit, within
+# 1e-3 of 1 (strong enough for the rules, too weak for the sampler), floats.
+ATOMIC_PIN_TAILS = ("1/2", "999/1000", 1, "1001/1000", 2, 0.5, 0.999, 1.5)
+
+# sha256 of canonical_json over the four atomic verdicts of pinned_unions(),
+# recorded before the atomic rules were read from the dissipative line rules.
+ATOMIC_PIN_DIGEST = "708072515f8f2e159ae506867f3c76bae4f15adcbf57fb68fffad58b5b425b15"
+
+
+def pinned_unions():
+    rng = random.Random(11)
+    for _ in range(240):
+        components = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.2:
+                measures = [rng.choice([1, "1/2", 3, 0.75]) for _ in range(rng.randint(1, 3))]
+                components.append(Cycle.from_values(measures))
+                continue
+            seq = ratio(
+                rng.randint(-2, 2),
+                [rng.choice(["1/3", 1, 2, 0.8])],
+                [rng.choice(ATOMIC_PIN_TAILS) for _ in range(rng.randint(1, 2))],
+                [rng.choice(ATOMIC_PIN_TAILS) for _ in range(rng.randint(1, 2))],
+            )
+            components.append(Line(MeasureSequence.from_values(rng.choice([1, "1/2"]), seq)))
+        yield AtomicSystem(p=rng.choice([1.0, 2.0]), components=tuple(components))
+
+
+def test_atomic_verdict_bytes_are_pinned():
+    tables = [
+        {name: v.to_dict() for name, v in atomic_verdicts(system).items()}
+        for system in pinned_unions()
+    ]
+    for prop in ("uniformly_positively_expansive", "uniformly_expansive"):
+        assert {t[prop]["status"] for t in tables} == {"Holds", "Fails", "Undecided"}, prop
+    text = canonical_json(tables)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ATOMIC_PIN_DIGEST

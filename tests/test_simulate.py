@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.classify import classify_expansive, classify_positively_expansive
+from shiftlab.classify import classify_report
 from shiftlab.presets import (
     CANONICAL,
     decay,
@@ -372,9 +372,10 @@ def test_brute_reports_are_reproducible():
 def test_brute_force_never_contradicts_the_rules(name, p):
     """Definition-level outcomes must stay consistent with the rate rules."""
     system = CANONICAL[name](p)
+    verdicts = classify_report(system).verdicts
     for mode, rule in (
-        (BruteMode.POSITIVE, classify_positively_expansive(system)),
-        (BruteMode.TWOSIDED, classify_expansive(system)),
+        (BruteMode.POSITIVE, verdicts["positively_expansive"]),
+        (BruteMode.TWOSIDED, verdicts["expansive"]),
     ):
         brute = brute_force_expansivity(system, mode, horizon=60, samples=4, seed=1)
         assert not (brute.verdict.holds and rule.fails), (name, p, mode)
