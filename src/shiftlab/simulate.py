@@ -480,13 +480,18 @@ def _walk_analysis(
 
 
 def _random_sample(op: Operator, rng: random.Random) -> Vec:
-    """Seeded unit-norm simple function with small support."""
+    """Seeded unit-norm simple function with small support.
+
+    The sites are kept in draw order (a dict, not a set): a set's order of
+    ``(k, None)`` keys follows ``hash(None)``, which changes between
+    interpreter starts on Python before 3.12.
+    """
     size = rng.randint(2, 8)
-    sites = set()
+    sites: dict = {}
     guard = 0
     while len(sites) < size and guard < 200:
         guard += 1
-        sites.add(op._sample_site(rng))
+        sites[op._sample_site(rng)] = None
     vec: Vec = {}
     for site in sites:
         vec[site] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)

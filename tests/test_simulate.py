@@ -17,6 +17,7 @@ from shiftlab.presets import (
     split_weights,
     valley,
 )
+from shiftlab import simulate
 from shiftlab.seqcore import EventuallyPeriodicSequence, tail_sign_vs_one
 from shiftlab.simulate import (
     AtomicOperator,
@@ -359,6 +360,18 @@ def test_random_samples_never_certify():
             if outcome.kind == "random":
                 assert outcome.certificate is None
                 assert outcome.backward_certificate is None
+
+
+def test_random_sample_keeps_its_sites_in_draw_order():
+    # Coefficients are dealt out in site order; a set would put these in
+    # hash order (1, 2, 3, ...), and a set of (k, None) keys in an order
+    # that changes between interpreter starts.
+    op = ShiftOperator(doubling_weights(), 1.0)
+    drawn = [7, 1, 4, 9, 2, 8, 3, 6]
+    sites = iter(drawn)
+    op._sample_site = lambda rng: next(sites)
+    vec = simulate._random_sample(op, random.Random(0))
+    assert list(vec) == drawn[: len(vec)]
 
 
 def test_brute_reports_are_reproducible():
