@@ -1,11 +1,14 @@
 """Orbit arithmetic, brute-force expansivity, and the shadowing engine."""
 
+import hashlib
 import math
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
+from shiftlab.canon import canonical_json
 from shiftlab.classify import classify_report
 from shiftlab.presets import (
     CANONICAL,
@@ -378,6 +381,42 @@ def test_brute_reports_are_reproducible():
     a = brute_force_expansivity(valley(p=1.0), BruteMode.POSITIVE, horizon=15, seed=8)
     b = brute_force_expansivity(valley(p=1.0), BruteMode.POSITIVE, horizon=15, seed=8)
     assert a == b
+
+
+# sha256 of canonical_json over brute_pin_reports(), recorded once the random
+# samples kept their sites in draw order.  It pins each report's verdict and
+# every sample's crossings and certificates in all four modes, at a horizon
+# shorter than some walks' entry plus one period and at one longer than all.
+BRUTE_PIN_DIGEST = "f7841e13d8f0908476c42bc4220a450bea4d1638a48410f4d80ead783623b441"
+
+
+def brute_pin_reports():
+    line = Line(MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"])))
+    systems = [CANONICAL[name](p) for name in sorted(CANONICAL) for p in (1.0, 2.0)]
+    systems += [cell_system(1.0), cell_system(2.0)]
+    systems += [AtomicSystem(p=p, components=(Cycle.from_values([1, 2, 3]), line))
+                for p in (1.0, 2.0)]
+    shifts = [sevens_shift(p).weights for p in (1.0, 2.0)] + [split_weights(), doubling_weights()]
+    probes = [(system, None) for system in systems] + [(w, 1.0) for w in shifts]
+    reports = []
+    for i, (system, p) in enumerate(probes):
+        for mode in BruteMode:
+            for horizon in (5, 40):
+                report = brute_force_expansivity(
+                    system, mode, horizon=horizon, samples=3, seed=i, p=p
+                )
+                reports.append({
+                    "mode": mode.value,
+                    "horizon": horizon,
+                    "verdict": report.verdict.to_dict(),
+                    "samples": [asdict(s) for s in report.samples],
+                })
+    return reports
+
+
+def test_brute_reports_are_pinned():
+    text = canonical_json(brute_pin_reports())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BRUTE_PIN_DIGEST
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
