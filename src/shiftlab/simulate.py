@@ -29,7 +29,8 @@ import random
 import sys
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, count, islice
+from operator import neg
 
 from .classify import Status, Verdict
 from .seqcore import EventuallyPeriodicSequence, tail_sign_vs_one
@@ -406,17 +407,47 @@ class BoundCertificate:
 class DirectionalWalk:
     crossed_at: int | None
     certificate: BoundCertificate | None
-    sup_log_norm: float
-    log_norms: tuple[float, ...]  # log ||T^n x|| for n = 1..horizon
+    log_norms: tuple[float, ...]  # log ||T^n x|| for n = 1..horizon, if asked for
+
+
+def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalWalk:
+    """Scan a log-norm walk (n = 1, 2, ...) for a threshold crossing or a boundedness proof.
+
+    ``bound`` is ``(n_enter, period, drift)`` for a basis walk, whose
+    increments are exactly periodic from step n_enter on and sum to the
+    sign ``drift`` per period.  With drift <= 0 the walk is dominated by its
+    first full period past the entry point, so the supremum over all n is
+    already visible at n_enter + period, and a walk that has not crossed
+    by then never does.  A walk without a bound (a random sample) never
+    certifies.  The stream is read only as far as the decision and the
+    curve need: the first ``horizon`` values when ``want_curve``.
+    """
+    certifiable = bound is not None and bound[2] <= 0
+    cert_end = bound[0] + bound[1] if certifiable else 0
+    search_end = min(horizon, cert_end) if certifiable else horizon
+    threshold = _LOG2 - _CROSS_TOL
+    stream = iter(log_norms)
+    values: list[float] = []
+    crossed = None
+    for n, value in zip(range(1, search_end + 1), stream):
+        values.append(value)
+        if value >= threshold:
+            crossed = n
+            break
+    need = max(horizon if want_curve else 0, cert_end if crossed is None else 0)
+    if need > len(values):
+        values.extend(islice(stream, need - len(values)))
+    certificate = None
+    if crossed is None and certifiable:
+        sup = max([0.0, *values[:cert_end]])
+        if sup < _LOG2 - _CERT_GAP:
+            kind = "periodic" if bound[2] == 0 else "decaying"
+            certificate = BoundCertificate(kind, bound[1], math.exp(sup))
+    return DirectionalWalk(crossed, certificate, tuple(values[:horizon]) if want_curve else ())
 
 
 def _line_walk(
-    line: EventuallyPeriodicSequence,
-    position: int,
-    direction: int,
-    horizon: int,
-    *,
-    want_curve: bool,
+    line: EventuallyPeriodicSequence, position: int, direction: int, horizon: int, want_curve: bool
 ) -> DirectionalWalk:
     """Norm walk of a basis vector along one weight line.
 
@@ -426,57 +457,14 @@ def _line_walk(
     boundedness is certifiable from one extra period of scanning.
     """
     if direction > 0:
-        def inc(n: int) -> float:
-            return line.log_at(position - n + 1)
-        n_enter = max(1, position - line.core_lo + 2)
-        period = len(line.neg_period)
-        drift = tail_sign_vs_one(line, "neg")
+        increments = map(line.log_at, count(position, -1))
+        bound = (max(1, position - line.core_lo + 2), len(line.neg_period),
+                 tail_sign_vs_one(line, "neg"))
     else:
-        def inc(n: int) -> float:
-            return -line.log_at(position + n)
-        n_enter = max(1, line.core_hi - position + 1)
-        period = len(line.pos_period)
-        drift = -tail_sign_vs_one(line, "pos")
-    return _walk_analysis(inc, n_enter, period, drift, horizon, want_curve)
-
-
-def _walk_analysis(
-    inc, n_enter: int, period: int, drift: int, horizon: int, want_curve: bool
-) -> DirectionalWalk:
-    """Scan a log-norm walk for a threshold crossing or a boundedness proof.
-
-    Nonpositive drift means the walk is eventually dominated by its first
-    full period past the entry point, so the supremum over all n is already
-    visible there.  Positive drift guarantees a crossing; the scan keeps
-    going until it sees one or the horizon runs out.
-    """
-    cert_end = n_enter + period
-    crossed: int | None = None
-    sup = 0.0
-    cum = 0.0
-    curve: list[float] = []
-    for n in range(1, max(horizon, cert_end) + 1):
-        cum += inc(n)
-        if n <= horizon and want_curve:
-            curve.append(cum)
-        sup = max(sup, cum)
-        if crossed is None and n <= horizon and cum >= _LOG2 - _CROSS_TOL:
-            crossed = n
-            if not want_curve:
-                break
-        if crossed is None and n >= cert_end and drift <= 0:
-            break
-    certificate = None
-    if crossed is None and drift <= 0 and sup < _LOG2 - _CERT_GAP:
-        certificate = BoundCertificate(
-            kind="periodic" if drift == 0 else "decaying",
-            period=period,
-            sup_norm=math.exp(sup),
-        )
-    # finish the curve for uniform-mode alignment
-    while want_curve and len(curve) < horizon:
-        curve.append((curve[-1] if curve else 0.0) + inc(len(curve) + 1))
-    return DirectionalWalk(crossed, certificate, sup, tuple(curve))
+        increments = map(neg, map(line.log_at, count(position + 1)))
+        bound = (max(1, line.core_hi - position + 1), len(line.pos_period),
+                 -tail_sign_vs_one(line, "pos"))
+    return _scan(accumulate(increments), horizon, want_curve, bound)
 
 
 def _random_sample(op: Operator, rng: random.Random) -> Vec:
@@ -499,13 +487,15 @@ def _random_sample(op: Operator, rng: random.Random) -> Vec:
     return vec_scale(vec, math.exp(-log_norm))
 
 
-def _random_curve(op: Operator, vec: Vec, direction: int, horizon: int) -> list[float]:
-    out = []
+def _sample_walk(op: Operator, vec: Vec, direction: int, horizon: int,
+                 want_curve: bool) -> DirectionalWalk:
+    """Norm walk of a random sample, applied and measured to the full horizon."""
+    log_norms = []
     current = vec
     for _ in range(horizon):
         current = op.apply(current, direction)
-        out.append(op.log_norm(current))
-    return out
+        log_norms.append(op.log_norm(current))
+    return _scan(log_norms, horizon, want_curve)
 
 
 @dataclass(frozen=True)
@@ -544,116 +534,39 @@ def brute_force_expansivity(
     """
     op = operator_for(system, p)
     rng = random.Random(seed)
-    want_curve = mode.uniform
-    outcomes: list[SampleOutcome] = []
-    curves_fwd: list[tuple[float, ...]] = []
-    curves_bwd: list[tuple[float, ...]] = []
-
+    directions = (1, -1) if mode.twosided else (1,)
+    probes: list[tuple[str, str, list[DirectionalWalk]]] = []
     for site in op.basis_sites(horizon):
         line, position = op.site_line(site)
-        fwd = _line_walk(line, position, +1, horizon, want_curve=want_curve)
-        bwd = (
-            _line_walk(line, position, -1, horizon, want_curve=want_curve)
-            if mode.twosided
-            else None
-        )
-        outcomes.append(
-            SampleOutcome(
-                label=op.site_label(site),
-                kind="basis",
-                crossed_at=fwd.crossed_at,
-                certificate=fwd.certificate,
-                backward_crossed_at=bwd.crossed_at if bwd else None,
-                backward_certificate=bwd.certificate if bwd else None,
-            )
-        )
-        if want_curve:
-            curves_fwd.append(fwd.log_norms)
-            if bwd is not None:
-                curves_bwd.append(bwd.log_norms)
-
+        walks = [_line_walk(line, position, d, horizon, mode.uniform) for d in directions]
+        probes.append((op.site_label(site), "basis", walks))
     for i in range(samples):
         vec = _random_sample(op, rng)
-        fwd_curve = _random_curve(op, vec, +1, horizon)
-        bwd_curve = _random_curve(op, vec, -1, horizon) if mode.twosided else None
-        crossed = next(
-            (n + 1 for n, v in enumerate(fwd_curve) if v >= _LOG2 - _CROSS_TOL), None
-        )
-        bwd_crossed = None
-        if bwd_curve is not None:
-            bwd_crossed = next(
-                (n + 1 for n, v in enumerate(bwd_curve) if v >= _LOG2 - _CROSS_TOL), None
-            )
-        outcomes.append(
-            SampleOutcome(
-                label=f"rand[{i}]",
-                kind="random",
-                crossed_at=crossed,
-                certificate=None,
-                backward_crossed_at=bwd_crossed,
-                backward_certificate=None,
-            )
-        )
-        if want_curve:
-            curves_fwd.append(tuple(fwd_curve))
-            if bwd_curve is not None:
-                curves_bwd.append(tuple(bwd_curve))
-
-    verdict = _brute_verdict(mode, outcomes, curves_fwd, curves_bwd, horizon)
-    return BruteForceReport(
-        verdict=verdict,
-        mode=mode,
-        horizon=horizon,
-        seed=seed,
-        samples=tuple(outcomes),
+        walks = [_sample_walk(op, vec, d, horizon, mode.uniform) for d in directions]
+        probes.append((f"rand[{i}]", "random", walks))
+    # The forward walk fills crossed_at and certificate, the backward one the backward pair.
+    outcomes = tuple(
+        SampleOutcome(label, kind, *(field for w in walks for field in (w.crossed_at, w.certificate)))
+        for label, kind, walks in probes
     )
+    return BruteForceReport(_brute_verdict(mode, probes, horizon), mode, horizon, seed, outcomes)
 
 
-def _sample_bounded(outcome: SampleOutcome, twosided: bool) -> bool:
-    if outcome.certificate is None:
-        return False
-    if not twosided:
-        return True
-    return outcome.backward_certificate is not None
-
-
-def _sample_crossed(outcome: SampleOutcome, twosided: bool) -> bool:
-    if outcome.crossed_at is not None:
-        return True
-    return twosided and outcome.backward_crossed_at is not None
-
-
-def _brute_verdict(
-    mode: BruteMode,
-    outcomes: list[SampleOutcome],
-    curves_fwd: list[tuple[float, ...]],
-    curves_bwd: list[tuple[float, ...]],
-    horizon: int,
-) -> Verdict:
-    twosided = mode.twosided
-    for outcome in outcomes:
-        if _sample_bounded(outcome, twosided):
-            assert outcome.certificate is not None
-            witness = {"sample": outcome.label, "certificate": asdict(outcome.certificate)}
-            if twosided and outcome.backward_certificate is not None:
-                witness["backward_certificate"] = asdict(outcome.backward_certificate)
+def _brute_verdict(mode: BruteMode, probes: list, horizon: int) -> Verdict:
+    for label, _, walks in probes:
+        if all(w.certificate is not None for w in walks):
+            witness = {"sample": label}
+            for name, w in zip(("certificate", "backward_certificate"), walks):
+                witness[name] = asdict(w.certificate)
             return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
 
     if mode.uniform:
         threshold = _LOG2 - _CROSS_TOL
-        for n in range(1, horizon + 1):
-            common = True
-            for i, fwd in enumerate(curves_fwd):
-                hit = fwd[n - 1] >= threshold
-                if not hit and twosided:
-                    hit = curves_bwd[i][n - 1] >= threshold
-                if not hit:
-                    common = False
-                    break
-            if common:
+        for n in range(horizon):
+            if all(any(w.log_norms[n] >= threshold for w in walks) for _, _, walks in probes):
                 return Verdict(
                     Status.HOLDS, "definition", "brute-force", None,
-                    {"n": n, "samples": len(curves_fwd)},
+                    {"n": n + 1, "samples": len(probes)},
                 )
         return Verdict(
             Status.UNDECIDED, "definition", "brute-force", None,
@@ -661,17 +574,17 @@ def _brute_verdict(
         )
 
     crossings = []
-    for outcome in outcomes:
-        if not _sample_crossed(outcome, twosided):
+    for label, _, walks in probes:
+        crossed = [w.crossed_at for w in walks if w.crossed_at is not None]
+        if not crossed:
             return Verdict(
                 Status.UNDECIDED, "definition", "brute-force", None,
-                {"sample": outcome.label, "reason": "no crossing within the horizon"},
+                {"sample": label, "reason": "no crossing within the horizon"},
             )
-        candidates = [n for n in (outcome.crossed_at, outcome.backward_crossed_at) if n]
-        crossings.append(min(candidates))
+        crossings.append(min(crossed))
     return Verdict(
         Status.HOLDS, "definition", "brute-force", None,
-        {"max_crossing_n": max(crossings), "samples": len(outcomes)},
+        {"max_crossing_n": max(crossings), "samples": len(probes)},
     )
 
 
@@ -787,38 +700,25 @@ def _series_sum(table: tuple[float, ...], window: int, include_zero: bool) -> fl
     return total
 
 
-def _sup_forward_factor(line: EventuallyPeriodicSequence, j: int, cut: int | None) -> float:
-    """Sup over stable anchors k of the log product of w[k-j+1 .. k]."""
-    k_lo = line.core_lo - len(line.neg_period)
-    if cut is None:
-        k_hi = line.core_hi + len(line.pos_period) + j
-    else:
-        k_hi = cut
-        k_lo = min(k_lo, cut)
-    logs = [line.log_at(i) for i in range(k_lo - j + 1, k_hi + 1)]
-    prefix = list(accumulate(logs, initial=0.0))
-    best = -math.inf
-    for k in range(k_lo, k_hi + 1):
-        hi_idx = k - (k_lo - j + 1) + 1
-        best = max(best, prefix[hi_idx] - prefix[hi_idx - j])
-    return best
+def _sup_factor(line: EventuallyPeriodicSequence, j: int, cut: int | None, forward: bool) -> float:
+    """Sup over anchors k of the log norm factor of j steps from k.
 
-
-def _sup_backward_factor(line: EventuallyPeriodicSequence, j: int, cut: int | None) -> float:
-    """Sup over unstable anchors k of the log product of 1/w over [k+1 .. k+j]."""
-    k_hi = line.core_hi + len(line.pos_period)
+    Forward, over stable anchors: the log product of w[k-j+1 .. k].
+    Backward, over unstable anchors: that of 1/w over [k+1 .. k+j], summed
+    as negated logs; round-to-nearest makes each window sum exactly the
+    negation of the forward sum over the same logs.
+    """
+    lo = line.core_lo - len(line.neg_period)
+    hi = line.core_hi + len(line.pos_period)
     if cut is None:
-        k_lo = line.core_lo - len(line.neg_period) - j
+        first, last = lo - j + 1, hi + j
+    elif forward:
+        first, last = min(lo, cut) - j + 1, cut
     else:
-        k_lo = cut + 1
-        k_hi = max(k_hi, k_lo)
-    logs = [line.log_at(i) for i in range(k_lo + 1, k_hi + j + 1)]
-    prefix = list(accumulate(logs, initial=0.0))
-    best = -math.inf
-    for k in range(k_lo, k_hi + 1):
-        lo_idx = k + 1 - (k_lo + 1)
-        best = max(best, -(prefix[lo_idx + j] - prefix[lo_idx]))
-    return best
+        first, last = cut + 2, max(hi, cut + 1) + j
+    logs = map(line.log_at, range(first, last + 1))
+    prefix = list(accumulate(logs if forward else map(neg, logs), initial=0.0))
+    return max(prefix[i + j] - prefix[i] for i in range(len(prefix) - j))
 
 
 def _table_entry(log_factor: float) -> float:
@@ -865,18 +765,13 @@ def build_splitting(op: Operator) -> Splitting:
 
     window = math.lcm(*(len(tail) for line in lines for tail in (line.neg_period, line.pos_period)))
     while window <= _MAX_WINDOW:
-        stable_table = [
-            _table_entry(max(_sup_forward_factor(line, j, cut) for line in lines))
-            for j in range(1, window + 1)
-        ] if kind != "expansion" else []
-        unstable_table = [
-            _table_entry(max(_sup_backward_factor(line, j, cut) for line in lines))
-            for j in range(1, window + 1)
-        ] if kind != "contraction" else []
-        if all(table[-1] < 1.0 - 1e-12 for table in (stable_table, unstable_table) if table):
-            return Splitting(kind, cut, window, _window_rate(stable_table),
-                             _window_rate(unstable_table), tuple(stable_table),
-                             tuple(unstable_table))
+        tables = [
+            [_table_entry(max(_sup_factor(line, j, cut, forward) for line in lines))
+             for j in range(1, window + 1)] if side_used else []
+            for forward, side_used in ((True, kind != "expansion"), (False, kind != "contraction"))
+        ]
+        if all(table[-1] < 1.0 - 1e-12 for table in tables if table):
+            return Splitting(kind, cut, window, *map(_window_rate, tables), *map(tuple, tables))
         window *= 2
     raise NoSplitting("no contracting certificate window within the scan bound")
 
