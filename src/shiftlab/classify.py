@@ -516,7 +516,7 @@ def _atomic_fold(
                 {"component": index, "kind": "cycle",
                  "orbit_measure_sup": float(max(comp.measures))},
             )
-        view = _view(comp.measures.ratio)
+        view = _view(comp.ratio)
         if not _line_rules(view)[prop]:
             return Verdict(
                 Status.FAILS, citation, "exact", view.margin_both,

@@ -36,7 +36,6 @@ from .classify import Status, Verdict
 from .seqcore import EventuallyPeriodicSequence, tail_sign_vs_one
 from .systems import (
     AtomicSystem,
-    Cycle,
     DissipativeSystem,
     WeightSequence,
     check_star,
@@ -169,13 +168,6 @@ class LineSumOperator:
         return splitting.covers_stable(self._locate(site)[1])
 
 
-def _cycle_ratio(cycle: Cycle) -> EventuallyPeriodicSequence:
-    """The ratios m_{k+1}/m_k of a cycle's atoms, periodic with period r."""
-    m = cycle.measures
-    ratios = tuple(m[(k + 1) % len(m)] / m[k] for k in range(len(m)))
-    return EventuallyPeriodicSequence(0, ratios, ratios, ratios, 1.0, cycle.exact)
-
-
 class ShiftOperator(LineSumOperator):
     """Bilateral weighted backward shift: (B x)_j = w_{j+1} x_{j+1}.
 
@@ -304,12 +296,10 @@ class AtomicOperator(LineSumOperator):
     def __init__(self, system: AtomicSystem):
         self.system = system
         comps = system.components
-        periods = system.periods
-        ratios = [_cycle_ratio(c) if r else c.measures.ratio for c, r in zip(comps, periods)]
         super().__init__(
             system.p,
-            [weight_line(ratio, system.p) for ratio in ratios],
-            periods,
+            [weight_line(comp.ratio, system.p) for comp in comps],
+            system.periods,
             lambda ci, index: comps[ci].log_mu(index),
         )
 

@@ -313,6 +313,13 @@ class Cycle:
         """log of the measure of atom index (mod r)."""
         return _log_fraction(self.measures[index % len(self.measures)])
 
+    @property
+    def ratio(self) -> EventuallyPeriodicSequence:
+        """The ratios m_{k+1}/m_k of the atoms, purely periodic with period r."""
+        m = self.measures
+        ratios = tuple(m[(k + 1) % len(m)] / m[k] for k in range(len(m)))
+        return EventuallyPeriodicSequence(0, ratios, ratios, ratios, 1.0, self.exact)
+
 
 @dataclass(frozen=True)
 class Line:
@@ -326,6 +333,11 @@ class Line:
 
     def log_mu(self, index: int) -> float:
         return self.measures.log_mu(index)
+
+    @property
+    def ratio(self) -> EventuallyPeriodicSequence:
+        """The ratios mu_{k+1}/mu_k of the atoms."""
+        return self.measures.ratio
 
 
 Component = Union[Cycle, Line]
@@ -425,10 +437,10 @@ class StarCertificate:
     c_fraction: Fraction | None = None
 
 
-def _atom_ratio_candidates(system: DissipativeSystem) -> list[Fraction]:
-    """All values of mu(f^{k-1} cell)/mu(f^k cell) across k and cells."""
-    ratio = system.measures.ratio
-    cells = system.cells
+def _atom_ratio_candidates(
+    ratio: EventuallyPeriodicSequence, cells: CellStructure | None = None
+) -> list[Fraction]:
+    """All values of mu(f^{k-1} cell)/mu(f^k cell) across k and cells of one ratio line."""
     lo = ratio.core_lo - len(ratio.neg_period) - 1
     hi = ratio.core_hi + len(ratio.pos_period) + 1
     if cells is not None and cells.wobble:
@@ -451,25 +463,17 @@ def check_star(system: DissipativeSystem | AtomicSystem) -> StarCertificate:
 
     Unions cannot beat single atoms of the refined partition, so a finite
     scan over one period past the core (and the wobble window) is exact.
+    An atomic union reads the ratio line of each component; a cycle's is
+    purely periodic, so the scan sees each of its atoms.
     """
     if isinstance(system, DissipativeSystem):
-        candidates = _atom_ratio_candidates(system)
+        candidates = _atom_ratio_candidates(system.measures.ratio, system.cells)
         exact = system.measures.exact and (system.cells is None or system.cells.exact)
-        p = system.p
     else:
-        candidates = []
-        exact = True
-        p = system.p
-        for comp in system.components:
-            if isinstance(comp, Cycle):
-                r = len(comp)
-                for i in range(r):
-                    candidates.append(comp.measures[(i - 1) % r] / comp.measures[i])
-                exact = exact and comp.exact
-            else:
-                sub = DissipativeSystem(p=p, measures=comp.measures)
-                candidates.extend(_atom_ratio_candidates(sub))
-                exact = exact and comp.measures.exact
+        comps = system.components
+        candidates = [c for comp in comps for c in _atom_ratio_candidates(comp.ratio)]
+        exact = all(c.exact if isinstance(c, Cycle) else c.measures.exact for c in comps)
+    p = system.p
     c_frac = max(candidates)
     inv_frac = max(1 / cand for cand in candidates)
     c = float(c_frac)

@@ -144,6 +144,19 @@ def test_star_cycle_frozen():
     assert cert.c_inverse == pytest.approx(2.0)
 
 
+def test_star_of_a_union_is_its_worst_component():
+    cycle = Cycle.from_values([1, 2, 3])
+    line = Line(MeasureSequence(F(1), EventuallyPeriodicSequence.from_values(
+        0, ["1/2"], ["1/5"], ["1/2"])))
+    union = check_star(AtomicSystem(p=2.0, components=(cycle, line)))
+    parts = [check_star(AtomicSystem(p=2.0, components=(comp,))) for comp in (cycle, line)]
+    # c comes from the line's 1/5 step, c_inverse from the cycle's 1 -> 2 step
+    assert (union.c_fraction, union.c_inverse) == (5, 2.0)
+    assert union.c == max(cert.c for cert in parts)
+    assert union.c_inverse == max(cert.c_inverse for cert in parts)
+    assert parts[1] == check_star(DissipativeSystem(p=2.0, measures=line.measures))
+
+
 @pytest.mark.parametrize(
     "system", [decay(1.0), peak(2.0), valley(3.0), cell_system()]
 )
@@ -434,8 +447,10 @@ def test_atomic_components_report_their_log_measures():
     for index in range(-7, 8):
         m = cycle.measures[index % 3]
         assert cycle.log_mu(index) == math.log(m.numerator) - math.log(m.denominator)
+        assert cycle.ratio.base_at(index) == cycle.measures[(index + 1) % 3] / m
     line = Line(MeasureSequence.from_values(2, EventuallyPeriodicSequence.from_values(
         -1, ["3", "1/2"], ["2"], ["1/3"])))
+    assert line.ratio is line.measures.ratio
     for k in range(-9, 10):
         assert line.log_mu(k) == line.measures.log_mu(k)
         assert math.exp(line.log_mu(k)) == pytest.approx(
