@@ -404,16 +404,18 @@ def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalW
     """Scan a log-norm walk (n = 1, 2, ...) for a threshold crossing or a boundedness proof.
 
     ``bound`` is ``(n_enter, period, drift)`` for a basis walk, whose
-    increments are exactly periodic from step n_enter on and sum to the
-    sign ``drift`` per period.  With drift <= 0 the walk is dominated by its
-    first full period past the entry point, so the supremum over all n is
-    already visible at n_enter + period, and a walk that has not crossed
-    by then never does.  A walk without a bound (a random sample) never
-    certifies.  The stream is read only as far as the decision and the
-    curve need: the first ``horizon`` values when ``want_curve``.
+    increments are exactly periodic from step n_enter on, with ``drift``
+    the sign of their sum over one period.  With drift <= 0 the walk is
+    dominated by its first full period past the entry point, so the
+    supremum over all n is already visible at n_enter + period, and a walk
+    that has not crossed by then never does.  A walk without a bound (a
+    random sample) never certifies.  The stream is read only as far as the
+    decision and the curve need: the first ``horizon`` values when
+    ``want_curve``.
     """
-    certifiable = bound is not None and bound[2] <= 0
-    cert_end = bound[0] + bound[1] if certifiable else 0
+    n_enter, period, drift = bound or (0, 0, 1)
+    certifiable = drift <= 0
+    cert_end = n_enter + period if certifiable else 0
     search_end = min(horizon, cert_end) if certifiable else horizon
     threshold = _LOG2 - _CROSS_TOL
     stream = iter(log_norms)
@@ -431,8 +433,8 @@ def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalW
     if crossed is None and certifiable:
         sup = max([0.0, *values[:cert_end]])
         if sup < _LOG2 - _CERT_GAP:
-            kind = "periodic" if bound[2] == 0 else "decaying"
-            certificate = BoundCertificate(kind, bound[1], math.exp(sup))
+            kind = "periodic" if drift == 0 else "decaying"
+            certificate = BoundCertificate(kind, period, math.exp(sup))
     return DirectionalWalk(crossed, certificate, tuple(values[:horizon]) if want_curve else ())
 
 
