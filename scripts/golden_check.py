@@ -9,13 +9,14 @@ Each entry runs through the workload's own make_input, run and check, as
 the benchmark does, but over the whole pool rather than a timed stretch of
 it.  Prints, per workload, the number of fingerprint mismatches and of
 entries whose output check fails (an entry that raises counts as failed),
-and exits 1 if any count is nonzero.
+and the wall-clock seconds the check took; exits 1 if any count is nonzero.
 """
 
 import json
 import sys
 import traceback
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -54,9 +55,10 @@ def main(argv: list[str]) -> int:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     bad = False
     for name in argv:
+        start = perf_counter()
         entries, mismatches, failed = check_workload(name, golden[name])
-        print(f"{name}: {entries} entries, {mismatches} mismatches, {failed} failed checks",
-              flush=True)
+        print(f"{name}: {entries} entries, {mismatches} mismatches, {failed} failed checks, "
+              f"{perf_counter() - start:.1f} s", flush=True)
         bad = bad or mismatches or failed
     return 1 if bad else 0
 

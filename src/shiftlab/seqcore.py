@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cached_property
+from itertools import chain, cycle, islice
+from typing import Iterator, Sequence, Union
 
 ScalarLike = Union[int, float, str, Fraction]
 
@@ -144,6 +146,42 @@ class EventuallyPeriodicSequence:
             raw = self._core_logs[k - self.core_lo]
         return self.exp * raw
 
+    @cached_property
+    def _scaled_logs(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        # (neg, core, pos) tables of exp * raw log: the floats log_at returns.
+        return tuple(tuple(self.exp * raw for raw in logs)
+                     for logs in (self._neg_logs, self._core_logs, self._pos_logs))
+
+    def logs_from(self, k: int, step: int) -> Iterator[float]:
+        """log_at(k), log_at(k + step), log_at(k + 2 step), ... for step +1 or -1.
+
+        One endless iterator built from the tables: a finite run through
+        the tail that holds k (if k lies outside the core), the rest of the
+        core in the direction of travel, then the far tail cycled forever.
+        Each value is the float log_at returns for its index.
+        """
+        neg, core, pos = self._scaled_logs
+        lo, hi = self.core_lo, self.core_hi
+        if step > 0:
+            near, far = neg, pos
+            near_count = lo - k
+            core_part = core[max(k - lo, 0):]
+            far_start = max(k, hi + 1)
+        else:
+            near, far = pos, neg
+            near_count = k - hi
+            core_part = core[min(k, hi) - lo::-1] if k >= lo else ()
+            far_start = min(k, lo - 1)
+        near_run = (islice(cycle(_rotated(near, self._tail_index(k), step)), near_count)
+                    if near_count > 0 else ())
+        return chain(near_run, core_part, cycle(_rotated(far, self._tail_index(far_start), step)))
+
+    def _tail_index(self, k: int) -> int:
+        # Position of index k (outside the core) in its tail's table.
+        if k < self.core_lo:
+            return len(self.neg_period) - 1 - (self.core_lo - 1 - k) % len(self.neg_period)
+        return (k - self.core_hi - 1) % len(self.pos_period)
+
     def elementwise_pow(self, power: float) -> "EventuallyPeriodicSequence":
         if power == 0 or not math.isfinite(power):
             raise SequenceError("power must be finite and nonzero")
@@ -162,6 +200,13 @@ class EventuallyPeriodicSequence:
     def sup_value(self) -> float:
         return math.exp(max(self.exp * raw for raw in
                             self._core_logs + self._neg_logs + self._pos_logs))
+
+
+def _rotated(table: tuple[float, ...], start: int, step: int) -> tuple[float, ...]:
+    """One period of table read from entry start on, forward (step +1) or backward."""
+    if step > 0:
+        return table[start:] + table[:start]
+    return table[start::-1] + table[:start:-1]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,15 @@ directly: a unit vector escapes once some iterate has norm at least 2.
 Basis vectors have eventually periodic norm walks, so a non-crossing can
 be certified exactly; random simple functions can only ever cross, never
 certify boundedness, and an uncrossed one leaves the verdict Undecided.
+Each probe is one stream of log norms read by one scan, only as far as
+the decision needs.  A basis walk accumulates its weight line's
+increment stream (``logs_from``, built from the line's tables at C
+level), and a walk that lies wholly in one periodic tail is computed
+once per line, direction and phase and shared by every site with that
+phase.  A random sample's stream (``log_norm_walk``) is lazy, so it
+stops at its crossing; composition and atomic maps only move sites, so
+each step adds p log|c| to a memoized site log measure and builds no
+vector, while a shift applies each step.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import accumulate, count, islice
 from operator import neg
+from typing import Iterator
 
 from .classify import Status, Verdict
 from .seqcore import EventuallyPeriodicSequence, tail_sign_vs_one
@@ -159,13 +169,35 @@ class LineSumOperator:
     def _sample_site(self, rng: random.Random) -> object:
         return self._draw_site(rng, 12)
 
-    def site_line(self, site) -> tuple[EventuallyPeriodicSequence, int]:
-        """(weight line, position) carrying the basis walk of this site."""
-        line, position = self._locate(site)
-        return self.lines[line], position
-
     def site_is_stable(self, site, splitting: "Splitting") -> bool:
         return splitting.covers_stable(self._locate(site)[1])
+
+    def log_norm_walk(self, vec: Vec, direction: int) -> Iterator[float]:
+        """log ||T^n vec|| for n = 1, 2, ... in one direction, each step computed on demand.
+
+        The map only moves sites, one position per step, and leaves the
+        coefficients alone.  So step n's terms are each entry's p log|c|
+        plus the log measure of its moved site, in the key order of vec:
+        the floats log_norm(apply(vec, n)) sums.  Site measures are
+        memoized per walk.  A shift, whose steps rescale coefficients,
+        overrides this.
+        """
+        p, measure = self.p, self._log_measure
+        entries = []
+        for site, c in vec.items():
+            if c != 0:
+                line, position = self._locate(site)
+                entries.append((p * math.log(abs(c)), line, position, self._periods[line]))
+        memo: dict = {}
+        for n in count(direction, direction):
+            terms = []
+            for coeff_term, line, position, period in entries:
+                moved = (position - n) % period if period else position - n
+                site_term = memo.get((line, moved))
+                if site_term is None:
+                    site_term = memo[line, moved] = measure(*self._key(line, moved))
+                terms.append(coeff_term + site_term)
+            yield logsumexp(terms) / p
 
 
 class ShiftOperator(LineSumOperator):
@@ -203,6 +235,13 @@ class ShiftOperator(LineSumOperator):
 
     def site_label(self, site) -> str:
         return f"e[{site}]"
+
+    def log_norm_walk(self, vec: Vec, direction: int) -> Iterator[float]:
+        """log ||T^n vec|| for n = 1, 2, ...: a shift step rescales coefficients, so apply it."""
+        current = vec
+        while True:
+            current = self.apply(current, direction)
+            yield self.log_norm(current)
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         w = self.weights.values
@@ -446,14 +485,15 @@ def _line_walk(
     Forward steps multiply by w at descending indices starting at
     ``position``; backward steps divide by w at ascending indices.  The
     increments become exactly periodic once the walk clears the core, so
-    boundedness is certifiable from one extra period of scanning.
+    boundedness is certifiable from one extra period of scanning.  They
+    come from the line's table-driven stream, accumulated at C level.
     """
     if direction > 0:
-        increments = map(line.log_at, count(position, -1))
+        increments = line.logs_from(position, -1)
         bound = (max(1, position - line.core_lo + 2), len(line.neg_period),
                  tail_sign_vs_one(line, "neg"))
     else:
-        increments = map(neg, map(line.log_at, count(position + 1)))
+        increments = map(neg, line.logs_from(position + 1, 1))
         bound = (max(1, line.core_hi - position + 1), len(line.pos_period),
                  -tail_sign_vs_one(line, "pos"))
     return _scan(accumulate(increments), horizon, want_curve, bound)
@@ -479,15 +519,25 @@ def _random_sample(op: Operator, rng: random.Random) -> Vec:
     return vec_scale(vec, math.exp(-log_norm))
 
 
+def _tail_phase(line: EventuallyPeriodicSequence, position: int, direction: int) -> int | None:
+    """Phase of a basis walk that lies wholly in one periodic tail, else None.
+
+    A forward walk from left of the core reads only the negative tail, and
+    a backward walk from the core's last index on only the positive one.
+    Such a walk enters its period at once (n_enter = 1), so it is fixed by
+    its line, its direction and where in the period it starts.
+    """
+    if direction > 0 and position < line.core_lo:
+        return (line.core_lo - 1 - position) % len(line.neg_period)
+    if direction < 0 and position >= line.core_hi:
+        return (position - line.core_hi) % len(line.pos_period)
+    return None
+
+
 def _sample_walk(op: Operator, vec: Vec, direction: int, horizon: int,
                  want_curve: bool) -> DirectionalWalk:
-    """Norm walk of a random sample, applied and measured to the full horizon."""
-    log_norms = []
-    current = vec
-    for _ in range(horizon):
-        current = op.apply(current, direction)
-        log_norms.append(op.log_norm(current))
-    return _scan(log_norms, horizon, want_curve)
+    """Norm walk of a random sample, computed only as far as the scan reads it."""
+    return _scan(op.log_norm_walk(vec, direction), horizon, want_curve)
 
 
 @dataclass(frozen=True)
@@ -522,15 +572,31 @@ def brute_force_expansivity(
 
     Holds needs every sample to cross the norm threshold (a shared n in the
     uniform modes); Fails needs a certified bounded basis walk, never a
-    random sample; everything else stays Undecided.
+    random sample; everything else stays Undecided.  A basis walk that
+    lies wholly in one periodic tail is computed once per line, direction
+    and phase, and shared by every site with that phase.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     op = operator_for(system, p)
     rng = random.Random(seed)
     directions = (1, -1) if mode.twosided else (1,)
     probes: list[tuple[str, str, list[DirectionalWalk]]] = []
+    tail_walks: dict[tuple[int, int, int], DirectionalWalk] = {}
     for site in op.basis_sites(horizon):
-        line, position = op.site_line(site)
-        walks = [_line_walk(line, position, d, horizon, mode.uniform) for d in directions]
+        index, position = op._locate(site)
+        line = op.lines[index]
+        walks = []
+        for d in directions:
+            phase = _tail_phase(line, position, d)
+            walk = tail_walks.get((index, d, phase))  # never stored for phase None
+            if walk is None:
+                walk = _line_walk(line, position, d, horizon, mode.uniform)
+                if phase is not None:
+                    tail_walks[index, d, phase] = walk
+            walks.append(walk)
         probes.append((op.site_label(site), "basis", walks))
     for i in range(samples):
         vec = _random_sample(op, rng)

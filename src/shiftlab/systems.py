@@ -18,6 +18,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from .canon import fraction_text
@@ -86,16 +89,19 @@ class MeasureSequence:
     def log_mu(self, k: int) -> float:
         """log mu_k, summed over the ratio entries once per k and then memoized.
 
-        The sequential sum fixes every bit of the result; a closed form
-        (prefix sums plus whole periods) rounds differently.
+        The ratio logs from min(k, 0) up to max(k, 0) - 1 are folded left
+        to right, then added to (k > 0) or taken from (k < 0) log mu_0.
+        That sequential sum fixes every bit of the result: a closed form
+        (prefix sums plus whole periods) rounds differently, and so does
+        sum(), which compensates float sums from Python 3.12 on.
         """
         total = self._log_mu_memo.get(k)
         if total is None:
             total = self._log_mu0
             if k > 0:
-                total += sum(self.ratio.log_at(j) for j in range(0, k))
+                total += reduce(add, islice(self.ratio.logs_from(0, 1), k), 0.0)
             elif k < 0:
-                total -= sum(self.ratio.log_at(j) for j in range(k, 0))
+                total -= reduce(add, islice(self.ratio.logs_from(k, 1), -k), 0.0)
             self._log_mu_memo[k] = total
         return total
 

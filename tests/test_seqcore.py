@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from shiftlab.seqcore import (
     side_geometric_means,
     tail_sign_vs_one,
 )
+from shiftlab.systems import weight_line
 
 from _oracles import Direction, Quantifier, eval_periodic, window_rate
 
@@ -71,6 +73,26 @@ def test_shifted_reindexes():
     moved = s.shifted(4)
     for k in range(-8, 9):
         assert moved.base_at(k) == s.base_at(k - 4)
+
+
+# Tails of periods 1-4 around a core of 3 entries at -1..1; every entry differs.
+STREAM_TAILS = [
+    (["3/2", "5/9", "7/4", "2/11"][:period], ["4/3", "9/5", "1/6", "13/7"][:period])
+    for period in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("neg, pos", STREAM_TAILS)
+def test_logs_from_is_log_at_index_by_index(neg, pos, p):
+    line = weight_line(seq(-1, ["2", "1/3", "5/2"], neg, pos), p)
+    assert line.exp != 1.0
+    # Starts left of the core, on both core edges, inside it, and right of it.
+    for start in (-9, -3, line.core_lo - 1, line.core_lo, line.core_lo + 1,
+                  line.core_hi, line.core_hi + 1, 4, 11):
+        for step in (1, -1):
+            streamed = list(islice(line.logs_from(start, step), 60))
+            assert streamed == [line.log_at(start + step * i) for i in range(60)], (start, step)
 
 
 # -- tail means and the trichotomy -------------------------------------------

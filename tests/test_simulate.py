@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -377,6 +378,79 @@ def test_random_sample_keeps_its_sites_in_draw_order():
     assert list(vec) == drawn[: len(vec)]
 
 
+def sample_stream_operators():
+    line = Line(MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"])))
+    return [
+        CompositionOperator(decay(p=2.0)),
+        CompositionOperator(cell_system(p=1.0)),
+        AtomicOperator(AtomicSystem(p=2.0, components=(Cycle.from_values([1, 2, 3]), line))),
+    ]
+
+
+@pytest.mark.parametrize("op", sample_stream_operators(), ids=["window", "celled", "atomic"])
+def test_log_norm_walk_is_log_norm_of_repeated_apply(op):
+    rng = random.Random(3)
+    for _ in range(4):
+        vec = simulate._random_sample(op, rng)
+        for direction in (1, -1):
+            streamed = list(islice(op.log_norm_walk(vec, direction), 60))
+            expected, current = [], vec
+            for _ in range(60):
+                current = op.apply(current, direction)
+                expected.append(op.log_norm(current))
+            assert streamed == expected, direction
+
+
+@pytest.mark.parametrize("horizon, samples", [(-1, 0), (-1, 2), (0, 3), (5, -1)])
+def test_brute_force_rejects_bad_horizon_and_samples(horizon, samples):
+    with pytest.raises(ValueError, match="horizon|samples"):
+        brute_force_expansivity(
+            doubling_weights(), BruteMode.POSITIVE, horizon=horizon, samples=samples, p=1.0
+        )
+
+
+def test_tail_walks_are_shared_and_samples_stop_at_their_crossing(monkeypatch):
+    weights = doubling_weights()
+    line = weights.values
+    left_forward: list[int] = []
+    line_walk = simulate._line_walk
+
+    def counted_line_walk(line_, position, direction, horizon, want_curve):
+        if direction > 0 and position < line_.core_lo:
+            left_forward.append(position)
+        return line_walk(line_, position, direction, horizon, want_curve)
+
+    sample_crossings: list[int | None] = []
+    scan = simulate._scan
+
+    def recording_scan(log_norms, horizon, want_curve, bound=None):
+        walk = scan(log_norms, horizon, want_curve, bound)
+        if bound is None:
+            sample_crossings.append(walk.crossed_at)
+        return walk
+
+    applied = [0]
+    apply = ShiftOperator.apply
+
+    def counted_apply(self, vec, steps=1):
+        applied[0] += 1
+        return apply(self, vec, steps)
+
+    monkeypatch.setattr(simulate, "_line_walk", counted_line_walk)
+    monkeypatch.setattr(simulate, "_scan", recording_scan)
+    monkeypatch.setattr(ShiftOperator, "apply", counted_apply)
+    horizon = 40
+    report = brute_force_expansivity(
+        weights, BruteMode.POSITIVE, horizon=horizon, samples=5, seed=0, p=1.0
+    )
+    assert report.verdict.holds
+    # 40 sites lie left of the core; one walk per phase of the period serves them all.
+    assert len(left_forward) <= len(line.neg_period)
+    assert len(sample_crossings) == 5
+    # Each sample is applied once per step, and no step after its crossing.
+    assert applied[0] == sum(n if n is not None else horizon for n in sample_crossings)
+
+
 def test_brute_reports_are_reproducible():
     a = brute_force_expansivity(valley(p=1.0), BruteMode.POSITIVE, horizon=15, seed=8)
     b = brute_force_expansivity(valley(p=1.0), BruteMode.POSITIVE, horizon=15, seed=8)
@@ -709,8 +783,8 @@ def test_window_basis_spreads_over_the_cells():
 def test_cycle_is_a_periodic_weight_line():
     measures = [1, 2, 3]
     op = AtomicOperator(AtomicSystem(p=2.0, components=(Cycle.from_values(measures),)))
-    line, position = op.site_line((0, 1))
-    assert position == 1
+    assert op._locate((0, 1)) == (0, 1)
+    line = op.lines[0]
     for k in range(-7, 8):
         expected = (measures[(k - 1) % 3] / measures[k % 3]) ** 0.5
         assert math.exp(line.log_at(k)) == pytest.approx(expected, rel=1e-15), k

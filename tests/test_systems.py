@@ -3,6 +3,8 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -75,13 +77,16 @@ def test_mu_matches_recursion_oracle(k):
 
 
 def log_mu_sequential(ms, k):
-    """log mu_k as one sequential sum over the ratio entries, with no memo."""
+    """log mu_k as one left-to-right sum over the ratio entries, with no memo.
+
+    An explicit loop, not sum(): from Python 3.12 on, sum() compensates
+    float sums and rounds differently.
+    """
+    partial = 0.0
+    for j in range(min(k, 0), max(k, 0)):
+        partial += ms.ratio.log_at(j)
     total = math.log(ms.mu0.numerator) - math.log(ms.mu0.denominator)
-    if k > 0:
-        total += sum(ms.ratio.log_at(j) for j in range(0, k))
-    elif k < 0:
-        total -= sum(ms.ratio.log_at(j) for j in range(k, 0))
-    return total
+    return total + partial if k > 0 else total - partial
 
 
 @pytest.mark.parametrize(
@@ -97,6 +102,18 @@ def test_log_mu_memo_is_bit_identical_to_sequential_sum(ms):
     random.Random(5).shuffle(shuffled)
     for k in order + shuffled + order:
         assert ms.log_mu(k) == log_mu_sequential(ms, k)
+
+
+def test_log_mu_is_a_left_to_right_fold():
+    # Float ratios of mixed size, where a compensated sum rounds differently.
+    ms = MeasureSequence.from_values(
+        0.7, ratio(-2, [0.3, 1e8, 1.9, 3e-7], [1.1, 1e-9, 2.0], [0.8, 7e6, 1.3])
+    )
+    for k in range(-60, 61):
+        assert ms.log_mu(k) == log_mu_sequential(ms, k), k
+    # The data is one where a compensated sum of the same logs rounds differently.
+    windows = [[ms.ratio.log_at(j) for j in range(min(k, 0), max(k, 0))] for k in range(-60, 61)]
+    assert any(math.fsum(logs) != reduce(add, logs, 0.0) for logs in windows)
 
 
 def test_side_rates_peak():
