@@ -31,6 +31,9 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import accumulate, islice
+from operator import add, neg
 from typing import Callable, Literal, Mapping
 
 from .canon import fingerprint
@@ -125,12 +128,8 @@ def _aligned_tail_estimate(seq: EventuallyPeriodicSequence, side: str, n: int) -
     """
     period = len(seq.neg_period) if side == "neg" else len(seq.pos_period)
     length = max(period, (max(n, 1) // period) * period)
-    if side == "neg":
-        hi = seq.core_lo - 9
-        total = sum(seq.log_at(k) for k in range(hi - length + 1, hi + 1))
-    else:
-        lo = seq.core_hi + 9
-        total = sum(seq.log_at(k) for k in range(lo, lo + length))
+    start = seq.core_lo - 8 - length if side == "neg" else seq.core_hi + 9
+    total = reduce(add, islice(seq.logs_from(start, 1), length), 0.0)
     return math.exp(total / length)
 
 
@@ -198,9 +197,8 @@ _WITNESS_CAP = 100_000
 def _blowup(system: DissipativeSystem, backward: bool) -> dict | None:
     """Smallest n with mu_{-n} (or mu_n) > 1e6 mu_0, scanned incrementally."""
     ratio = system.measures.ratio
-    total = 0.0
-    for n in range(1, _WITNESS_CAP + 1):
-        total += -ratio.log_at(-n) if backward else ratio.log_at(n - 1)
+    steps = map(neg, ratio.logs_from(-1, -1)) if backward else ratio.logs_from(0, 1)
+    for n, total in enumerate(islice(accumulate(steps), _WITNESS_CAP), 1):
         if total > _BLOWUP_LOG:
             return {"n": n, "measure_ratio": math.exp(total)}
     return None

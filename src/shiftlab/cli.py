@@ -39,6 +39,7 @@ from .simulate import (
     make_pseudotrajectory,
     operator_for,
     orbit_log_norms,
+    pointwise_verdict,
     shadow,
 )
 from .systems import (
@@ -483,7 +484,7 @@ def run_audit(
     Three detectors run per system: the implication audit, exact-versus-
     horizon agreement on verdicts whose decisive margin clears the gate,
     and brute-force oracle agreement for the two pointwise expansivity
-    properties.
+    properties, both read from one two-sided probe per system.
     """
     if count < 1:
         raise ConfigError("--count", "count must be at least 1")
@@ -527,25 +528,28 @@ def run_audit(
                         f"horizon={vh.status.value} at margin {ve.margin:.4f}"
                     )
 
-        for mode, prop in (
-            (BruteMode.POSITIVE, "positively_expansive"),
-            (BruteMode.TWOSIDED, "expansive"),
+        # One two-sided probe yields both pointwise checks: its forward
+        # walks are the ones a positive probe with the same seed makes.
+        brute = brute_force_expansivity(
+            system,
+            BruteMode.TWOSIDED,
+            horizon=_BRUTE_HORIZON,
+            samples=_BRUTE_SAMPLES,
+            seed=seed + index,
+        )
+        for mode, prop, verdict in (
+            (BruteMode.POSITIVE, "positively_expansive",
+             pointwise_verdict(brute.samples, twosided=False)),
+            (BruteMode.TWOSIDED, "expansive", brute.verdict),
         ):
-            brute = brute_force_expansivity(
-                system,
-                mode,
-                horizon=_BRUTE_HORIZON,
-                samples=_BRUTE_SAMPLES,
-                seed=seed + index,
-            )
             brute_checks += 1
             rule = exact.verdicts[prop]
-            if brute.verdict.holds and rule.fails:
+            if verdict.holds and rule.fails:
                 violations.append(
                     f"{label}: brute-force {mode.value} crossed everywhere "
                     f"but {prop} Fails"
                 )
-            if brute.verdict.fails and rule.holds:
+            if verdict.fails and rule.holds:
                 violations.append(
                     f"{label}: brute-force {mode.value} certified bounded "
                     f"but {prop} Holds"

@@ -28,7 +28,9 @@ once per line, direction and phase and shared by every site with that
 phase.  A random sample's stream (``log_norm_walk``) is lazy, so it
 stops at its crossing; composition and atomic maps only move sites, so
 each step adds p log|c| to a memoized site log measure and builds no
-vector, while a shift applies each step.
+vector, while a shift applies each step.  The forward walks of a
+two-sided probe are those of a positive probe with the same seed, so
+``pointwise_verdict`` reads both pointwise verdicts from one report.
 """
 
 from __future__ import annotations
@@ -549,6 +551,13 @@ class SampleOutcome:
     backward_crossed_at: int | None = None
     backward_certificate: BoundCertificate | None = None
 
+    def sides(self, twosided: bool) -> tuple[tuple[int | None, BoundCertificate | None], ...]:
+        """(crossed_at, certificate) of the forward walk, then of the backward one if twosided."""
+        forward = (self.crossed_at, self.certificate)
+        if not twosided:
+            return (forward,)
+        return forward, (self.backward_crossed_at, self.backward_certificate)
+
 
 @dataclass(frozen=True)
 class BruteForceReport:
@@ -607,42 +616,65 @@ def brute_force_expansivity(
         SampleOutcome(label, kind, *(field for w in walks for field in (w.crossed_at, w.certificate)))
         for label, kind, walks in probes
     )
-    return BruteForceReport(_brute_verdict(mode, probes, horizon), mode, horizon, seed, outcomes)
-
-
-def _brute_verdict(mode: BruteMode, probes: list, horizon: int) -> Verdict:
-    for label, _, walks in probes:
-        if all(w.certificate is not None for w in walks):
-            witness = {"sample": label}
-            for name, w in zip(("certificate", "backward_certificate"), walks):
-                witness[name] = asdict(w.certificate)
-            return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
-
     if mode.uniform:
-        threshold = _LOG2 - _CROSS_TOL
-        for n in range(horizon):
-            if all(any(w.log_norms[n] >= threshold for w in walks) for _, _, walks in probes):
-                return Verdict(
-                    Status.HOLDS, "definition", "brute-force", None,
-                    {"n": n + 1, "samples": len(probes)},
-                )
-        return Verdict(
-            Status.UNDECIDED, "definition", "brute-force", None,
-            {"reason": "no shared crossing within the horizon"},
-        )
+        verdict = (_certified_bounded(outcomes, mode.twosided)
+                   or _shared_crossing([walks for _, _, walks in probes], horizon))
+    else:
+        verdict = pointwise_verdict(outcomes, mode.twosided)
+    return BruteForceReport(verdict, mode, horizon, seed, outcomes)
 
+
+def _certified_bounded(outcomes: tuple[SampleOutcome, ...], twosided: bool) -> Verdict | None:
+    """Fails at the first sample whose read walks all carry a bound certificate, else None."""
+    for outcome in outcomes:
+        sides = outcome.sides(twosided)
+        if all(certificate is not None for _, certificate in sides):
+            witness = {"sample": outcome.label}
+            for name, (_, certificate) in zip(("certificate", "backward_certificate"), sides):
+                witness[name] = asdict(certificate)
+            return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
+    return None
+
+
+def pointwise_verdict(outcomes: tuple[SampleOutcome, ...], twosided: bool) -> Verdict:
+    """Verdict of the positive (forward walks only) or two-sided pointwise probe.
+
+    Holds needs every sample to cross in some read direction, Fails a
+    certified bounded basis walk in every read direction.  The forward
+    pairs of a two-sided report are the walks a positive probe with the
+    same horizon, samples and seed makes, so ``twosided=False`` on them
+    gives that probe's verdict.
+    """
+    verdict = _certified_bounded(outcomes, twosided)
+    if verdict is not None:
+        return verdict
     crossings = []
-    for label, _, walks in probes:
-        crossed = [w.crossed_at for w in walks if w.crossed_at is not None]
+    for outcome in outcomes:
+        crossed = [n for n, _ in outcome.sides(twosided) if n is not None]
         if not crossed:
             return Verdict(
                 Status.UNDECIDED, "definition", "brute-force", None,
-                {"sample": label, "reason": "no crossing within the horizon"},
+                {"sample": outcome.label, "reason": "no crossing within the horizon"},
             )
         crossings.append(min(crossed))
     return Verdict(
         Status.HOLDS, "definition", "brute-force", None,
-        {"max_crossing_n": max(crossings), "samples": len(probes)},
+        {"max_crossing_n": max(crossings), "samples": len(outcomes)},
+    )
+
+
+def _shared_crossing(curves: list, horizon: int) -> Verdict:
+    """Holds at the first n where every sample's curve crosses in some direction."""
+    threshold = _LOG2 - _CROSS_TOL
+    for n in range(horizon):
+        if all(any(w.log_norms[n] >= threshold for w in walks) for walks in curves):
+            return Verdict(
+                Status.HOLDS, "definition", "brute-force", None,
+                {"n": n + 1, "samples": len(curves)},
+            )
+    return Verdict(
+        Status.UNDECIDED, "definition", "brute-force", None,
+        {"reason": "no shared crossing within the horizon"},
     )
 
 

@@ -7,6 +7,7 @@ and the consistency cross-checks.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -276,6 +277,67 @@ def test_horizon_rates_close_to_exact():
     report = classify_report(valley(), method="horizon")
     assert report.g_minus == pytest.approx(0.5, abs=1e-9)
     assert report.g_plus == pytest.approx(2.0, abs=1e-9)
+
+
+def stream_ratio(period, tainted):
+    """Tails of the given period around a core at -1..1; tainted puts floats in all three."""
+    neg = ["3/2", "5/9", "7/4", "2/11"][:period]
+    core = ["2", "1/3", "5/2"]
+    pos = ["4/3", "9/5", "1/6", "13/7"][:period]
+    if tainted:
+        neg[-1], core[1], pos[0] = 0.45, 0.3, 1.35
+    seq = ratio(-1, core, neg, pos)
+    assert seq.exact is not tainted
+    return seq
+
+
+def aligned_tail_estimate_by_index(seq, side, n):
+    """The per-index loop the streamed estimate replaced, summed left to right."""
+    period = len(seq.neg_period) if side == "neg" else len(seq.pos_period)
+    length = max(period, (max(n, 1) // period) * period)
+    if side == "neg":
+        hi = seq.core_lo - 9
+        indices = range(hi - length + 1, hi + 1)
+    else:
+        lo = seq.core_hi + 9
+        indices = range(lo, lo + length)
+    total = 0.0
+    for k in indices:
+        total += seq.log_at(k)
+    return math.exp(total / length)
+
+
+def blowup_by_index(system, backward):
+    """The per-index scan the streamed witness search replaced."""
+    ratio_seq = system.measures.ratio
+    total = 0.0
+    for n in range(1, shiftlab.classify._WITNESS_CAP + 1):
+        total += -ratio_seq.log_at(-n) if backward else ratio_seq.log_at(n - 1)
+        if total > shiftlab.classify._BLOWUP_LOG:
+            return {"n": n, "measure_ratio": math.exp(total)}
+    return None
+
+
+@pytest.mark.parametrize("tainted", [False, True])
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+def test_aligned_tail_estimate_is_the_per_index_fold(period, tainted):
+    base = stream_ratio(period, tainted)
+    for power in (1.0, 0.4, 3.0):
+        seq = base.elementwise_pow(power)
+        for side in ("neg", "pos"):
+            for n in (1, 7, 200):
+                expected = aligned_tail_estimate_by_index(seq, side, n)
+                assert shiftlab.classify._aligned_tail_estimate(seq, side, n) == expected
+
+
+@pytest.mark.parametrize("tainted", [False, True])
+@pytest.mark.parametrize("period", [1, 2, 3, 4])
+def test_blowup_is_the_per_index_scan(monkeypatch, period, tainted):
+    system = DissipativeSystem(1.0, MeasureSequence(F(1), stream_ratio(period, tainted)))
+    for cap in (1, 7, 200, shiftlab.classify._WITNESS_CAP):
+        monkeypatch.setattr(shiftlab.classify, "_WITNESS_CAP", cap)
+        for backward in (False, True):
+            assert shiftlab.classify._blowup(system, backward) == blowup_by_index(system, backward)
 
 
 # -- the audit -------------------------------------------------------------------

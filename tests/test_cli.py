@@ -1,11 +1,15 @@
 """End-to-end command tests: configs in, reports and exit codes out."""
 
+import dataclasses
+import hashlib
 import json
 import math
 from decimal import Decimal
 
 import pytest
 
+import shiftlab.cli
+from shiftlab.canon import canonical_json
 from shiftlab.cli import (
     EXIT_CONFIG,
     EXIT_NO_SPLITTING,
@@ -13,10 +17,17 @@ from shiftlab.cli import (
     EXIT_VIOLATION,
     main,
     parse_config,
+    run_audit,
 )
-from shiftlab.classify import classify_report
-from shiftlab.presets import peak
-from shiftlab.simulate import build_splitting, make_pseudotrajectory, operator_for
+from shiftlab.classify import Status, Verdict, classify_report
+from shiftlab.presets import decay, flat, growth, peak
+from shiftlab.simulate import (
+    BruteMode,
+    brute_force_expansivity,
+    build_splitting,
+    make_pseudotrajectory,
+    operator_for,
+)
 
 from _oracles import shadow_exact_corrections
 
@@ -368,6 +379,67 @@ def test_audit_text_output_lists_distribution(capsys):
     assert code == EXIT_OK
     assert "violations: 0" in out
     assert "positively_expansive" in out
+
+
+def test_audit_probes_each_system_once(monkeypatch):
+    modes = []
+
+    def counted(system, mode, **kwargs):
+        modes.append(mode)
+        return brute_force_expansivity(system, mode, **kwargs)
+
+    monkeypatch.setattr(shiftlab.cli, "brute_force_expansivity", counted)
+    summary = run_audit(6, 7)
+    assert modes == [BruteMode.TWOSIDED] * 6
+    assert summary["brute_checks"] == 12
+
+
+def test_audit_brute_force_detector_flags_disagreement(monkeypatch):
+    """Rule verdicts forced against the brute force raise every detector message.
+
+    decay crosses everywhere in both modes and flat's basis walks certify
+    bounded in both.  growth crosses everywhere only two-sidedly, so its
+    lines tell the positive reading apart from the two-sided verdict.
+    """
+    forced = {
+        "decay": {"positively_expansive": Status.FAILS, "expansive": Status.FAILS},
+        "flat": {"positively_expansive": Status.HOLDS, "expansive": Status.HOLDS},
+        "growth": {"positively_expansive": Status.HOLDS, "expansive": Status.FAILS},
+    }
+    real = shiftlab.cli.classify_report
+
+    def forced_report(system, *, label, method, **kwargs):
+        report = real(system, label=label, method=method, **kwargs)
+        if method != "exact":
+            return report
+        verdicts = dict(report.verdicts)
+        for prop, status in forced[label].items():
+            verdicts[prop] = Verdict(status, "forced")
+        return dataclasses.replace(report, verdicts=verdicts)
+
+    monkeypatch.setattr(shiftlab.cli, "classify_report", forced_report)
+    lines = []
+    for label, system in (("decay", decay(1.0)), ("flat", flat(1.0)), ("growth", growth(1.0))):
+        summary = run_audit(1, 0, base_system=system, base_label=label)
+        lines += [line for line in summary["violations"] if "brute-force" in line]
+    assert lines == [
+        "decay: brute-force positive crossed everywhere but positively_expansive Fails",
+        "decay: brute-force twosided crossed everywhere but expansive Fails",
+        "flat: brute-force positive certified bounded but positively_expansive Holds",
+        "flat: brute-force twosided certified bounded but expansive Holds",
+        "growth: brute-force positive certified bounded but positively_expansive Holds",
+        "growth: brute-force twosided crossed everywhere but expansive Fails",
+    ]
+
+
+# sha256 of canonical_json(run_audit(40, 7)): the summary holds only counts,
+# the verdict distribution and violations, so it pins what every detector saw.
+AUDIT_PIN_DIGEST = "c0ab0645404c48b3e4ab565d38144ee2680b3043875db09adce9fcf8f8201ee4"
+
+
+def test_audit_summary_bytes_are_pinned():
+    text = canonical_json(run_audit(40, 7))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AUDIT_PIN_DIGEST
 
 
 # -- odds and ends ------------------------------------------------------------------

@@ -10,7 +10,8 @@ from itertools import islice
 import pytest
 
 from shiftlab.canon import canonical_json
-from shiftlab.classify import classify_report
+from shiftlab.classify import Status, classify_report
+from shiftlab.cli import random_dissipative
 from shiftlab.presets import (
     CANONICAL,
     decay,
@@ -35,6 +36,7 @@ from shiftlab.simulate import (
     make_pseudotrajectory,
     operator_for,
     orbit_norms,
+    pointwise_verdict,
     shadow,
     vec_add,
     vec_scale,
@@ -491,6 +493,46 @@ def brute_pin_reports():
 def test_brute_reports_are_pinned():
     text = canonical_json(brute_pin_reports())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BRUTE_PIN_DIGEST
+
+
+def assert_positive_reading(twosided, positive):
+    assert twosided.mode is BruteMode.TWOSIDED and positive.mode is BruteMode.POSITIVE
+    assert pointwise_verdict(twosided.samples, twosided=False) == positive.verdict
+    assert len(twosided.samples) == len(positive.samples)
+    for both, forward in zip(twosided.samples, positive.samples):
+        assert (both.label, both.kind, both.crossed_at, both.certificate) == (
+            forward.label, forward.kind, forward.crossed_at, forward.certificate
+        )
+
+
+def test_positive_reading_equals_a_positive_probe(monkeypatch):
+    """The forward half of a two-sided report reads as the positive probe's report."""
+    probe = brute_force_expansivity
+    reports = {}
+
+    def recorded(system, mode, **kwargs):
+        report = probe(system, mode, **kwargs)
+        reports[kwargs["seed"], kwargs["horizon"], mode] = report
+        return report
+
+    # Every brute_pin_reports() system, at both of its horizons.
+    monkeypatch.setitem(globals(), "brute_force_expansivity", recorded)
+    brute_pin_reports()
+    monkeypatch.undo()
+    pairs = [(reports[key[:2] + (BruteMode.TWOSIDED,)], report)
+             for key, report in reports.items() if key[2] is BruteMode.POSITIVE]
+    assert len(pairs) == 2 * len({key[0] for key in reports})
+    for s in range(200):
+        system = random_dissipative(random.Random(s))
+        pairs.append(tuple(
+            brute_force_expansivity(system, mode, horizon=40, samples=3, seed=s)
+            for mode in (BruteMode.TWOSIDED, BruteMode.POSITIVE)
+        ))
+    statuses = set()
+    for twosided, positive in pairs:
+        assert_positive_reading(twosided, positive)
+        statuses.add(positive.verdict.status)
+    assert statuses == {Status.HOLDS, Status.FAILS, Status.UNDECIDED}
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
