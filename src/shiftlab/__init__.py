@@ -45,7 +45,6 @@ from .systems import (
     DissipativeSystem,
     DistortionCertificate,
     InvalidSystem,
-    Line,
     MeasureSequence,
     StarCertificate,
     WeightSequence,

@@ -496,6 +496,7 @@ class ExpansivityMode(Enum):
 
 _SAMPLER_HORIZON = 200
 _SAMPLER_BUDGET = 24
+_SAMPLER_SEED = 0
 
 
 def _atomic_fold(
@@ -536,9 +537,7 @@ def classify_atomic_expansive(system: AtomicSystem, mode: ExpansivityMode) -> Ve
     )
 
 
-def classify_atomic_uniform(
-    system: AtomicSystem, mode: ExpansivityMode, *, seed: int = 0
-) -> Verdict:
+def classify_atomic_uniform(system: AtomicSystem, mode: ExpansivityMode) -> Verdict:
     """Uniform expansivity across all measurable unions of atoms: E3 or E4 per line.
 
     A seeded sampler then stress-tests a Holds on random finite sets of
@@ -553,7 +552,7 @@ def classify_atomic_uniform(
     verdict = _atomic_fold(system, prop, citation, lambda v: v.margin_both)
     if not verdict.holds:
         return verdict
-    rng = random.Random(seed)
+    rng = random.Random(_SAMPLER_SEED)
     periods = system.periods
     for _ in range(_SAMPLER_BUDGET):
         size = rng.randint(1, 4)

@@ -24,11 +24,9 @@ from .classify import (
     REPORT_PROPERTIES,
     DistortionError,
     Status,
-    Verdict,
     classify_atomic,
     classify_report,
     classify_shift,
-    implication_audit,
 )
 from .seqcore import EventuallyPeriodicSequence, SequenceError, _coerce
 from .simulate import (
@@ -48,7 +46,6 @@ from .systems import (
     Cycle,
     DissipativeSystem,
     InvalidSystem,
-    Line,
     MeasureSequence,
     WeightSequence,
     induced_weights,
@@ -216,9 +213,7 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
                 ratio = _parse_eps(
                     _require(comp, "ratio", f"components[{i}]"), f"components[{i}].ratio"
                 )
-                comps.append(
-                    Line(MeasureSequence(mu0, ratio, mu0_exact and ratio.exact))
-                )
+                comps.append(MeasureSequence(mu0, ratio, mu0_exact and ratio.exact))
             else:
                 raise ConfigError(
                     f"components[{i}].type", f"expected 'cycle' or 'line', got {ctype!r}"
@@ -461,14 +456,6 @@ def random_dissipative(rng: random.Random) -> DissipativeSystem:
     return DissipativeSystem(p=p, measures=MeasureSequence(mu0, ratio), cells=cells)
 
 
-def _corrupted_table(verdicts: dict) -> dict:
-    # force a detectable inconsistency: a splitting without shadowing
-    bad = dict(verdicts)
-    bad["generalized_hyperbolic"] = Verdict(Status.HOLDS, "GH", "injected")
-    bad["shadowing"] = Verdict(Status.FAILS, "SC2", "injected")
-    return bad
-
-
 def run_audit(
     count: int,
     seed: int,
@@ -477,7 +464,6 @@ def run_audit(
     k_span: int = 500,
     base_system: DissipativeSystem | None = None,
     base_label: str | None = None,
-    inject_corruption: bool = False,
 ) -> dict:
     """Classify seeded random systems and cross-check every verdict.
 
@@ -512,9 +498,6 @@ def run_audit(
         )
         for line in exact.violations:
             violations.append(f"{label}: {line}")
-        if inject_corruption and index == 0:
-            for line in implication_audit(_corrupted_table(exact.verdicts)):
-                violations.append(f"{label} (injected): {line}")
 
         for name in REPORT_PROPERTIES:
             ve = exact.verdicts[name]
@@ -585,7 +568,6 @@ def cmd_audit(args) -> int:
         k_span=args.kspan,
         base_system=base_system,
         base_label=base_label,
-        inject_corruption=args.inject_corruption,
     )
     summary["elapsed_seconds"] = round(time.perf_counter() - started, 3)
     if args.json:
@@ -699,8 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--kspan", type=_int_at_least(0), default=500, metavar="M",
                        help="echoed into the summary; no rule reads it")
     audit.add_argument("--json", action="store_true")
-    audit.add_argument("--inject-corruption", action="store_true",
-                       help=argparse.SUPPRESS)
     audit.set_defaults(func=cmd_audit)
 
     return parser

@@ -98,7 +98,9 @@ class EventuallyPeriodicSequence:
         object.__setattr__(self, "_core_logs", tuple(_log_fraction(f) for f in self.core))
         object.__setattr__(self, "_neg_logs", tuple(_log_fraction(f) for f in self.neg_period))
         object.__setattr__(self, "_pos_logs", tuple(_log_fraction(f) for f in self.pos_period))
-        # Memo of tail_sign_vs_one by side; not a field, so ==, hash and repr ignore it.
+        # The last core index, set once for the hot paths that read it, and the
+        # memo of tail_sign_vs_one by side; not fields, so ==, hash and repr ignore them.
+        object.__setattr__(self, "core_hi", self.core_lo + len(self.core) - 1)
         object.__setattr__(self, "_tail_signs", {})
 
     @classmethod
@@ -123,10 +125,6 @@ class EventuallyPeriodicSequence:
     @classmethod
     def constant(cls, value: ScalarLike) -> "EventuallyPeriodicSequence":
         return cls.from_values(0, [value], [value], [value])
-
-    @property
-    def core_hi(self) -> int:
-        return self.core_lo + len(self.core) - 1
 
     def base_at(self, k: int) -> Fraction:
         if k < self.core_lo:

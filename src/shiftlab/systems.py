@@ -327,26 +327,10 @@ class Cycle:
         return EventuallyPeriodicSequence(0, ratios, ratios, ratios, 1.0, self.exact)
 
 
-@dataclass(frozen=True)
-class Line:
-    """A two-sided orbit of atoms indexed by the integers; f shifts k to k+1.
-
-    A line is itself a dissipative presentation with a one-atom window, so
-    the ratio-rate machinery applies to it unchanged.
-    """
-
-    measures: MeasureSequence
-
-    def log_mu(self, index: int) -> float:
-        return self.measures.log_mu(index)
-
-    @property
-    def ratio(self) -> EventuallyPeriodicSequence:
-        """The ratios mu_{k+1}/mu_k of the atoms."""
-        return self.measures.ratio
-
-
-Component = Union[Cycle, Line]
+# A line of atoms, a two-sided orbit on which f shifts k to k+1, is its
+# MeasureSequence: a dissipative presentation with a one-atom window, whose
+# ratio and log_mu the rate machinery reads unchanged.
+Component = Union[Cycle, MeasureSequence]
 
 
 @dataclass(frozen=True)
@@ -376,8 +360,8 @@ class AtomicSystem:
             else:
                 parts.append({
                     "type": "line",
-                    "mu0": _scalar_config(comp.measures.mu0, comp.measures.exact),
-                    "ratio": eps_to_config(comp.measures.ratio),
+                    "mu0": _scalar_config(comp.mu0, comp.exact),
+                    "ratio": eps_to_config(comp.ratio),
                 })
         config: dict = {"kind": "atomic", "p": self.p, "components": parts}
         if label is not None:
@@ -443,42 +427,29 @@ class StarCertificate:
     c_fraction: Fraction | None = None
 
 
-def _atom_ratio_candidates(
-    ratio: EventuallyPeriodicSequence, cells: CellStructure | None = None
-) -> list[Fraction]:
-    """All values of mu(f^{k-1} cell)/mu(f^k cell) across k and cells of one ratio line."""
+def _atom_ratio_candidates(ratio: EventuallyPeriodicSequence) -> list[Fraction]:
+    """All values of mu_{k-1}/mu_k along one ratio line, one period past each side of its core."""
     lo = ratio.core_lo - len(ratio.neg_period) - 1
     hi = ratio.core_hi + len(ratio.pos_period) + 1
-    if cells is not None and cells.wobble:
-        lo = min(lo, cells.wobble_lo - len(ratio.neg_period) - 1)
-        hi = max(hi, cells.wobble_hi + len(ratio.pos_period) + 1)
-    out: list[Fraction] = []
-    cell_indices = range(cells.n_cells) if cells is not None else [0]
-    for k in range(lo, hi + 1):
-        inv_rho = 1 / ratio.base_at(k - 1)
-        for j in cell_indices:
-            if cells is not None:
-                out.append(inv_rho * cells.theta(k - 1, j) / cells.theta(k, j))
-            else:
-                out.append(inv_rho)
-    return out
+    return [1 / ratio.base_at(k - 1) for k in range(lo, hi + 1)]
 
 
 def check_star(system: DissipativeSystem | AtomicSystem) -> StarCertificate:
     """Least c with mu(f^{-1} B) <= c mu(B) over all measurable B.
 
     Unions cannot beat single atoms of the refined partition, so a finite
-    scan over one period past the core (and the wobble window) is exact.
-    An atomic union reads the ratio line of each component; a cycle's is
-    purely periodic, so the scan sees each of its atoms.
+    scan over one period past the core of each ratio line is exact.  A
+    dissipative system reads the ratio line of each cell (its wobble
+    widens the core), an atomic union that of each component; a cycle's
+    is purely periodic, so the scan sees each of its atoms.
     """
     if isinstance(system, DissipativeSystem):
-        candidates = _atom_ratio_candidates(system.measures.ratio, system.cells)
+        ratios = [system.cell_ratio(cell) for cell in range(system.n_cells)]
         exact = system.measures.exact and (system.cells is None or system.cells.exact)
     else:
-        comps = system.components
-        candidates = [c for comp in comps for c in _atom_ratio_candidates(comp.ratio)]
-        exact = all(c.exact if isinstance(c, Cycle) else c.measures.exact for c in comps)
+        ratios = [comp.ratio for comp in system.components]
+        exact = all(comp.exact for comp in system.components)
+    candidates = [c for ratio in ratios for c in _atom_ratio_candidates(ratio)]
     p = system.p
     c_frac = max(candidates)
     inv_frac = max(1 / cand for cand in candidates)
@@ -502,17 +473,14 @@ class DistortionCertificate:
     k_min_fraction: Fraction | None = None
 
 
-def check_bounded_distortion(
-    system: DissipativeSystem,
-    declared: float | None = None,
-) -> DistortionCertificate:
+def check_bounded_distortion(system: DissipativeSystem) -> DistortionCertificate:
     """Least K with mu(f^k B) within [1/K, K] of proportional, for all B.
 
     Per-cell factors dominate every union of cells, so the minimal K is the
-    worst of max(theta, 1/theta) over the wobble table, floored at 1.
+    worst of max(theta, 1/theta) over the wobble table, floored at 1.  The
+    certificate is ok when the system declares no K or one at least that.
     """
-    if declared is None:
-        declared = system.distortion_constant
+    declared = system.distortion_constant
     cells = system.cells
     k_min = Fraction(1)
     witness: tuple[int, int] | None = None

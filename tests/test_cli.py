@@ -1,5 +1,6 @@
 """End-to-end command tests: configs in, reports and exit codes out."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -15,11 +16,12 @@ from shiftlab.cli import (
     EXIT_NO_SPLITTING,
     EXIT_OK,
     EXIT_VIOLATION,
+    build_parser,
     main,
     parse_config,
     run_audit,
 )
-from shiftlab.classify import Status, Verdict, classify_report
+from shiftlab.classify import Status, Verdict, classify_report, implication_audit
 from shiftlab.presets import decay, flat, growth, peak
 from shiftlab.simulate import (
     BruteMode,
@@ -356,14 +358,39 @@ def test_audit_constant_system_stays_open(config_file, capsys):
     assert summary["distribution"]["strong_structural_stability"]["Undecided"] == 1
 
 
-def test_audit_detects_injected_corruption(config_file, capsys):
+def test_audit_detects_injected_corruption(config_file, capsys, monkeypatch):
+    """A report carrying a splitting without shadowing makes the audit exit 3 and name both."""
+    real = shiftlab.cli.classify_report
+
+    def corrupted_report(system, *, label, method, **kwargs):
+        report = real(system, label=label, method=method, **kwargs)
+        if method != "exact":
+            return report
+        verdicts = dict(report.verdicts)
+        verdicts["generalized_hyperbolic"] = Verdict(Status.HOLDS, "GH", "injected")
+        verdicts["shadowing"] = Verdict(Status.FAILS, "SC2", "injected")
+        return dataclasses.replace(
+            report, verdicts=verdicts, violations=implication_audit(verdicts)
+        )
+
+    monkeypatch.setattr(shiftlab.cli, "classify_report", corrupted_report)
     code, out, _ = run(
-        capsys,
-        "audit", config_file(FLAT),
-        "--count", "1", "--seed", "0", "--inject-corruption",
+        capsys, "audit", config_file(FLAT), "--count", "1", "--seed", "0",
     )
     assert code == EXIT_VIOLATION
     assert "generalized_hyperbolic" in out and "shadowing" in out
+
+
+def test_audit_of_a_far_core_exits_cleanly(config_file, capsys):
+    # The backward basis walks enter their tail a billion steps out; their
+    # certificates are capped, and the forward walks decide both readings.
+    far = dict(DECAY, ratio=dict(DECAY["ratio"], core_lo=10 ** 9))
+    code, out, _ = run(
+        capsys, "audit", config_file(far), "--count", "1", "--seed", "0", "--json"
+    )
+    assert code == EXIT_OK
+    summary = json.loads(out)
+    assert summary["violations"] == [] and summary["brute_checks"] == 2
 
 
 def test_audit_summary_is_deterministic(capsys):
@@ -443,6 +470,34 @@ def test_audit_summary_bytes_are_pinned():
 
 
 # -- odds and ends ------------------------------------------------------------------
+
+
+# Every option string of each subcommand.  A new option, flag or hidden
+# knob shows up here and needs a deliberate edit of this table.
+CLI_OPTIONS = {
+    None: {"-h", "--help", "--version"},
+    "classify": {"-h", "--help", "--json", "--method", "--horizon", "--kspan"},
+    "simulate": {"-h", "--help", "--site", "--cell", "--component", "--nmin", "--nmax"},
+    "shadow": {"-h", "--help", "--delta", "--length", "--seed", "--json"},
+    "reduce": {"-h", "--help"},
+    "audit": {"-h", "--help", "--count", "--seed", "--horizon", "--kspan", "--json"},
+}
+
+
+def test_cli_option_set_is_pinned():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = {None: parser, **subparsers.choices}
+    options = {
+        name: {option for action in sub._actions for option in action.option_strings}
+        for name, sub in parsers.items()
+    }
+    assert options == CLI_OPTIONS
+    hidden = [
+        (name, action.dest) for name, sub in parsers.items() for action in sub._actions
+        if action.help == argparse.SUPPRESS
+    ]
+    assert hidden == []
 
 
 def test_missing_file_is_a_config_error(capsys):

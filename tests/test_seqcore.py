@@ -1,5 +1,6 @@
 """Sequence evaluation, tail means and tail signs against oracles."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import islice
@@ -163,6 +164,11 @@ def test_filled_tail_sign_memo_leaves_eq_hash_and_repr_alone():
     tail_sign_vs_one(used, "pos")
     assert (repr(used), hash(used)) == before
     assert used == twin and hash(used) == hash(twin) and repr(used) == repr(twin)
+    # core_hi is set once, beside the memo, and is no field either.
+    wide = seq(-3, [1, 2, 3, 4], ["1/3"], [5])
+    assert wide.core_hi == 0 and used.core_hi == 0
+    assert "core_hi" not in repr(wide)
+    assert "core_hi" not in {f.name for f in dataclasses.fields(wide)}
 
 
 def test_tail_sign_rejects_unknown_side():

@@ -35,6 +35,7 @@ from shiftlab.simulate import (
     build_splitting,
     make_pseudotrajectory,
     operator_for,
+    orbit_log_norms,
     orbit_norms,
     pointwise_verdict,
     shadow,
@@ -47,7 +48,6 @@ from shiftlab.systems import (
     CellStructure,
     Cycle,
     DissipativeSystem,
-    Line,
     MeasureSequence,
     WeightSequence,
     check_star,
@@ -216,6 +216,34 @@ def test_valley_basis_orbits_shrink_at_their_own_depth():
         assert norm == pytest.approx(2.0 ** (-n / 2), rel=1e-9), n
 
 
+def subnormal_coefficient_operators():
+    """A composition map and an atomic line with mu_k = 1e155^k at p = 1.
+
+    The unit vector on site 2 has the coefficient 1/mu_2 = 1e-310, which
+    is subnormal.
+    """
+    measures = MeasureSequence.from_values(1, ratio(0, [1e155], [1e155], [1e155]))
+    return [
+        (CompositionOperator(DissipativeSystem(p=1.0, measures=measures)), (2, None)),
+        (AtomicOperator(AtomicSystem(p=1.0, components=(measures,))), (0, 2)),
+    ]
+
+
+@pytest.mark.parametrize("op, site", subnormal_coefficient_operators(), ids=["window", "atomic"])
+def test_orbit_log_norms_read_the_operator_walk(op, site, monkeypatch):
+    vec = op.normalized_basis(site)
+    assert 0.0 < abs(next(iter(vec.values()))) < 2.2250738585072014e-308
+    backward = list(islice(op.log_norm_walk(vec, -1), 40))
+    forward = list(islice(op.log_norm_walk(vec, 1), 40))
+    expected = [*zip(range(-40, 0), reversed(backward)), (0, op.log_norm(vec)),
+                *zip(range(1, 41), forward)]
+    # A map that only moves sites needs no applied vector for its orbit norms.
+    monkeypatch.setattr(type(op), "apply", None)
+    assert orbit_log_norms(op, vec, -40, 40) == expected
+    assert orbit_log_norms(op, vec, 3, 7) == expected[43:48]
+    assert orbit_log_norms(op, vec, -7, -3) == expected[33:38]
+
+
 def test_orbit_norms_rejects_empty_range():
     with pytest.raises(ValueError):
         orbit_norms(ShiftOperator(doubling_weights()), {0: 1.0}, 2, 1)
@@ -381,7 +409,7 @@ def test_random_sample_keeps_its_sites_in_draw_order():
 
 
 def sample_stream_operators():
-    line = Line(MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"])))
+    line = MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"]))
     return [
         CompositionOperator(decay(p=2.0)),
         CompositionOperator(cell_system(p=1.0)),
@@ -453,6 +481,49 @@ def test_tail_walks_are_shared_and_samples_stop_at_their_crossing(monkeypatch):
     assert applied[0] == sum(n if n is not None else horizon for n in sample_crossings)
 
 
+def far_core(measure_ratio):
+    """measure_ratio everywhere, with the one-entry core a million sites right of site 0."""
+    seq = ratio(10 ** 6, [measure_ratio], [measure_ratio], [measure_ratio])
+    return DissipativeSystem(p=1.0, measures=MeasureSequence.from_values(1, seq))
+
+
+def test_far_core_certificates_read_at_most_the_cap(monkeypatch):
+    reads: list[int] = []
+    scan = simulate._scan
+
+    def counting_scan(log_norms, horizon, want_curve, bound=None):
+        read = [0]
+
+        def counted():
+            for value in log_norms:
+                read[0] += 1
+                yield value
+
+        walk = scan(counted(), horizon, want_curve, bound)
+        reads.append(read[0])
+        return walk
+
+    monkeypatch.setattr(simulate, "_scan", counting_scan)
+    probes = {
+        name: brute_force_expansivity(system, BruteMode.TWOSIDED, horizon=40, samples=3, seed=0)
+        for name, system in (("decay", far_core("1/2")), ("flat", far_core(1)),
+                             ("near decay", decay(1.0)))
+    }
+    assert reads and max(reads) <= simulate._CERT_READ_CAP
+    for name in ("decay", "flat"):
+        basis = [o for o in probes[name].samples if o.kind == "basis"]
+        # Each backward walk would enter its tail about 10^6 steps out: past the cap.
+        assert [o.backward_certificate for o in basis] == [None] * len(basis), name
+    # decay's forward walks cross at once, so both readings keep the near-core Holds.
+    for twosided in (False, True):
+        assert pointwise_verdict(probes["decay"].samples, twosided).holds
+        assert pointwise_verdict(probes["near decay"].samples, twosided).holds
+    # flat's readings rest on certificates: the forward ones still certify, and the
+    # two-sided reading, short of its backward certificates, turns Undecided, not wrong.
+    assert pointwise_verdict(probes["flat"].samples, twosided=False).fails
+    assert probes["flat"].verdict.status is Status.UNDECIDED
+
+
 def test_brute_reports_are_reproducible():
     a = brute_force_expansivity(valley(p=1.0), BruteMode.POSITIVE, horizon=15, seed=8)
     b = brute_force_expansivity(valley(p=1.0), BruteMode.POSITIVE, horizon=15, seed=8)
@@ -467,7 +538,7 @@ BRUTE_PIN_DIGEST = "f7841e13d8f0908476c42bc4220a450bea4d1638a48410f4d80ead783623
 
 
 def brute_pin_reports():
-    line = Line(MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"])))
+    line = MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"]))
     systems = [CANONICAL[name](p) for name in sorted(CANONICAL) for p in (1.0, 2.0)]
     systems += [cell_system(1.0), cell_system(2.0)]
     systems += [AtomicSystem(p=p, components=(Cycle.from_values([1, 2, 3]), line))
@@ -553,16 +624,6 @@ def test_brute_force_never_contradicts_the_rules(name, p):
 # -- pseudotrajectories ------------------------------------------------------------
 
 
-def test_zero_noise_reproduces_the_orbit():
-    op = ShiftOperator(doubling_weights(), 1.0)
-    pt = make_pseudotrajectory(op, {0: 1.0}, 1e-3, 9, seed=5, noise_scale=0.0)
-    current = {0: 1.0}
-    for i, point in enumerate(pt.points):
-        assert point == current, i
-        current = op.apply(current, 1)
-    assert pt.max_residual(op) == 0.0
-
-
 def test_noisy_trajectory_is_valid():
     op = CompositionOperator(peak(p=2.0))
     pt = make_pseudotrajectory(op, op.normalized_basis((0, None)), 1e-3, 41, seed=7)
@@ -592,8 +653,6 @@ def test_trajectory_input_checks():
         make_pseudotrajectory(op, {0: 1.0}, 1e-3, 1, seed=0)
     with pytest.raises(ValueError):
         make_pseudotrajectory(op, {0: 1.0}, 0.0, 5, seed=0)
-    with pytest.raises(ValueError):
-        make_pseudotrajectory(op, {0: 1.0}, 1e-3, 5, seed=0, noise_scale=1.5)
     with pytest.raises(ValueError):
         Pseudotrajectory(start_index=0, points=({},), delta=1e-3)
 
@@ -657,7 +716,7 @@ def test_no_splitting_cases():
 
 def test_error_free_trajectory_shadows_itself():
     op = ShiftOperator(doubling_weights(), 1.0)
-    pt = make_pseudotrajectory(op, {}, 1e-3, 21, seed=0, noise_scale=0.0)
+    pt = Pseudotrajectory(start_index=-10, points=({},) * 21, delta=1e-3)
     result = shadow(op, pt)
     assert result.eps_achieved == 0.0
     assert result.max_orbit_residual == 0.0
@@ -847,8 +906,8 @@ def test_atomic_norms_read_the_component_measures():
 def two_split_lines(p=1.0):
     # measures 2^-|k| and 3 * 3^-|k|: both weight lines contract left and expand right
     return AtomicSystem(p=p, components=(
-        Line(MeasureSequence(F(1), ratio(0, ["1/2"], ["2"], ["1/2"]))),
-        Line(MeasureSequence(F(3), ratio(0, ["1/3"], ["3"], ["1/3"]))),
+        MeasureSequence(F(1), ratio(0, ["1/2"], ["2"], ["1/2"])),
+        MeasureSequence(F(3), ratio(0, ["1/3"], ["3"], ["1/3"])),
     ))
 
 
@@ -870,7 +929,7 @@ def test_atomic_union_shadows_like_the_exact_series(seed):
 
 def test_atomic_unions_without_a_common_splitting():
     split = two_split_lines().components[0]
-    expanding = Line(MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"])))
+    expanding = MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"]))
     for components in ((split, expanding), (split, Cycle.from_values([1, 2]))):
         op = AtomicOperator(AtomicSystem(p=1.0, components=components))
         with pytest.raises(NoSplitting):

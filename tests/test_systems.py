@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab.cli import random_dissipative
 from shiftlab.presets import decay, flat, growth, peak, valley
 from shiftlab.seqcore import EventuallyPeriodicSequence, side_geometric_means, tail_sign_vs_one
 from shiftlab.systems import (
@@ -18,7 +19,6 @@ from shiftlab.systems import (
     Cycle,
     DissipativeSystem,
     InvalidSystem,
-    Line,
     MeasureSequence,
     WeightSequence,
     check_bounded_distortion,
@@ -163,19 +163,30 @@ def test_star_cycle_frozen():
 
 def test_star_of_a_union_is_its_worst_component():
     cycle = Cycle.from_values([1, 2, 3])
-    line = Line(MeasureSequence(F(1), EventuallyPeriodicSequence.from_values(
-        0, ["1/2"], ["1/5"], ["1/2"])))
+    line = MeasureSequence(F(1), EventuallyPeriodicSequence.from_values(
+        0, ["1/2"], ["1/5"], ["1/2"]))
     union = check_star(AtomicSystem(p=2.0, components=(cycle, line)))
     parts = [check_star(AtomicSystem(p=2.0, components=(comp,))) for comp in (cycle, line)]
     # c comes from the line's 1/5 step, c_inverse from the cycle's 1 -> 2 step
     assert (union.c_fraction, union.c_inverse) == (5, 2.0)
     assert union.c == max(cert.c for cert in parts)
     assert union.c_inverse == max(cert.c_inverse for cert in parts)
-    assert parts[1] == check_star(DissipativeSystem(p=2.0, measures=line.measures))
+    assert parts[1] == check_star(DissipativeSystem(p=2.0, measures=line))
+
+
+def celled_random_systems(count=4, seed=5):
+    """The first seeded random_dissipative systems with cells and a wobble."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        system = random_dissipative(rng)
+        if system.cells is not None and system.cells.wobble:
+            found.append(system)
+    return found
 
 
 @pytest.mark.parametrize(
-    "system", [decay(1.0), peak(2.0), valley(3.0), cell_system()]
+    "system", [decay(1.0), peak(2.0), valley(3.0), cell_system(), *celled_random_systems()]
 )
 def test_star_matches_exhaustive_scan(system):
     cert = check_star(system)
@@ -234,7 +245,7 @@ def test_distortion_frozen_table():
 
 
 def test_distortion_rejects_undersized_declaration():
-    cert = check_bounded_distortion(cell_system(), declared=1.5)
+    cert = cell_system(declared=1.5).distortion_certificate
     assert not cert.ok
     assert cert.declared == 1.5
 
@@ -465,10 +476,8 @@ def test_atomic_components_report_their_log_measures():
         m = cycle.measures[index % 3]
         assert cycle.log_mu(index) == math.log(m.numerator) - math.log(m.denominator)
         assert cycle.ratio.base_at(index) == cycle.measures[(index + 1) % 3] / m
-    line = Line(MeasureSequence.from_values(2, EventuallyPeriodicSequence.from_values(
-        -1, ["3", "1/2"], ["2"], ["1/3"])))
-    assert line.ratio is line.measures.ratio
+    line = MeasureSequence.from_values(2, EventuallyPeriodicSequence.from_values(
+        -1, ["3", "1/2"], ["2"], ["1/3"]))
     for k in range(-9, 10):
-        assert line.log_mu(k) == line.measures.log_mu(k)
         assert math.exp(line.log_mu(k)) == pytest.approx(
-            float(mu_direct(2, line.measures.ratio.base_at, k)), rel=1e-12)
+            float(mu_direct(2, line.ratio.base_at, k)), rel=1e-12)
