@@ -60,6 +60,7 @@ from .systems import (
 Vec = dict  # site key -> float coefficient
 
 _LOG2 = math.log(2.0)
+_NEG_INF = -math.inf
 _CROSS_TOL = 1e-12
 _CERT_GAP = 1e-9
 # Most values a basis walk's boundedness certificate may read (n_enter +
@@ -69,19 +70,32 @@ _CERT_GAP = 1e-9
 _CERT_READ_CAP = 4096
 
 
-def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
+def _add_into(out: Vec, b: Vec, negate: bool = False) -> Vec:
+    """out + b (out + (-b) with negate), in place; a sum of exactly 0 drops its site.
+
+    The one home of the zero rule: vec_add, vec_sub and shadow's passes all
+    add here.  New sites follow out's in b's order.
+    """
     for site, coeff in b.items():
-        value = out.get(site, 0.0) + coeff
-        if value == 0.0:
-            out.pop(site, None)
-        else:
-            out[site] = value
+        if negate:
+            coeff = -coeff
+        if site in out:
+            value = out[site] + coeff
+            if value:
+                out[site] = value
+            else:
+                del out[site]
+        elif coeff:  # an absent site adds to 0.0
+            out[site] = 0.0 + coeff
     return out
 
 
+def vec_add(a: Vec, b: Vec) -> Vec:
+    return _add_into(dict(a), b)
+
+
 def vec_sub(a: Vec, b: Vec) -> Vec:
-    return vec_add(a, {site: -c for site, c in b.items()})
+    return _add_into(dict(a), b, negate=True)
 
 
 def vec_scale(a: Vec, factor: float) -> Vec:
@@ -126,12 +140,19 @@ class LineSumOperator:
     def log_norm(self, vec: Vec) -> float:
         if not vec:
             return -math.inf
-        p = self.p
+        p, log, exp = self.p, math.log, math.exp
         measure = self._log_measure
         if measure is None:
-            return logsumexp(p * math.log(abs(c)) for c in vec.values() if c != 0) / p
-        terms = [p * math.log(abs(c)) + measure(a, b) for (a, b), c in vec.items() if c != 0]
-        return logsumexp(terms) / p
+            terms = [p * log(abs(c)) for c in vec.values() if c]
+        else:
+            terms = [p * log(abs(c)) + measure(a, b) for (a, b), c in vec.items() if c]
+        # systems.logsumexp inlined: the same floats, summed in the same order.
+        if _NEG_INF in terms:
+            terms = [v for v in terms if v != _NEG_INF]
+        if not terms:
+            return _NEG_INF
+        top = max(terms)
+        return (top + log(sum([exp(v - top) for v in terms]))) / p
 
     def log_term(self, site, c: float) -> float:
         """log ||c e_site||^p of one entry: its term inside log_norm (-inf at 0)."""
@@ -261,26 +282,30 @@ class ShiftOperator(LineSumOperator):
             yield self.log_norm(current) + log_scale
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
-        w = self.weights.values
-        current = vec
+        if steps == 1 or steps == -1:  # the one step every recursion and walk takes
+            return self._step(vec, steps > 0)
         for _ in range(abs(steps)):
-            moved: Vec = {}
-            if steps > 0:
-                factors = self._forward
-                for k, c in current.items():
-                    f = factors.get(k)
-                    if f is None:
-                        f = factors[k] = math.exp(w.log_at(k))
-                    moved[k - 1] = c * f
-            else:
-                factors = self._backward
-                for k, c in current.items():
-                    f = factors.get(k)
-                    if f is None:
-                        f = factors[k] = math.exp(-w.log_at(k + 1))
-                    moved[k + 1] = c * f
-            current = moved
-        return current
+            vec = self._step(vec, steps > 0)
+        return vec
+
+    def _step(self, vec: Vec, forward: bool) -> Vec:
+        w = self.weights.values
+        moved: Vec = {}
+        if forward:
+            factors = self._forward
+            for k, c in vec.items():
+                f = factors.get(k)
+                if f is None:
+                    f = factors[k] = math.exp(w.log_at(k))
+                moved[k - 1] = c * f
+        else:
+            factors = self._backward
+            for k, c in vec.items():
+                f = factors.get(k)
+                if f is None:
+                    f = factors[k] = math.exp(-w.log_at(k + 1))
+                moved[k + 1] = c * f
+        return moved
 
 
 class CompositionOperator(LineSumOperator):
@@ -687,10 +712,10 @@ class Pseudotrajectory:
             raise ValueError("a pseudotrajectory needs at least two points")
 
     def errors(self, op: LineSumOperator) -> list[Vec]:
-        return [
-            vec_sub(op.apply(self.points[i], 1), self.points[i + 1])
-            for i in range(len(self.points) - 1)
-        ]
+        """e_i = T x_i - x_{i+1}, each built in place on the fresh result of apply."""
+        points = self.points
+        return [_add_into(op.apply(points[i], 1), points[i + 1], negate=True)
+                for i in range(len(points) - 1)]
 
     def max_residual(self, op: LineSumOperator) -> float:
         return max((op.norm(e) for e in self.errors(op)), default=0.0)
@@ -862,6 +887,23 @@ class ShadowResult:
 _TRUNC = 1e-15
 
 
+def _keep_without_log(op: LineSumOperator, floor: float) -> float:
+    """A |c| at or above which an entry's log term is at least the floor: exp(floor / p)(1 + 1e-9).
+
+    Its log term p log|c| then clears the floor by about p 1e-9, far beyond
+    the rounding of exp, log and the products (under 1e-12 p while
+    |floor / p| < 710), so the prune may keep the entry unread.  Only on
+    unit-measure lines and only when that threshold is a positive normal
+    float; otherwise NaN, which no |c| reaches, so zeros, subnormal floors
+    and measured sites all read their log term.
+    """
+    if op._log_measure is None and floor > -math.inf:
+        threshold = math.exp(floor / op.p) * (1 + 1e-9)
+        if sys.float_info.min <= threshold < math.inf:
+            return threshold
+    return math.nan
+
+
 def shadow(
     op: LineSumOperator,
     pt: Pseudotrajectory,
@@ -880,68 +922,82 @@ def shadow(
     plus dropped for the unstable j = 0 term that bound leaves out.
     eps_achieved is max ||d_i|| plus this.  The result is checked against
     the orbit relation before being returned.
+
+    The passes are fused: a recursion step is one apply, one in-place add
+    and one prune, and one closing pass takes each ||d_i||, orbit residual
+    e_i + T d_i - d_{i+1} and z_i together.  Every float and key order is
+    that of the step-by-step recursions, which build each quantity from
+    fresh copies in a loop of its own.
     """
     if splitting is None:
         splitting = build_splitting(op)
     errors = pt.errors(op)
     count = len(pt.points)
-    delta_eff = max((op.norm(e) for e in errors), default=0.0)
-    floor = op.p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
-    lost_terms: list[float] = []
+    log_norm, apply, p = op.log_norm, op.apply, op.p
+    # _exp is monotone, so the largest norm is _exp of the largest log norm.
+    delta_eff = _exp(max(map(log_norm, errors), default=-math.inf))
+    floor = p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
+    keep_at = _keep_without_log(op, floor)
+    log_term = op.log_term
+    lost = -math.inf  # the largest log ||dropped||^p of one step
 
     def pruned(vec: Vec) -> Vec:
-        kept: Vec = {}
-        below = []
-        for s, c in vec.items():
-            term = op.log_term(s, c)
-            if term < floor:
-                below.append(term)
-            else:
-                kept[s] = c
-        if below:
-            lost_terms.append(logsumexp(below))
+        """vec without its entries whose log term is below the floor; their mass goes to lost."""
+        nonlocal lost
+        kept = {s: c for s, c in vec.items() if abs(c) >= keep_at or not log_term(s, c) < floor}
+        if len(kept) < len(vec):
+            lost = max(lost, logsumexp([log_term(s, c) for s, c in vec.items() if s not in kept]))
         return kept
 
-    def halves(vec: Vec) -> tuple[Vec, Vec]:
-        """(P_s vec, P_u vec); without a cut, vec is on the one side the loops read."""
-        if splitting.cut is None:
-            return vec, vec
-        stable_part: Vec = {}
-        unstable_part: Vec = {}
-        for s, c in vec.items():
-            (stable_part if op.site_is_stable(s, splitting) else unstable_part)[s] = c
-        return stable_part, unstable_part
+    # (P_s e_i, P_u e_i); off a split, e_i is on the one side the loops read.
+    stable_errors = unstable_errors = errors
+    if splitting.kind == "split" and splitting.cut is not None:
+        cut, locate = splitting.cut, op._locate
+        stable_errors, unstable_errors = [], []
+        for e in errors:
+            stable_part: Vec = {}
+            unstable_part: Vec = {}
+            for s, c in e.items():
+                (stable_part if locate(s)[1] <= cut else unstable_part)[s] = c
+            stable_errors.append(stable_part)
+            unstable_errors.append(unstable_part)
 
-    split_errors = [halves(e) for e in errors]
     corrections: list[Vec] = [{} for _ in range(count)]
     if splitting.kind != "expansion":
         stable: Vec = {}
         for i in range(1, count):
-            stable = pruned(vec_add(op.apply(stable, 1), split_errors[i - 1][0]))
+            stable = pruned(_add_into(apply(stable, 1), stable_errors[i - 1]))
             corrections[i] = stable
     if splitting.kind != "contraction":
         unstable: Vec = {}
         for i in range(count - 2, -1, -1):
-            unstable = pruned(op.apply(vec_add(unstable, split_errors[i][1]), -1))
-            corrections[i] = vec_sub(corrections[i], unstable)
+            unstable = pruned(apply(_add_into(unstable, unstable_errors[i]), -1))
+            _add_into(corrections[i], unstable, negate=True)
 
-    dropped = math.exp(max(lost_terms) / op.p) if lost_terms else 0.0
-    eps = max((op.norm(d) for d in corrections), default=0.0)
+    # The closing pass.  The recursions are done, so each e_i takes its
+    # residual in place; the largest log norms go through _exp once.
+    log_eps = log_residual = -math.inf
+    z_points = []
+    for i, (x, d) in enumerate(zip(pt.points, corrections)):
+        log_d = log_norm(d)
+        log_eps = log_d if i == 0 else max(log_eps, log_d)
+        if i + 1 < count:
+            moved = _add_into(apply(d, 1), corrections[i + 1], negate=True)
+            log_residual = max(log_residual, log_norm(_add_into(errors[i], moved)))
+        z_points.append(_add_into(dict(x), d))
+
+    dropped = math.exp(lost / p)
+    eps = _exp(log_eps)
     eps += splitting.a_priori_bound(dropped) + dropped
-
-    max_residual = 0.0
-    for i in range(count - 1):
-        residual = vec_add(errors[i], vec_sub(op.apply(corrections[i], 1), corrections[i + 1]))
-        max_residual = max(max_residual, op.norm(residual))
+    max_residual = _exp(log_residual)
     if max_residual > 1e-9:
         raise NoSplitting(
             f"orbit relation failed after correction (residual {max_residual:.3e})"
         )
 
-    z_points = tuple(vec_add(x, d) for x, d in zip(pt.points, corrections))
     return ShadowResult(
         start_index=pt.start_index,
-        z_points=z_points,
+        z_points=tuple(z_points),
         eps_achieved=eps,
         dropped=dropped,
         bound_a_priori=splitting.a_priori_bound(pt.delta),

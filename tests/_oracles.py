@@ -156,3 +156,90 @@ def shadow_exact_corrections(op, pt, splitting):
             add_into(corrections[i], image, -1.0)
             image = op.apply(image, -1)
     return corrections
+
+
+def shadow_stepwise(op, pt, splitting=None):
+    """Shadowing by the step-by-step recursions, kept verbatim as the reference.
+
+    This is the body ``simulate.shadow`` had before its fused passes: every
+    error, recursion step and residual built from fresh dict copies, one
+    loop per quantity.  The fused ``shadow`` must return the same floats,
+    in the same key order, on every input.
+    """
+    from shiftlab.simulate import (
+        _TRUNC,
+        NoSplitting,
+        ShadowResult,
+        build_splitting,
+        vec_add,
+        vec_sub,
+    )
+    from shiftlab.systems import logsumexp
+
+    if splitting is None:
+        splitting = build_splitting(op)
+    errors = pt.errors(op)
+    count = len(pt.points)
+    delta_eff = max((op.norm(e) for e in errors), default=0.0)
+    floor = op.p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
+    lost_terms: list[float] = []
+
+    def pruned(vec):
+        kept = {}
+        below = []
+        for s, c in vec.items():
+            term = op.log_term(s, c)
+            if term < floor:
+                below.append(term)
+            else:
+                kept[s] = c
+        if below:
+            lost_terms.append(logsumexp(below))
+        return kept
+
+    def halves(vec):
+        """(P_s vec, P_u vec); without a cut, vec is on the one side the loops read."""
+        if splitting.cut is None:
+            return vec, vec
+        stable_part = {}
+        unstable_part = {}
+        for s, c in vec.items():
+            (stable_part if op.site_is_stable(s, splitting) else unstable_part)[s] = c
+        return stable_part, unstable_part
+
+    split_errors = [halves(e) for e in errors]
+    corrections = [{} for _ in range(count)]
+    if splitting.kind != "expansion":
+        stable = {}
+        for i in range(1, count):
+            stable = pruned(vec_add(op.apply(stable, 1), split_errors[i - 1][0]))
+            corrections[i] = stable
+    if splitting.kind != "contraction":
+        unstable = {}
+        for i in range(count - 2, -1, -1):
+            unstable = pruned(op.apply(vec_add(unstable, split_errors[i][1]), -1))
+            corrections[i] = vec_sub(corrections[i], unstable)
+
+    dropped = math.exp(max(lost_terms) / op.p) if lost_terms else 0.0
+    eps = max((op.norm(d) for d in corrections), default=0.0)
+    eps += splitting.a_priori_bound(dropped) + dropped
+
+    max_residual = 0.0
+    for i in range(count - 1):
+        residual = vec_add(errors[i], vec_sub(op.apply(corrections[i], 1), corrections[i + 1]))
+        max_residual = max(max_residual, op.norm(residual))
+    if max_residual > 1e-9:
+        raise NoSplitting(
+            f"orbit relation failed after correction (residual {max_residual:.3e})"
+        )
+
+    z_points = tuple(vec_add(x, d) for x, d in zip(pt.points, corrections))
+    return ShadowResult(
+        start_index=pt.start_index,
+        z_points=z_points,
+        eps_achieved=eps,
+        dropped=dropped,
+        bound_a_priori=splitting.a_priori_bound(pt.delta),
+        max_orbit_residual=max_residual,
+        splitting=splitting,
+    )

@@ -1,5 +1,6 @@
 """Orbit arithmetic, brute-force expansivity, and the shadowing engine."""
 
+import functools
 import hashlib
 import math
 import random
@@ -53,7 +54,7 @@ from shiftlab.systems import (
     check_star,
 )
 
-from _oracles import norm_direct, shadow_exact_corrections
+from _oracles import norm_direct, shadow_exact_corrections, shadow_stepwise
 
 F = Fraction
 
@@ -85,6 +86,34 @@ def seeded_vec(op, seed, span=5):
     for site in rng.sample(sites, min(4, len(sites))):
         vec[site] = rng.uniform(-2.0, 2.0)
     return vec
+
+
+# -- sparse vectors ------------------------------------------------------------
+
+
+def test_vec_helpers_drop_exact_zeros_keep_key_order_and_copy():
+    a = {3: 1.0, 1: 2.0, 7: -0.0, 5: 0.25}
+    b = {2: 1.0, 1: -2.0, 0: 1.5, 5: 0.5, 9: 0.0, 4: -0.0}
+    a_items, b_items = list(a.items()), list(b.items())
+    # 1 cancels; the new sites 9 and 4 add exact zeros; a's own -0.0 at 7 is copied as is.
+    added = vec_add(a, b)
+    assert list(added.items()) == [(3, 1.0), (7, -0.0), (5, 0.75), (2, 1.0), (0, 1.5)]
+    subbed = vec_sub(a, {1: 2.0, 6: 0.5, 3: 0.125})
+    assert list(subbed.items()) == [(3, 0.875), (7, -0.0), (5, 0.25), (6, -0.5)]
+    # Sums of -0.0 are exact zeros too, and drop their site.
+    assert vec_add({1: -0.0, 2: 1.0}, {1: -0.0}) == {2: 1.0}
+    assert vec_sub({1: -0.0, 2: 1.0}, {1: 0.0}) == {2: 1.0}
+    assert vec_add({}, {1: -0.0}) == {} and vec_sub({}, {1: 0.0}) == {}
+    # Each entry is a + (-b), bit for bit.
+    x, y = {0: 0.1, 1: 1e-300}, {0: 0.3, 1: -1e-300, 2: 5e-324}
+    expected = [0.1 + -0.3, 1e-300 + 1e-300, -5e-324]
+    assert [v.hex() for v in vec_sub(x, y).values()] == [v.hex() for v in expected]
+    scaled = vec_scale(a, -2.0)
+    assert list(scaled.items()) == [(3, -2.0), (1, -4.0), (7, 0.0), (5, -0.5)]
+    assert vec_scale(a, 0.0) == {} and vec_scale(a, -0.0) == {}
+    for result in (added, subbed, scaled):
+        assert result is not a and result is not b
+    assert list(a.items()) == a_items and list(b.items()) == b_items
 
 
 # -- applying operators -------------------------------------------------------
@@ -849,6 +878,97 @@ def test_shadow_survives_subnormal_errors():
     result = shadow(op, pt)
     assert result.max_orbit_residual <= 1e-9
     assert result.eps_achieved <= result.bound_a_priori
+
+
+def shadow_grid():
+    """(label, op, pseudotrajectory, splitting) over the families the fused passes must match.
+
+    Shift families at p = 1 and 2, a peak and a celled composition map and
+    an atomic union of two split lines, each at a normal and a subnormal
+    delta, four lengths and five seeds; then the error-free trajectory.
+    """
+    half = WeightSequence(ratio(0, ["1/2"], ["1/2"], ["1/2"]))
+    ops = [(f"{name} p={p:g}", ShiftOperator(weights, p))
+           for name, weights in (("doubling", doubling_weights()), ("split", split_weights()),
+                                 ("half", half))
+           for p in (1.0, 2.0)]
+    ops += [("peak p=2", CompositionOperator(peak(p=2.0))),
+            ("cells p=1", CompositionOperator(cell_system(p=1.0))),
+            ("two split lines p=1", AtomicOperator(two_split_lines()))]
+    cases = []
+    for name, op in ops:
+        splitting = build_splitting(op)
+        x0 = op.normalized_basis(op.origin)
+        for delta in (1e-3, 1e-320):
+            for length in (2, 3, 41, 201):
+                for seed in range(5):
+                    pt = make_pseudotrajectory(op, x0, delta, length, seed)
+                    label = f"{name} delta={delta:g} n={length} seed={seed}"
+                    cases.append((label, op, pt, splitting))
+    error_free = Pseudotrajectory(start_index=-10, points=({},) * 21, delta=1e-3)
+    cases.append(("error-free", ShiftOperator(doubling_weights(), 1.0), error_free, None))
+    return cases
+
+
+def shadow_or_raise(run, op, pt, splitting):
+    """A shadow result, or the (type, message) of what it raised."""
+    try:
+        return run(op, pt, splitting)
+    except Exception as exc:  # both sides must raise alike
+        return type(exc), str(exc)
+
+
+@functools.cache
+def shadow_grid_results():
+    """(label, op, pt, splitting, fused result or what it raised) per grid case, computed once."""
+    return [(label, op, pt, splitting, shadow_or_raise(shadow, op, pt, splitting))
+            for label, op, pt, splitting in shadow_grid()]
+
+
+def test_shadow_is_bit_identical_to_the_stepwise_recursions():
+    for label, op, pt, splitting, fused in shadow_grid_results():
+        stepwise = shadow_or_raise(shadow_stepwise, op, pt, splitting)
+        if isinstance(stepwise, tuple) or isinstance(fused, tuple):
+            assert fused == stepwise, label
+            continue
+        assert fused.eps_achieved == stepwise.eps_achieved, label
+        assert fused.dropped == stepwise.dropped, label
+        assert fused.max_orbit_residual == stepwise.max_orbit_residual, label
+        assert fused.bound_a_priori == stepwise.bound_a_priori, label
+        assert fused.start_index == stepwise.start_index, label
+        assert len(fused.z_points) == len(stepwise.z_points), label
+        for i, (z, expected) in enumerate(zip(fused.z_points, stepwise.z_points)):
+            assert list(z.items()) == list(expected.items()), (label, i)
+
+
+# sha256 of canonical_json over shadow_pin_records(), recorded on the
+# step-by-step recursions before the fused passes replaced them: every
+# float as float.hex and every site as str(site), so a last-bit change in
+# eps, the drops, the residual, the bound or any z coefficient shows.
+SHADOW_PIN_DIGEST = "80867d43fae611ce8d016d9dcf0dd16af07f7bc1cb0d6a8330bce0c9278c6302"
+
+
+def shadow_pin_records():
+    records = []
+    for label, _, _, _, result in shadow_grid_results():
+        if isinstance(result, tuple):
+            records.append({"case": label, "raised": [result[0].__name__, result[1]]})
+            continue
+        records.append({
+            "case": label,
+            "start": result.start_index,
+            "eps": result.eps_achieved.hex(),
+            "dropped": result.dropped.hex(),
+            "residual": result.max_orbit_residual.hex(),
+            "bound": result.bound_a_priori.hex(),
+            "z": [[[str(site), c.hex()] for site, c in z.items()] for z in result.z_points],
+        })
+    return records
+
+
+def test_shadow_results_are_pinned():
+    text = canonical_json(shadow_pin_records())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHADOW_PIN_DIGEST
 
 
 # -- the line-sum core -------------------------------------------------------------
