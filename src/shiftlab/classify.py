@@ -376,6 +376,11 @@ def implication_audit(verdicts: Mapping[str, Verdict]) -> tuple[str, ...]:
     return tuple(failures)
 
 
+# Written into every report as "k_span"; no rule reads it.  It stays only so
+# that report bytes (and the benchmark's golden fingerprints) do not move.
+_K_SPAN = 500
+
+
 @dataclass(frozen=True)
 class ClassificationReport:
     kind: str
@@ -386,7 +391,6 @@ class ClassificationReport:
     g_plus: float
     method: str
     horizon: int
-    k_span: int  # echoed from the caller; no rule reads it
     verdicts: dict[str, Verdict]
     violations: tuple[str, ...] = ()
 
@@ -399,7 +403,7 @@ class ClassificationReport:
             "rates": {"g_minus": self.g_minus, "g_plus": self.g_plus},
             "method": self.method,
             "horizon": self.horizon,
-            "k_span": self.k_span,
+            "k_span": _K_SPAN,
             "verdicts": {name: v.to_dict() for name, v in self.verdicts.items()},
             "violations": list(self.violations),
         }
@@ -411,7 +415,6 @@ def classify_report(
     label: str | None = None,
     method: Method = "exact",
     horizon: int = 200,
-    k_span: int = 500,
 ) -> ClassificationReport:
     """Full verdict table for a dissipative system, with the audit attached."""
     view = _dissipative_view(system, method, horizon)
@@ -425,7 +428,6 @@ def classify_report(
         g_plus=view.g_plus,
         method=view.method,
         horizon=horizon,
-        k_span=k_span,
         verdicts=verdicts,
         violations=implication_audit(verdicts),
     )
@@ -441,7 +443,6 @@ def classify_shift(
     label: str | None = None,
     method: Method = "exact",
     horizon: int = 200,
-    k_span: int = 500,
 ) -> ClassificationReport:
     """Stability table for an invertible weighted shift.
 
@@ -449,7 +450,7 @@ def classify_shift(
     1 (contraction), both above 1 (expansion), or contracting on the left
     with expansion on the right.  Any branch gives strong structural
     stability and shadowing; the first two give hyperbolicity; outside the
-    table stability Fails.  ``k_span`` is only echoed into the report.
+    table stability Fails.
     """
     view = _view(weights.values, method, horizon)
     branch = _SIGN_TABLE.get(view.signs, _NO_RULE)[2]
@@ -479,7 +480,6 @@ def classify_shift(
         g_plus=view.g_plus,
         method=view.method,
         horizon=horizon,
-        k_span=k_span,
         verdicts=verdicts,
         violations=tuple(violations),
     )

@@ -48,6 +48,7 @@ from .systems import (
     InvalidSystem,
     MeasureSequence,
     WeightSequence,
+    _exp,
     induced_weights,
 )
 
@@ -261,22 +262,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# ln 10 as hi + lo: n * _LN10_HI is exact for |n| < 2**21, and _LN10_LO
+# carries the next 53 bits, so a log reduces by whole decades exactly.
+_LN10_HI = 2.30258509330451488494873046875
+_LN10_LO = -3.10469200930739e-10
+
+
 def _fmt_log(log_value: float) -> str:
-    """_fmt of exp(log_value), in the same 12-digit form beyond float range."""
+    """_fmt of exp(log_value); beyond float range, at most 12 digits in e-notation.
+
+    A float log L is uncertain by about ulp(L), and so is exp(L) relative
+    to its size.  Beyond float range only the digits whose half-unit
+    exceeds that are printed, and L is reduced by whole decades exactly,
+    so (1e300)^5 prints as 1e+1500.
+    """
     if log_value == -math.inf:
         return _fmt(0.0)
-    try:
-        value = math.exp(log_value)
-    except OverflowError:
-        value = math.inf
+    value = _exp(log_value)
     if sys.float_info.min <= value < math.inf:
         return _fmt(value)
-    log10 = log_value / math.log(10.0)
-    exponent = math.floor(log10)
-    mantissa = format(10.0 ** (log10 - exponent), ".12g")
-    if mantissa == "10":
-        mantissa, exponent = "1", exponent + 1
-    return f"{mantissa}e{exponent:+03d}"
+    digits = min(12, int(-math.log10(2 * math.ulp(log_value))))
+    decades = math.floor(log_value / _LN10_HI)
+    rest = (log_value - decades * _LN10_HI) - decades * _LN10_LO
+    # The 'e' format renormalizes a rest that the rounded quotient put
+    # outside [0, ln 10).
+    mantissa, shift = format(math.exp(rest), f".{digits - 1}e").split("e")
+    if "." in mantissa:
+        mantissa = mantissa.rstrip("0").rstrip(".")
+    return f"{mantissa}e{decades + int(shift):+03d}"
 
 
 def _emit_report(report: dict, as_json: bool) -> None:
@@ -331,7 +344,6 @@ def cmd_classify(args) -> int:
             label=parsed.label,
             method=args.method,
             horizon=args.horizon,
-            k_span=args.kspan,
         ).to_dict()
     _emit_report(report, args.json)
     return EXIT_VIOLATION if report["violations"] else EXIT_OK
@@ -471,6 +483,7 @@ def run_audit(
     horizon agreement on verdicts whose decisive margin clears the gate,
     and brute-force oracle agreement for the two pointwise expansivity
     properties, both read from one two-sided probe per system.
+    ``k_span`` is only echoed into the summary; no rule reads it.
     """
     if count < 1:
         raise ConfigError("--count", "count must be at least 1")
@@ -490,12 +503,8 @@ def run_audit(
             systems.append((f"rand-{i:04d}", random_dissipative(rng)))
 
     for index, (label, system) in enumerate(systems):
-        exact = classify_report(
-            system, label=label, method="exact", horizon=horizon, k_span=k_span
-        )
-        estimated = classify_report(
-            system, label=label, method="horizon", horizon=horizon, k_span=k_span
-        )
+        exact = classify_report(system, label=label, method="exact", horizon=horizon)
+        estimated = classify_report(system, label=label, method="horizon", horizon=horizon)
         for line in exact.violations:
             violations.append(f"{label}: {line}")
 
@@ -565,7 +574,6 @@ def cmd_audit(args) -> int:
         args.count,
         args.seed,
         horizon=args.horizon,
-        k_span=args.kspan,
         base_system=base_system,
         base_label=base_label,
     )
@@ -643,8 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--json", action="store_true", help="canonical JSON output")
     classify.add_argument("--method", choices=("exact", "horizon"), default="exact")
     classify.add_argument("--horizon", type=_int_at_least(1), default=200, metavar="N")
-    classify.add_argument("--kspan", type=_int_at_least(0), default=500, metavar="M",
-                          help="echoed into the report; no rule reads it")
     classify.set_defaults(func=cmd_classify)
 
     simulate = sub.add_parser("simulate", help="orbit norms as CSV")
@@ -678,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--count", type=int, default=50, metavar="C")
     audit.add_argument("--seed", type=int, default=0, metavar="S")
     audit.add_argument("--horizon", type=_int_at_least(1), default=200, metavar="N")
-    audit.add_argument("--kspan", type=_int_at_least(0), default=500, metavar="M",
-                       help="echoed into the summary; no rule reads it")
     audit.add_argument("--json", action="store_true")
     audit.set_defaults(func=cmd_audit)
 
@@ -691,10 +695,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidSystem, SequenceError, DistortionError) as err:
+    except (ConfigError, InvalidSystem, SequenceError, DistortionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as err:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, cycle, islice
 from typing import Iterator, Sequence, Union
 
@@ -55,6 +54,12 @@ def _coerce(value: ScalarLike) -> tuple[Fraction, bool]:
     if frac <= 0:
         raise SequenceError(f"sequence values must be positive, got {value!r}")
     return frac, exact
+
+
+def _coerce_all(values: Sequence[ScalarLike]) -> tuple[tuple[Fraction, ...], bool]:
+    """The values as fractions, and whether every one was given in exact form."""
+    pairs = [_coerce(value) for value in values]
+    return tuple(frac for frac, _ in pairs), all(exact for _, exact in pairs)
 
 
 def _log_fraction(frac: Fraction) -> float:
@@ -98,6 +103,13 @@ class EventuallyPeriodicSequence:
         object.__setattr__(self, "_core_logs", tuple(_log_fraction(f) for f in self.core))
         object.__setattr__(self, "_neg_logs", tuple(_log_fraction(f) for f in self.neg_period))
         object.__setattr__(self, "_pos_logs", tuple(_log_fraction(f) for f in self.pos_period))
+        # (neg, core, pos) tables of exp * raw log: the floats log_at returns.
+        # A plain attribute, because a cached_property read costs about as
+        # much as the rest of log_at.
+        object.__setattr__(self, "_scaled_logs", tuple(
+            tuple(self.exp * raw for raw in logs)
+            for logs in (self._neg_logs, self._core_logs, self._pos_logs)
+        ))
         # The last core index, set once for the hot paths that read it, and the
         # memo of tail_sign_vs_one by side; not fields, so ==, hash and repr ignore them.
         object.__setattr__(self, "core_hi", self.core_lo + len(self.core) - 1)
@@ -111,16 +123,10 @@ class EventuallyPeriodicSequence:
         neg_period: Sequence[ScalarLike],
         pos_period: Sequence[ScalarLike],
     ) -> "EventuallyPeriodicSequence":
-        exact = True
-        parts = []
-        for raw in (core, neg_period, pos_period):
-            fracs = []
-            for value in raw:
-                frac, is_exact = _coerce(value)
-                exact = exact and is_exact
-                fracs.append(frac)
-            parts.append(tuple(fracs))
-        return cls(core_lo, parts[0], parts[1], parts[2], 1.0, exact)
+        (core, core_exact), (neg, neg_exact), (pos, pos_exact) = (
+            _coerce_all(raw) for raw in (core, neg_period, pos_period)
+        )
+        return cls(core_lo, core, neg, pos, 1.0, core_exact and neg_exact and pos_exact)
 
     @classmethod
     def constant(cls, value: ScalarLike) -> "EventuallyPeriodicSequence":
@@ -128,27 +134,18 @@ class EventuallyPeriodicSequence:
 
     def base_at(self, k: int) -> Fraction:
         if k < self.core_lo:
-            steps_left = self.core_lo - 1 - k
-            return self.neg_period[len(self.neg_period) - 1 - steps_left % len(self.neg_period)]
+            return self.neg_period[self._tail_index(k)]
         if k > self.core_hi:
-            return self.pos_period[(k - self.core_hi - 1) % len(self.pos_period)]
+            return self.pos_period[self._tail_index(k)]
         return self.core[k - self.core_lo]
 
     def log_at(self, k: int) -> float:
+        neg, core, pos = self._scaled_logs
         if k < self.core_lo:
-            steps_left = self.core_lo - 1 - k
-            raw = self._neg_logs[len(self._neg_logs) - 1 - steps_left % len(self._neg_logs)]
-        elif k > self.core_hi:
-            raw = self._pos_logs[(k - self.core_hi - 1) % len(self._pos_logs)]
-        else:
-            raw = self._core_logs[k - self.core_lo]
-        return self.exp * raw
-
-    @cached_property
-    def _scaled_logs(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        # (neg, core, pos) tables of exp * raw log: the floats log_at returns.
-        return tuple(tuple(self.exp * raw for raw in logs)
-                     for logs in (self._neg_logs, self._core_logs, self._pos_logs))
+            return neg[self._tail_index(k)]
+        if k > self.core_hi:
+            return pos[self._tail_index(k)]
+        return core[k - self.core_lo]
 
     def logs_from(self, k: int, step: int) -> Iterator[float]:
         """log_at(k), log_at(k + step), log_at(k + 2 step), ... for step +1 or -1.

@@ -51,6 +51,8 @@ from .systems import (
     AtomicSystem,
     DissipativeSystem,
     WeightSequence,
+    _exp,
+    check_exponent,
     check_star,
     draw_site,
     logsumexp,
@@ -102,14 +104,6 @@ def vec_scale(a: Vec, factor: float) -> Vec:
     if factor == 0.0:
         return {}
     return {site: c * factor for site, c in a.items()}
-
-
-def _exp(log_value: float) -> float:
-    """exp, saturating to inf beyond float range."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 class LineSumOperator:
@@ -235,8 +229,7 @@ class ShiftOperator(LineSumOperator):
     origin = 0
 
     def __init__(self, weights: WeightSequence, p: float = 2.0):
-        if p < 1 or not math.isfinite(p):
-            raise ValueError("norm exponent p must be a finite real >= 1")
+        check_exponent(p)
         super().__init__(p, [weights.values])
         self.weights = weights
         # One-step factors by site, exp(log w_k) forward and exp(-log w_{k+1})

@@ -28,12 +28,27 @@ from .seqcore import (
     EventuallyPeriodicSequence,
     ScalarLike,
     _coerce,
+    _coerce_all,
     _log_fraction,
 )
 
 
 class InvalidSystem(ValueError):
     """A system presentation violates its structural constraints."""
+
+
+def check_exponent(p: float) -> None:
+    """Refuse a norm exponent that is not a finite real >= 1 (NaN included)."""
+    if not (p >= 1 and math.isfinite(p)):
+        raise InvalidSystem("exponent p must be a finite real >= 1")
+
+
+def _exp(log_value: float) -> float:
+    """exp, saturating to inf beyond float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def logsumexp(values: Iterable[float]) -> float:
@@ -178,8 +193,7 @@ class DissipativeSystem:
     distortion_constant: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.p >= 1 and math.isfinite(self.p)):
-            raise InvalidSystem("exponent p must be a finite real >= 1")
+        check_exponent(self.p)
         if self.cells is not None:
             self._validate_cells()
             cells = self.cells
@@ -305,12 +319,7 @@ class Cycle:
 
     @classmethod
     def from_values(cls, measures: Sequence[ScalarLike]) -> "Cycle":
-        fracs, exact = [], True
-        for raw in measures:
-            frac, is_exact = _coerce(raw)
-            exact = exact and is_exact
-            fracs.append(frac)
-        return cls(tuple(fracs), exact)
+        return cls(*_coerce_all(measures))
 
     def __len__(self) -> int:
         return len(self.measures)
@@ -339,8 +348,7 @@ class AtomicSystem:
     components: tuple[Component, ...]
 
     def __post_init__(self) -> None:
-        if not (self.p >= 1 and math.isfinite(self.p)):
-            raise InvalidSystem("exponent p must be a finite real >= 1")
+        check_exponent(self.p)
         if not self.components:
             raise InvalidSystem("an atomic system needs at least one component")
 
