@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, islice
 from operator import add, neg
 from typing import Callable, Literal, Mapping
@@ -386,13 +386,18 @@ class ClassificationReport:
     kind: str
     label: str | None
     p: float | None
-    fingerprint: str
+    system: DissipativeSystem | WeightSequence = field(repr=False)
     g_minus: float
     g_plus: float
     method: str
     horizon: int
     verdicts: dict[str, Verdict]
     violations: tuple[str, ...] = ()
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """sha256 of the system's canonical config, computed when first read."""
+        return fingerprint(self.system.to_config())
 
     def to_dict(self) -> dict:
         return {
@@ -423,7 +428,7 @@ def classify_report(
         kind="dissipative",
         label=label,
         p=system.p,
-        fingerprint=fingerprint(system.to_config()),
+        system=system,
         g_minus=view.g_minus,
         g_plus=view.g_plus,
         method=view.method,
@@ -475,7 +480,7 @@ def classify_shift(
         kind="shift",
         label=label,
         p=None,
-        fingerprint=fingerprint(weights.to_config()),
+        system=weights,
         g_minus=view.g_minus,
         g_plus=view.g_plus,
         method=view.method,

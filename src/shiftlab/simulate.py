@@ -24,12 +24,14 @@ certify boundedness, and an uncrossed one leaves the verdict Undecided.
 Each probe is one stream of log norms read by one scan, only as far as
 the decision needs.  A basis walk accumulates its weight line's
 increment stream (``logs_from``, built from the line's tables at C
-level), and a walk that lies wholly in one periodic tail is computed
-once per line, direction and phase and shared by every site with that
-phase.  A random sample's stream (``log_norm_walk``) is lazy, so it
-stops at its crossing; composition and atomic maps only move sites, so
-each step adds p log|c| to a memoized site log measure and builds no
-vector, while a shift applies each step.  The forward walks of a
+level).  A walk is fixed by its line, its direction, its phase in the
+tail it starts in and the increments it read, so it is computed once
+and shared by every later site of that phase whose tail room covers
+what it read.  A random sample's stream (``log_norm_walk``) is lazy, so
+it stops at its crossing; composition and atomic maps only move sites,
+so each step adds p log|c| to a site log measure, read from one table
+per line that every sample of the probe shares, and builds no vector,
+while a shift applies each step.  The forward walks of a
 two-sided probe are those of a positive probe with the same seed, so
 ``pointwise_verdict`` reads both pointwise verdicts from one report.
 """
@@ -126,6 +128,8 @@ class LineSumOperator:
         self._periods = tuple(periods) if periods is not None else (None,) * len(self.lines)
         # Called with the two parts of a site key; None for unit site measures.
         self._log_measure = site_log_measure
+        # Site log measures by position, one table per line, for log_norm_walk.
+        self._site_logs: tuple[dict[int, float], ...] = tuple({} for _ in self.lines)
 
     def _cover(self, site) -> list:
         """The sites a key stands for: itself, unless it is a window over cells."""
@@ -198,26 +202,35 @@ class LineSumOperator:
         The map only moves sites, one position per step, and leaves the
         coefficients alone.  So step n's terms are each entry's p log|c|
         plus the log measure of its moved site, in the key order of vec:
-        the floats log_norm(apply(vec, n)) sums.  Site measures are
-        memoized per walk.  A shift, whose steps rescale coefficients,
-        overrides this.
+        the floats log_norm(apply(vec, n)) sums.  Site measures are read
+        from the operator's table of their line, so every walk on the
+        operator computes each one once.  A shift, whose steps rescale
+        coefficients, overrides this.
         """
-        p, measure = self.p, self._log_measure
+        p, measure, key = self.p, self._log_measure, self._key
+        log, exp = math.log, math.exp
         entries = []
         for site, c in vec.items():
             if c != 0:
                 line, position = self._locate(site)
-                entries.append((p * math.log(abs(c)), line, position, self._periods[line]))
-        memo: dict = {}
+                entries.append((p * log(abs(c)), self._site_logs[line], line, position,
+                                self._periods[line]))
         for n in count(direction, direction):
             terms = []
-            for coeff_term, line, position, period in entries:
+            for coeff_term, table, line, position, period in entries:
                 moved = (position - n) % period if period else position - n
-                site_term = memo.get((line, moved))
+                site_term = table.get(moved)
                 if site_term is None:
-                    site_term = memo[line, moved] = measure(*self._key(line, moved))
+                    site_term = table[moved] = measure(*key(line, moved))
                 terms.append(coeff_term + site_term)
-            yield logsumexp(terms) / p
+            # systems.logsumexp inlined: the same floats, summed in the same order.
+            if _NEG_INF in terms:
+                terms = [v for v in terms if v != _NEG_INF]
+            if not terms:
+                yield _NEG_INF
+                continue
+            top = max(terms)
+            yield (top + log(sum([exp(v - top) for v in terms]))) / p
 
 
 class ShiftOperator(LineSumOperator):
@@ -537,19 +550,61 @@ def _random_sample(op: LineSumOperator, rng: random.Random) -> Vec:
     return vec_scale(vec, math.exp(-log_norm))
 
 
-def _tail_phase(line: EventuallyPeriodicSequence, position: int, direction: int) -> int | None:
-    """Phase of a basis walk that lies wholly in one periodic tail, else None.
+def _tail_start(
+    line: EventuallyPeriodicSequence, position: int, direction: int
+) -> tuple[tuple[bool, int], float] | None:
+    """(phase, room) of a basis walk whose first increment lies in a periodic tail, else None.
 
-    A forward walk from left of the core reads only the negative tail, and
-    a backward walk from the core's last index on only the positive one.
-    Such a walk enters its period at once (n_enter = 1), so it is fixed by
-    its line, its direction and where in the period it starts.
+    The walk reads w from index ``position`` down (forward) or from
+    ``position + 1`` up (backward).  Its phase is the tail and the first
+    index mod the tail's period; its room is how many increments it reads
+    before it leaves that tail: none ever (inf) when it travels away from
+    the core, the distance to the core when it travels towards it.
     """
-    if direction > 0 and position < line.core_lo:
-        return (line.core_lo - 1 - position) % len(line.neg_period)
-    if direction < 0 and position >= line.core_hi:
-        return (position - line.core_hi) % len(line.pos_period)
+    first = position if direction > 0 else position + 1
+    if first < line.core_lo:
+        room = math.inf if direction > 0 else line.core_lo - first
+        return (False, first % len(line.neg_period)), room
+    if first > line.core_hi:
+        room = first - line.core_hi if direction > 0 else math.inf
+        return (True, first % len(line.pos_period)), room
     return None
+
+
+def _shared_line_walk(
+    shared: dict, index: int, line: EventuallyPeriodicSequence, position: int,
+    direction: int, horizon: int, want_curve: bool,
+) -> DirectionalWalk:
+    """_line_walk, computed once for every site whose tail room covers what it read.
+
+    A basis walk is fixed by its line, its direction, its phase and the
+    increments it read.  A walk that crossed at n read n of them (the whole
+    curve of ``horizon`` when ``want_curve``), and a later site with the
+    same phase and at least that much room reads the same ones first:
+    its scan stops at the same n, since its certificate window lies past
+    its room.  A walk that never crossed rests on where its site enters
+    the period (its certificate window, the read cap), so it is shared
+    only when it never leaves its tail: every such walk enters its period
+    at once.
+    """
+    start = _tail_start(line, position, direction)
+    if start is None:
+        return _line_walk(line, position, direction, horizon, want_curve)
+    phase, room = start
+    key = (index, direction, phase)
+    walk = shared.get(key)
+    if walk is None or _reach(walk, horizon, want_curve) > room:
+        walk = _line_walk(line, position, direction, horizon, want_curve)
+        if _reach(walk, horizon, want_curve) <= room:
+            shared[key] = walk
+    return walk
+
+
+def _reach(walk: DirectionalWalk, horizon: int, want_curve: bool) -> float:
+    """How many increments a basis walk's result rests on: inf if it never crossed."""
+    if walk.crossed_at is None:
+        return math.inf
+    return horizon if want_curve else walk.crossed_at
 
 
 @dataclass(frozen=True)
@@ -591,9 +646,9 @@ def brute_force_expansivity(
 
     Holds needs every sample to cross the norm threshold (a shared n in the
     uniform modes); Fails needs a certified bounded basis walk, never a
-    random sample; everything else stays Undecided.  A basis walk that
-    lies wholly in one periodic tail is computed once per line, direction
-    and phase, and shared by every site with that phase.
+    random sample; everything else stays Undecided.  A basis walk is
+    computed once per line, direction and tail phase, and shared by every
+    later site whose tail room covers what it read (``_shared_line_walk``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -601,36 +656,33 @@ def brute_force_expansivity(
         raise ValueError(f"samples must be at least 0, got {samples}")
     op = operator_for(system, p)
     rng = random.Random(seed)
-    directions = (1, -1) if mode.twosided else (1,)
+    uniform, twosided = mode.uniform, mode.twosided
+    directions = (1, -1) if twosided else (1,)
     probes: list[tuple[str, str, list[DirectionalWalk]]] = []
-    tail_walks: dict[tuple[int, int, int], DirectionalWalk] = {}
+    shared: dict = {}
     for site in op.basis_sites(horizon):
         index, position = op._locate(site)
         line = op.lines[index]
-        walks = []
-        for d in directions:
-            phase = _tail_phase(line, position, d)
-            walk = tail_walks.get((index, d, phase))  # never stored for phase None
-            if walk is None:
-                walk = _line_walk(line, position, d, horizon, mode.uniform)
-                if phase is not None:
-                    tail_walks[index, d, phase] = walk
-            walks.append(walk)
+        walks = [_shared_line_walk(shared, index, line, position, d, horizon, uniform)
+                 for d in directions]
         probes.append((op.site_label(site), "basis", walks))
     for i in range(samples):
         vec = _random_sample(op, rng)
-        walks = [_scan(op.log_norm_walk(vec, d), horizon, mode.uniform) for d in directions]
+        walks = [_scan(op.log_norm_walk(vec, d), horizon, uniform) for d in directions]
         probes.append((f"rand[{i}]", "random", walks))
     # The forward walk fills crossed_at and certificate, the backward one the backward pair.
-    outcomes = tuple(
-        SampleOutcome(label, kind, *(field for w in walks for field in (w.crossed_at, w.certificate)))
-        for label, kind, walks in probes
-    )
-    if mode.uniform:
-        verdict = (_certified_bounded(outcomes, mode.twosided)
+    if twosided:
+        outcomes = tuple(SampleOutcome(label, kind, f.crossed_at, f.certificate,
+                                       b.crossed_at, b.certificate)
+                         for label, kind, (f, b) in probes)
+    else:
+        outcomes = tuple(SampleOutcome(label, kind, f.crossed_at, f.certificate)
+                         for label, kind, (f,) in probes)
+    if uniform:
+        verdict = (_certified_bounded(outcomes, twosided)
                    or _shared_crossing([walks for _, _, walks in probes], horizon))
     else:
-        verdict = pointwise_verdict(outcomes, mode.twosided)
+        verdict = pointwise_verdict(outcomes, twosided)
     return BruteForceReport(verdict, mode, horizon, seed, outcomes)
 
 

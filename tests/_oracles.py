@@ -243,3 +243,95 @@ def shadow_stepwise(op, pt, splitting=None):
         max_orbit_residual=max_residual,
         splitting=splitting,
     )
+
+
+def _tail_phase(line, position, direction):
+    """Phase of a basis walk that lies wholly in one periodic tail, else None."""
+    if direction > 0 and position < line.core_lo:
+        return (line.core_lo - 1 - position) % len(line.neg_period)
+    if direction < 0 and position >= line.core_hi:
+        return (position - line.core_hi) % len(line.pos_period)
+    return None
+
+
+def memo_log_norm_walk(op, vec, direction):
+    """log ||T^n vec|| for n = 1, 2, ... with the site measures memoized per walk."""
+    from itertools import count
+
+    from shiftlab.systems import logsumexp
+
+    p, measure = op.p, op._log_measure
+    entries = []
+    for site, c in vec.items():
+        if c != 0:
+            line, position = op._locate(site)
+            entries.append((p * math.log(abs(c)), line, position, op._periods[line]))
+    memo = {}
+    for n in count(direction, direction):
+        terms = []
+        for coeff_term, line, position, period in entries:
+            moved = (position - n) % period if period else position - n
+            site_term = memo.get((line, moved))
+            if site_term is None:
+                site_term = memo[line, moved] = measure(*op._key(line, moved))
+            terms.append(coeff_term + site_term)
+        yield logsumexp(terms) / p
+
+
+def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
+    """brute_force_expansivity with only wholly-in-tail walks shared, kept as the reference.
+
+    This is the basis and sample loop the probe had before a walk was
+    shared by what it read: a basis walk is shared only when it lies
+    wholly in one periodic tail, keyed by ``_tail_phase``, and a random
+    sample memoizes its site measures per walk.  The probe must return an
+    equal report on every input.
+    """
+    import random
+
+    from shiftlab.simulate import (
+        BruteForceReport,
+        SampleOutcome,
+        _certified_bounded,
+        _line_walk,
+        _random_sample,
+        _scan,
+        _shared_crossing,
+        operator_for,
+        pointwise_verdict,
+    )
+
+    op = operator_for(system, p)
+    rng = random.Random(seed)
+    directions = (1, -1) if mode.twosided else (1,)
+    walk_of = op.log_norm_walk if op._log_measure is None else (
+        lambda vec, d: memo_log_norm_walk(op, vec, d))
+    probes = []
+    tail_walks = {}
+    for site in op.basis_sites(horizon):
+        index, position = op._locate(site)
+        line = op.lines[index]
+        walks = []
+        for d in directions:
+            phase = _tail_phase(line, position, d)
+            walk = tail_walks.get((index, d, phase))  # never stored for phase None
+            if walk is None:
+                walk = _line_walk(line, position, d, horizon, mode.uniform)
+                if phase is not None:
+                    tail_walks[index, d, phase] = walk
+            walks.append(walk)
+        probes.append((op.site_label(site), "basis", walks))
+    for i in range(samples):
+        vec = _random_sample(op, rng)
+        walks = [_scan(walk_of(vec, d), horizon, mode.uniform) for d in directions]
+        probes.append((f"rand[{i}]", "random", walks))
+    outcomes = tuple(
+        SampleOutcome(label, kind, *(field for w in walks for field in (w.crossed_at, w.certificate)))
+        for label, kind, walks in probes
+    )
+    if mode.uniform:
+        verdict = (_certified_bounded(outcomes, mode.twosided)
+                   or _shared_crossing([walks for _, _, walks in probes], horizon))
+    else:
+        verdict = pointwise_verdict(outcomes, mode.twosided)
+    return BruteForceReport(verdict, mode, horizon, seed, outcomes)

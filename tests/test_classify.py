@@ -157,6 +157,25 @@ def test_report_covers_every_property():
     assert len(report.fingerprint) == 64
 
 
+def test_fingerprint_is_computed_only_when_read(monkeypatch):
+    calls: list[dict] = []
+    fingerprint = shiftlab.classify.fingerprint
+
+    def counted(config):
+        calls.append(config)
+        return fingerprint(config)
+
+    monkeypatch.setattr(shiftlab.classify, "fingerprint", counted)
+    for system, classify in ((peak(2.0), classify_report), (doubling_weights(), classify_shift)):
+        calls.clear()
+        report = classify(system)
+        assert report.verdicts and report.violations == ()
+        assert calls == []
+        assert report.fingerprint == fingerprint(system.to_config())
+        assert report.to_dict()["fingerprint"] == report.fingerprint
+        assert calls == [system.to_config()]
+
+
 def test_decay_backward_blowup_witness():
     verdict = classify_report(decay()).verdicts["positively_expansive"]
     # measures double per backward step; 2^20 is the first past 1e6

@@ -9,6 +9,7 @@ from decimal import Decimal
 
 import pytest
 
+import shiftlab.classify
 import shiftlab.cli
 from shiftlab.canon import canonical_json
 from shiftlab.cli import (
@@ -456,6 +457,19 @@ def test_audit_brute_force_detector_flags_disagreement(monkeypatch):
         "growth: brute-force positive certified bounded but positively_expansive Holds",
         "growth: brute-force twosided crossed everywhere but expansive Fails",
     ]
+
+
+def test_audit_computes_no_fingerprint(monkeypatch):
+    calls = [0]
+    fingerprint = shiftlab.classify.fingerprint
+
+    def counted(config):
+        calls[0] += 1
+        return fingerprint(config)
+
+    monkeypatch.setattr(shiftlab.classify, "fingerprint", counted)
+    assert run_audit(3, 11)["violations"] == []
+    assert calls == [0]
 
 
 # sha256 of canonical_json(run_audit(40, 7)): the summary holds only counts,

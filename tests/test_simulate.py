@@ -54,7 +54,13 @@ from shiftlab.systems import (
     check_star,
 )
 
-from _oracles import norm_direct, shadow_exact_corrections, shadow_stepwise
+from _oracles import (
+    brute_force_reference,
+    memo_log_norm_walk,
+    norm_direct,
+    shadow_exact_corrections,
+    shadow_stepwise,
+)
 
 F = Fraction
 
@@ -566,16 +572,20 @@ def test_brute_reports_are_reproducible():
 BRUTE_PIN_DIGEST = "f7841e13d8f0908476c42bc4220a450bea4d1638a48410f4d80ead783623b441"
 
 
-def brute_pin_reports():
+def brute_pin_probes():
+    """(system, p) of every brute_pin_reports() probe; probe i runs with seed i."""
     line = MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"]))
     systems = [CANONICAL[name](p) for name in sorted(CANONICAL) for p in (1.0, 2.0)]
     systems += [cell_system(1.0), cell_system(2.0)]
     systems += [AtomicSystem(p=p, components=(Cycle.from_values([1, 2, 3]), line))
                 for p in (1.0, 2.0)]
     shifts = [sevens_shift(p).weights for p in (1.0, 2.0)] + [split_weights(), doubling_weights()]
-    probes = [(system, None) for system in systems] + [(w, 1.0) for w in shifts]
+    return [(system, None) for system in systems] + [(w, 1.0) for w in shifts]
+
+
+def brute_pin_reports():
     reports = []
-    for i, (system, p) in enumerate(probes):
+    for i, (system, p) in enumerate(brute_pin_probes()):
         for mode in BruteMode:
             for horizon in (5, 40):
                 report = brute_force_expansivity(
@@ -633,6 +643,88 @@ def test_positive_reading_equals_a_positive_probe(monkeypatch):
         assert_positive_reading(twosided, positive)
         statuses.add(positive.verdict.status)
     assert statuses == {Status.HOLDS, Status.FAILS, Status.UNDECIDED}
+
+
+def assert_reports_equal_the_reference(probes):
+    for system, p, seed in probes:
+        for mode in BruteMode:
+            for horizon in (5, 40):
+                kwargs = dict(horizon=horizon, samples=3, seed=seed, p=p)
+                assert (brute_force_expansivity(system, mode, **kwargs)
+                        == brute_force_reference(system, mode, **kwargs)), (seed, mode, horizon)
+
+
+def test_brute_pin_probes_equal_the_wholly_in_tail_reference():
+    """Sharing walks by what they read changes no field of any pinned report."""
+    assert_reports_equal_the_reference(
+        [(system, p, i) for i, (system, p) in enumerate(brute_pin_probes())])
+
+
+def test_random_probes_equal_the_wholly_in_tail_reference():
+    assert_reports_equal_the_reference(
+        [(random_dissipative(random.Random(s)), None, s) for s in range(200)])
+
+
+def test_walks_that_never_cross_are_not_shared_from_a_finite_room():
+    # Forward walks from right of the core read 1/2 for their room, then 48.
+    # The one from site 2 (room 5) peaks at 48/2^5 = 1.5 after the core; the
+    # one from site 3 (room 6) at 48/2^6 < 1, so its certificate reads 1.0.
+    # Both read the same first 5 increments, and neither crosses.
+    weights = WeightSequence(ratio(-3, ["48"], ["1/2"], ["1/2"]))
+    report = brute_force_expansivity(weights, BruteMode.POSITIVE, horizon=5, samples=0, p=1.0)
+    certificates = {o.label: o.certificate for o in report.samples}
+    assert certificates["e[2]"].sup_norm == pytest.approx(1.5)
+    assert certificates["e[3]"].sup_norm == pytest.approx(1.0)
+    assert_reports_equal_the_reference([(weights, 1.0, 0)])
+
+
+def test_walks_into_the_core_are_shared_per_phase(monkeypatch):
+    # Expanding positive tail of period 2 and contracting negative tail of
+    # period 2: a forward walk from right of the core and a backward walk
+    # from left of it both cross at their first step, inside their tail.
+    weights = WeightSequence(ratio(0, ["1/3"], ["1/2", "1/3"], ["3", "2"]))
+    line = weights.values
+    into_core: list[tuple[int, int]] = []
+    line_walk = simulate._line_walk
+
+    def counted_line_walk(line_, position, direction, horizon, want_curve):
+        if (direction > 0 and position > line_.core_hi
+                or direction < 0 and position + 1 < line_.core_lo):
+            into_core.append((direction, position))
+        return line_walk(line_, position, direction, horizon, want_curve)
+
+    monkeypatch.setattr(simulate, "_line_walk", counted_line_walk)
+    for mode in (BruteMode.POSITIVE, BruteMode.TWOSIDED):
+        into_core.clear()
+        brute_force_expansivity(weights, mode, horizon=40, samples=0, p=1.0)
+        forward = [position for d, position in into_core if d > 0]
+        backward = [position for d, position in into_core if d < 0]
+        # 40 sites lie right of the core; one walk per phase of the tail serves them all.
+        assert len(forward) <= len(line.pos_period), forward
+        assert len(backward) <= (len(line.neg_period) if mode.twosided else 0), backward
+
+
+def test_site_log_measures_are_computed_once_per_operator():
+    line = MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"]))
+    for op in (CompositionOperator(cell_system(p=1.0)), CompositionOperator(decay(p=2.0)),
+               AtomicOperator(AtomicSystem(p=2.0, components=(Cycle.from_values([1, 2]), line)))):
+        rng = random.Random(5)
+        samples = [simulate._random_sample(op, rng) for _ in range(3)]
+        expected = [list(islice(memo_log_norm_walk(op, vec, direction), 40))
+                    for vec in samples for direction in (1, -1)]
+        computed: dict = {}
+        measure = op._log_measure
+
+        def counted(a, b, measure=measure, computed=computed):
+            computed[a, b] = computed.get((a, b), 0) + 1
+            return measure(a, b)
+
+        op._log_measure = counted
+        walks = [list(islice(op.log_norm_walk(vec, direction), 40))
+                 for vec in samples for direction in (1, -1)]
+        assert walks == expected
+        assert set(computed.values()) == {1}, max(computed.values())
+        assert len(computed) > 40
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
