@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 from typing import Any
@@ -56,6 +55,10 @@ def canonical_json(obj: Any) -> str:
 
 
 def fingerprint(obj: Any) -> str:
+    # Imported here: of the CLI's commands only those that print a
+    # fingerprint pay for loading hashlib.
+    import hashlib
+
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 

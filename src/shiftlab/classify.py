@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
 from itertools import accumulate, islice
@@ -39,6 +38,7 @@ from typing import Callable, Literal, Mapping
 from .canon import fingerprint
 from .seqcore import (
     EventuallyPeriodicSequence,
+    Record,
     side_geometric_means,
     tail_sign_vs_one,
 )
@@ -60,13 +60,29 @@ class Status(Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = _fields = ("status", "citation", "method", "margin", "witness")
+
     status: Status
     citation: str
-    method: str = "exact"
-    margin: float | None = None
-    witness: dict | None = None
+    method: str
+    margin: float | None
+    witness: dict | None
+
+    def __init__(
+        self,
+        status: Status,
+        citation: str,
+        method: str = "exact",
+        margin: float | None = None,
+        witness: dict | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "status", status)
+        set_(self, "citation", citation)
+        set_(self, "method", method)
+        set_(self, "margin", margin)
+        set_(self, "witness", witness)
 
     @property
     def holds(self) -> bool:
@@ -94,13 +110,24 @@ class DistortionError(ValueError):
 # Rate views
 
 
-@dataclass(frozen=True)
-class _RateView:
+class _RateView(Record):
+    __slots__ = _fields = ("g_minus", "g_plus", "sign_minus", "sign_plus", "method")
+
     g_minus: float
     g_plus: float
     sign_minus: int  # trichotomy of g_minus against 1
     sign_plus: int
     method: str
+
+    def __init__(
+        self, g_minus: float, g_plus: float, sign_minus: int, sign_plus: int, method: str
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "g_minus", g_minus)
+        set_(self, "g_plus", g_plus)
+        set_(self, "sign_minus", sign_minus)
+        set_(self, "sign_plus", sign_plus)
+        set_(self, "method", method)
 
     @property
     def signs(self) -> tuple[int, int]:
@@ -381,18 +408,48 @@ def implication_audit(verdicts: Mapping[str, Verdict]) -> tuple[str, ...]:
 _K_SPAN = 500
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
+    _fields = ("kind", "label", "p", "system", "g_minus", "g_plus", "method", "horizon",
+               "verdicts", "violations")
+    # The instance dict holds the cached fingerprint.
+    __slots__ = _fields + ("__dict__",)
+    _repr_omits = ("system",)
+
     kind: str
     label: str | None
     p: float | None
-    system: DissipativeSystem | WeightSequence = field(repr=False)
+    system: DissipativeSystem | WeightSequence
     g_minus: float
     g_plus: float
     method: str
     horizon: int
     verdicts: dict[str, Verdict]
-    violations: tuple[str, ...] = ()
+    violations: tuple[str, ...]
+
+    def __init__(
+        self,
+        kind: str,
+        label: str | None,
+        p: float | None,
+        system: DissipativeSystem | WeightSequence,
+        g_minus: float,
+        g_plus: float,
+        method: str,
+        horizon: int,
+        verdicts: dict[str, Verdict],
+        violations: tuple[str, ...] = (),
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "label", label)
+        set_(self, "p", p)
+        set_(self, "system", system)
+        set_(self, "g_minus", g_minus)
+        set_(self, "g_plus", g_plus)
+        set_(self, "method", method)
+        set_(self, "horizon", horizon)
+        set_(self, "verdicts", verdicts)
+        set_(self, "violations", violations)
 
     @cached_property
     def fingerprint(self) -> str:

@@ -15,7 +15,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -28,7 +27,7 @@ from .classify import (
     classify_report,
     classify_shift,
 )
-from .seqcore import EventuallyPeriodicSequence, SequenceError, _coerce
+from .seqcore import EventuallyPeriodicSequence, Record, SequenceError, _coerce
 from .simulate import (
     BruteMode,
     NoSplitting,
@@ -37,7 +36,6 @@ from .simulate import (
     make_pseudotrajectory,
     operator_for,
     orbit_log_norms,
-    pointwise_verdict,
     shadow,
 )
 from .systems import (
@@ -71,12 +69,26 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
+class ParsedConfig(Record):
+    __slots__ = _fields = ("kind", "system", "label", "p")
+
     kind: str
     system: DissipativeSystem | WeightSequence | AtomicSystem
     label: str | None
     p: float | None
+
+    def __init__(
+        self,
+        kind: str,
+        system: DissipativeSystem | WeightSequence | AtomicSystem,
+        label: str | None,
+        p: float | None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "system", system)
+        set_(self, "label", label)
+        set_(self, "p", p)
 
 
 def _require(mapping: dict, key: str, path: str):
@@ -530,8 +542,7 @@ def run_audit(
             seed=seed + index,
         )
         for mode, prop, verdict in (
-            (BruteMode.POSITIVE, "positively_expansive",
-             pointwise_verdict(brute.samples, twosided=False)),
+            (BruteMode.POSITIVE, "positively_expansive", brute.positive_verdict),
             (BruteMode.TWOSIDED, "expansive", brute.verdict),
         ):
             brute_checks += 1

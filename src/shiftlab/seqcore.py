@@ -16,7 +16,6 @@ otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, cycle, islice
 from typing import Iterator, Sequence, Union
@@ -67,8 +66,65 @@ def _log_fraction(frac: Fraction) -> float:
     return math.log(frac.numerator) - math.log(frac.denominator)
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSequence:
+class Record:
+    """Base of the package's immutable records: equality, hash and repr by field.
+
+    A record names its fields, in order, in ``_fields`` and writes its own
+    ``__init__``, which sets each one with ``object.__setattr__``; after
+    that, assignment and deletion raise AttributeError.  Two records are
+    equal when they are of one class and their field tuples are equal, and
+    a record hashes as its field tuple.  The repr reads
+    ``Name(a=1, b=2)``, leaving out the fields named in ``_repr_omits``.
+    Attributes that are no fields (memos, values derived at construction)
+    take no part in ==, hash, repr or ``as_dict``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _repr_omits: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields if name not in self._repr_omits)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def as_dict(self) -> dict:
+        """The fields by name, with records inside them turned into dicts too."""
+        return {name: _plain(getattr(self, name)) for name in self._fields}
+
+
+def _plain(value):
+    """A field value as ``as_dict`` gives it: records become dicts, containers are rebuilt.
+
+    Every other value a record holds is immutable, so it is kept as is.
+    """
+    if isinstance(value, Record):
+        return value.as_dict()
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    if isinstance(value, dict):
+        return type(value)((_plain(key), _plain(item)) for key, item in value.items())
+    return value
+
+
+class EventuallyPeriodicSequence(Record):
     """Two-sided positive sequence, periodic outside a finite core.
 
     The core table covers indices ``core_lo .. core_lo + len(core) - 1``.
@@ -82,38 +138,57 @@ class EventuallyPeriodicSequence:
     geometric means are compared against 1.
     """
 
+    _fields = ("core_lo", "core", "neg_period", "pos_period", "exp", "exact")
+    __slots__ = _fields + (
+        "_core_logs", "_neg_logs", "_pos_logs", "_scaled_logs", "core_hi", "_tail_signs",
+    )
+
     core_lo: int
     core: tuple[Fraction, ...]
     neg_period: tuple[Fraction, ...]
     pos_period: tuple[Fraction, ...]
-    exp: float = 1.0
-    exact: bool = True
+    exp: float
+    exact: bool
 
-    def __post_init__(self) -> None:
-        if not self.core:
+    def __init__(
+        self,
+        core_lo: int,
+        core: tuple[Fraction, ...],
+        neg_period: tuple[Fraction, ...],
+        pos_period: tuple[Fraction, ...],
+        exp: float = 1.0,
+        exact: bool = True,
+    ) -> None:
+        if not core:
             raise SequenceError("core table must be nonempty")
-        if not self.neg_period or not self.pos_period:
+        if not neg_period or not pos_period:
             raise SequenceError("both periodic tails must be nonempty")
-        for part in (self.core, self.neg_period, self.pos_period):
+        for part in (core, neg_period, pos_period):
             for frac in part:
                 if not isinstance(frac, Fraction) or frac <= 0:
                     raise SequenceError("sequence bases must be positive fractions")
-        if not math.isfinite(self.exp):
+        if not math.isfinite(exp):
             raise SequenceError("sequence exponent must be finite")
-        object.__setattr__(self, "_core_logs", tuple(_log_fraction(f) for f in self.core))
-        object.__setattr__(self, "_neg_logs", tuple(_log_fraction(f) for f in self.neg_period))
-        object.__setattr__(self, "_pos_logs", tuple(_log_fraction(f) for f in self.pos_period))
+        set_ = object.__setattr__
+        set_(self, "core_lo", core_lo)
+        set_(self, "core", core)
+        set_(self, "neg_period", neg_period)
+        set_(self, "pos_period", pos_period)
+        set_(self, "exp", exp)
+        set_(self, "exact", exact)
+        logs = tuple(tuple(_log_fraction(f) for f in part)
+                     for part in (neg_period, core, pos_period))
+        set_(self, "_neg_logs", logs[0])
+        set_(self, "_core_logs", logs[1])
+        set_(self, "_pos_logs", logs[2])
         # (neg, core, pos) tables of exp * raw log: the floats log_at returns.
         # A plain attribute, because a cached_property read costs about as
         # much as the rest of log_at.
-        object.__setattr__(self, "_scaled_logs", tuple(
-            tuple(self.exp * raw for raw in logs)
-            for logs in (self._neg_logs, self._core_logs, self._pos_logs)
-        ))
+        set_(self, "_scaled_logs", tuple(tuple(exp * raw for raw in part) for part in logs))
         # The last core index, set once for the hot paths that read it, and the
         # memo of tail_sign_vs_one by side; not fields, so ==, hash and repr ignore them.
-        object.__setattr__(self, "core_hi", self.core_lo + len(self.core) - 1)
-        object.__setattr__(self, "_tail_signs", {})
+        set_(self, "core_hi", core_lo + len(core) - 1)
+        set_(self, "_tail_signs", {})
 
     @classmethod
     def from_values(
@@ -204,12 +279,17 @@ def _rotated(table: tuple[float, ...], start: int, step: int) -> tuple[float, ..
     return table[start::-1] + table[:start:-1]
 
 
-@dataclass(frozen=True)
-class SideRate:
+class SideRate(Record):
     """Geometric means of the two periodic tails."""
+
+    __slots__ = _fields = ("gm_neg", "gm_pos")
 
     gm_neg: float
     gm_pos: float
+
+    def __init__(self, gm_neg: float, gm_pos: float) -> None:
+        object.__setattr__(self, "gm_neg", gm_neg)
+        object.__setattr__(self, "gm_pos", gm_pos)
 
 
 def _tail_log_mean(seq: EventuallyPeriodicSequence, logs: tuple[float, ...]) -> float:

@@ -32,8 +32,8 @@ it stops at its crossing; composition and atomic maps only move sites,
 so each step adds p log|c| to a site log measure, read from one table
 per line that every sample of the probe shares, and builds no vector,
 while a shift applies each step.  The forward walks of a
-two-sided probe are those of a positive probe with the same seed, so
-``pointwise_verdict`` reads both pointwise verdicts from one report.
+two-sided probe are those of a positive probe with the same seed, so one
+pass over a two-sided report's outcomes reads both pointwise verdicts.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import accumulate, count, islice
 from operator import neg
 from typing import Iterator
 
 from .classify import Status, Verdict
-from .seqcore import EventuallyPeriodicSequence, tail_sign_vs_one
+from .seqcore import EventuallyPeriodicSequence, Record, tail_sign_vs_one
 from .systems import (
     AtomicSystem,
     DissipativeSystem,
@@ -192,9 +191,6 @@ class LineSumOperator:
 
     def _sample_site(self, rng: random.Random) -> object:
         return self._draw_site(rng, 12)
-
-    def site_is_stable(self, site, splitting: "Splitting") -> bool:
-        return splitting.covers_stable(self._locate(site)[1])
 
     def log_norm_walk(self, vec: Vec, direction: int) -> Iterator[float]:
         """log ||T^n vec|| for n = 1, 2, ... in one direction, each step computed on demand.
@@ -455,18 +451,35 @@ class BruteMode(Enum):
         return self in (BruteMode.UNIFORM_POSITIVE, BruteMode.UNIFORM_TWOSIDED)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
+    __slots__ = _fields = ("kind", "period", "sup_norm")
+
     kind: str  # "periodic" or "decaying"
     period: int
     sup_norm: float
 
+    def __init__(self, kind: str, period: int, sup_norm: float) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "sup_norm", sup_norm)
 
-@dataclass(frozen=True)
-class DirectionalWalk:
+
+class DirectionalWalk(Record):
+    __slots__ = _fields = ("crossed_at", "certificate", "log_norms")
+
     crossed_at: int | None
     certificate: BoundCertificate | None
     log_norms: tuple[float, ...]  # log ||T^n x|| for n = 1..horizon, if asked for
+
+    def __init__(
+        self,
+        crossed_at: int | None,
+        certificate: BoundCertificate | None,
+        log_norms: tuple[float, ...],
+    ) -> None:
+        object.__setattr__(self, "crossed_at", crossed_at)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "log_norms", log_norms)
 
 
 def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalWalk:
@@ -607,30 +620,69 @@ def _reach(walk: DirectionalWalk, horizon: int, want_curve: bool) -> float:
     return horizon if want_curve else walk.crossed_at
 
 
-@dataclass(frozen=True)
-class SampleOutcome:
+class SampleOutcome(Record):
+    __slots__ = _fields = ("label", "kind", "crossed_at", "certificate",
+                           "backward_crossed_at", "backward_certificate")
+
     label: str
     kind: str  # "basis" or "random"
     crossed_at: int | None
     certificate: BoundCertificate | None
-    backward_crossed_at: int | None = None
-    backward_certificate: BoundCertificate | None = None
+    backward_crossed_at: int | None
+    backward_certificate: BoundCertificate | None
 
-    def sides(self, twosided: bool) -> tuple[tuple[int | None, BoundCertificate | None], ...]:
-        """(crossed_at, certificate) of the forward walk, then of the backward one if twosided."""
-        forward = (self.crossed_at, self.certificate)
-        if not twosided:
-            return (forward,)
-        return forward, (self.backward_crossed_at, self.backward_certificate)
+    def __init__(
+        self,
+        label: str,
+        kind: str,
+        crossed_at: int | None,
+        certificate: BoundCertificate | None,
+        backward_crossed_at: int | None = None,
+        backward_certificate: BoundCertificate | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "label", label)
+        set_(self, "kind", kind)
+        set_(self, "crossed_at", crossed_at)
+        set_(self, "certificate", certificate)
+        set_(self, "backward_crossed_at", backward_crossed_at)
+        set_(self, "backward_certificate", backward_certificate)
 
 
-@dataclass(frozen=True)
-class BruteForceReport:
+class BruteForceReport(Record):
+    """A probe's verdict and outcomes.
+
+    ``positive_verdict`` is the positive reading of a TWOSIDED probe: the
+    verdict a POSITIVE probe with the same horizon, samples and seed
+    returns, read from the same pass over the outcomes.  It is None in the
+    other modes.
+    """
+
+    __slots__ = _fields = ("verdict", "mode", "horizon", "seed", "samples", "positive_verdict")
+
     verdict: Verdict
     mode: BruteMode
     horizon: int
     seed: int
     samples: tuple[SampleOutcome, ...]
+    positive_verdict: Verdict | None
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        mode: BruteMode,
+        horizon: int,
+        seed: int,
+        samples: tuple[SampleOutcome, ...],
+        positive_verdict: Verdict | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "verdict", verdict)
+        set_(self, "mode", mode)
+        set_(self, "horizon", horizon)
+        set_(self, "seed", seed)
+        set_(self, "samples", samples)
+        set_(self, "positive_verdict", positive_verdict)
 
 
 def brute_force_expansivity(
@@ -681,21 +733,89 @@ def brute_force_expansivity(
     if uniform:
         verdict = (_certified_bounded(outcomes, twosided)
                    or _shared_crossing([walks for _, _, walks in probes], horizon))
-    else:
-        verdict = pointwise_verdict(outcomes, twosided)
-    return BruteForceReport(verdict, mode, horizon, seed, outcomes)
+        return BruteForceReport(verdict, mode, horizon, seed, outcomes)
+    readings = _pointwise_readings(outcomes, twosided)
+    return BruteForceReport(readings[-1], mode, horizon, seed, outcomes,
+                            readings[0] if twosided else None)
+
+
+def _bounded(outcome: SampleOutcome, twosided: bool) -> Verdict:
+    """Fails, witnessed by a sample whose read walks all carry a bound certificate."""
+    witness = {"sample": outcome.label, "certificate": outcome.certificate.as_dict()}
+    if twosided:
+        witness["backward_certificate"] = outcome.backward_certificate.as_dict()
+    return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
 
 
 def _certified_bounded(outcomes: tuple[SampleOutcome, ...], twosided: bool) -> Verdict | None:
     """Fails at the first sample whose read walks all carry a bound certificate, else None."""
     for outcome in outcomes:
-        sides = outcome.sides(twosided)
-        if all(certificate is not None for _, certificate in sides):
-            witness = {"sample": outcome.label}
-            for name, (_, certificate) in zip(("certificate", "backward_certificate"), sides):
-                witness[name] = asdict(certificate)
-            return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
+        if outcome.certificate is not None and (
+            not twosided or outcome.backward_certificate is not None
+        ):
+            return _bounded(outcome, twosided)
     return None
+
+
+def _pointwise_readings(
+    outcomes: tuple[SampleOutcome, ...], twosided: bool
+) -> tuple[Verdict, ...]:
+    """The positive reading of a pointwise probe's outcomes, then the two-sided one if twosided.
+
+    Both come from one pass.  A reading Fails at the first sample whose
+    read walks all certify boundedness; otherwise it is Undecided at the
+    first sample that crosses in no read direction, and Holds when every
+    sample crosses, with the latest of their first crossings.  The
+    positive reading reads the forward walks only.
+    """
+    count = 2 if twosided else 1
+    # Per reading (positive, two-sided): the first certified sample, the
+    # first uncrossed sample, and the latest first crossing.
+    bounded: list[SampleOutcome | None] = [None, None]
+    uncrossed: list[SampleOutcome | None] = [None, None]
+    latest = [0, 0]
+    for outcome in outcomes:
+        forward = outcome.crossed_at
+        if forward is None:
+            if uncrossed[0] is None:
+                uncrossed[0] = outcome
+        elif forward > latest[0]:
+            latest[0] = forward
+        if bounded[0] is None and outcome.certificate is not None:
+            bounded[0] = outcome
+        if twosided:
+            backward = outcome.backward_crossed_at
+            if backward is not None and (forward is None or backward < forward):
+                forward = backward
+            if forward is None:
+                if uncrossed[1] is None:
+                    uncrossed[1] = outcome
+            elif forward > latest[1]:
+                latest[1] = forward
+            if (bounded[1] is None and outcome.certificate is not None
+                    and outcome.backward_certificate is not None):
+                bounded[1] = outcome
+        if bounded[count - 1] is not None:
+            break  # every reading Fails; a two-sided bound is a forward one too
+    return tuple(_reading(bounded[i], uncrossed[i], latest[i], len(outcomes), i == 1)
+                 for i in range(count))
+
+
+def _reading(
+    bounded: SampleOutcome | None, uncrossed: SampleOutcome | None, latest: int,
+    samples: int, twosided: bool,
+) -> Verdict:
+    if bounded is not None:
+        return _bounded(bounded, twosided)
+    if uncrossed is not None:
+        return Verdict(
+            Status.UNDECIDED, "definition", "brute-force", None,
+            {"sample": uncrossed.label, "reason": "no crossing within the horizon"},
+        )
+    return Verdict(
+        Status.HOLDS, "definition", "brute-force", None,
+        {"max_crossing_n": latest, "samples": samples},
+    )
 
 
 def pointwise_verdict(outcomes: tuple[SampleOutcome, ...], twosided: bool) -> Verdict:
@@ -707,22 +827,7 @@ def pointwise_verdict(outcomes: tuple[SampleOutcome, ...], twosided: bool) -> Ve
     same horizon, samples and seed makes, so ``twosided=False`` on them
     gives that probe's verdict.
     """
-    verdict = _certified_bounded(outcomes, twosided)
-    if verdict is not None:
-        return verdict
-    crossings = []
-    for outcome in outcomes:
-        crossed = [n for n, _ in outcome.sides(twosided) if n is not None]
-        if not crossed:
-            return Verdict(
-                Status.UNDECIDED, "definition", "brute-force", None,
-                {"sample": outcome.label, "reason": "no crossing within the horizon"},
-            )
-        crossings.append(min(crossed))
-    return Verdict(
-        Status.HOLDS, "definition", "brute-force", None,
-        {"max_crossing_n": max(crossings), "samples": len(outcomes)},
-    )
+    return _pointwise_readings(outcomes, twosided)[-1]
 
 
 def _shared_crossing(curves: list, horizon: int) -> Verdict:
@@ -744,17 +849,21 @@ def _shared_crossing(curves: list, horizon: int) -> Verdict:
 # Pseudotrajectories and shadowing
 
 
-@dataclass(frozen=True)
-class Pseudotrajectory:
+class Pseudotrajectory(Record):
+    __slots__ = _fields = ("start_index", "points", "delta")
+
     start_index: int
     points: tuple[Vec, ...]
     delta: float
 
-    def __post_init__(self) -> None:
-        if not self.delta > 0:  # a NaN delta is refused too
+    def __init__(self, start_index: int, points: tuple[Vec, ...], delta: float) -> None:
+        if not delta > 0:  # a NaN delta is refused too
             raise ValueError("delta must be positive")
-        if len(self.points) < 2:
+        if len(points) < 2:
             raise ValueError("a pseudotrajectory needs at least two points")
+        object.__setattr__(self, "start_index", start_index)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "delta", delta)
 
     def errors(self, op: LineSumOperator) -> list[Vec]:
         """e_i = T x_i - x_{i+1}, each built in place on the fresh result of apply."""
@@ -799,8 +908,10 @@ class NoSplitting(Exception):
     """The operator's rates admit no certified stable/unstable splitting."""
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Record):
+    __slots__ = _fields = ("kind", "cut", "window", "lam_stable", "lam_unstable",
+                           "stable_table", "unstable_table")
+
     kind: str  # "contraction", "expansion", or "split"
     cut: int | None
     window: int
@@ -808,6 +919,25 @@ class Splitting:
     lam_unstable: float | None
     stable_table: tuple[float, ...]
     unstable_table: tuple[float, ...]
+
+    def __init__(
+        self,
+        kind: str,
+        cut: int | None,
+        window: int,
+        lam_stable: float | None,
+        lam_unstable: float | None,
+        stable_table: tuple[float, ...],
+        unstable_table: tuple[float, ...],
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "kind", kind)
+        set_(self, "cut", cut)
+        set_(self, "window", window)
+        set_(self, "lam_stable", lam_stable)
+        set_(self, "lam_unstable", lam_unstable)
+        set_(self, "stable_table", stable_table)
+        set_(self, "unstable_table", unstable_table)
 
     def covers_stable(self, k: int) -> bool:
         if self.kind == "contraction":
@@ -917,8 +1047,10 @@ def build_splitting(op: LineSumOperator) -> Splitting:
     raise NoSplitting("no contracting certificate window within the scan bound")
 
 
-@dataclass(frozen=True)
-class ShadowResult:
+class ShadowResult(Record):
+    __slots__ = _fields = ("start_index", "z_points", "eps_achieved", "dropped",
+                           "bound_a_priori", "max_orbit_residual", "splitting")
+
     start_index: int
     z_points: tuple[Vec, ...]
     eps_achieved: float
@@ -926,6 +1058,25 @@ class ShadowResult:
     bound_a_priori: float
     max_orbit_residual: float
     splitting: Splitting
+
+    def __init__(
+        self,
+        start_index: int,
+        z_points: tuple[Vec, ...],
+        eps_achieved: float,
+        dropped: float,
+        bound_a_priori: float,
+        max_orbit_residual: float,
+        splitting: Splitting,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "start_index", start_index)
+        set_(self, "z_points", z_points)
+        set_(self, "eps_achieved", eps_achieved)
+        set_(self, "dropped", dropped)
+        set_(self, "bound_a_priori", bound_a_priori)
+        set_(self, "max_orbit_residual", max_orbit_residual)
+        set_(self, "splitting", splitting)
 
 
 # Drop floor for correction entries, relative to the largest one-step error.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -26,6 +25,7 @@ from typing import Iterable, Sequence, Union
 from .canon import fraction_text
 from .seqcore import (
     EventuallyPeriodicSequence,
+    Record,
     ScalarLike,
     _coerce,
     _coerce_all,
@@ -71,26 +71,32 @@ def draw_site(rng: random.Random, periods: Sequence[int | None], reach: int) -> 
     return line, rng.randrange(period) if period else rng.randint(-reach, reach)
 
 
-@dataclass(frozen=True)
-class MeasureSequence:
+class MeasureSequence(Record):
     """Orbit measures mu_k presented as mu_0 and the ratio sequence.
 
     ``ratio.base_at(k)`` is mu_{k+1}/mu_k, so every mu_k is an exact
     rational multiple of mu_0 whenever the presentation is exact.
     """
 
+    _fields = ("mu0", "ratio", "exact")
+    __slots__ = _fields + ("_log_mu0", "_log_mu_memo")
+
     mu0: Fraction
     ratio: EventuallyPeriodicSequence
-    exact: bool = True
+    exact: bool
 
-    def __post_init__(self) -> None:
-        if self.mu0 <= 0:
+    def __init__(self, mu0: Fraction, ratio: EventuallyPeriodicSequence, exact: bool = True) -> None:
+        if mu0 <= 0:
             raise InvalidSystem("base measure must be positive")
-        if self.ratio.exp != 1.0:
+        if ratio.exp != 1.0:
             raise InvalidSystem("ratio sequences carry no exponent")
+        set_ = object.__setattr__
+        set_(self, "mu0", mu0)
+        set_(self, "ratio", ratio)
+        set_(self, "exact", exact)
         # Memo of log_mu by index; not a field, so ==, hash and repr ignore it.
-        object.__setattr__(self, "_log_mu0", _log_fraction(self.mu0))
-        object.__setattr__(self, "_log_mu_memo", {})
+        set_(self, "_log_mu0", _log_fraction(mu0))
+        set_(self, "_log_mu_memo", {})
 
     @classmethod
     def from_values(
@@ -134,8 +140,7 @@ class MeasureSequence:
         return value
 
 
-@dataclass(frozen=True)
-class CellStructure:
+class CellStructure(Record):
     """Decomposition of the window into cells with a distortion wobble.
 
     ``beta[j]`` is the measure of cell j inside the base window; the
@@ -144,23 +149,36 @@ class CellStructure:
     window every theta is 1.
     """
 
+    __slots__ = _fields = ("beta", "wobble_lo", "wobble", "exact")
+
     beta: tuple[Fraction, ...]
     wobble_lo: int
     wobble: tuple[tuple[Fraction, ...], ...]
-    exact: bool = True
+    exact: bool
 
-    def __post_init__(self) -> None:
-        if not self.beta:
+    def __init__(
+        self,
+        beta: tuple[Fraction, ...],
+        wobble_lo: int,
+        wobble: tuple[tuple[Fraction, ...], ...],
+        exact: bool = True,
+    ) -> None:
+        if not beta:
             raise InvalidSystem("cell decomposition needs at least one cell")
-        for b in self.beta:
+        for b in beta:
             if b <= 0:
                 raise InvalidSystem("cell measures must be positive")
-        for row in self.wobble:
-            if len(row) != len(self.beta):
+        for row in wobble:
+            if len(row) != len(beta):
                 raise InvalidSystem("each wobble row must cover every cell")
             for theta in row:
                 if theta <= 0:
                     raise InvalidSystem("wobble factors must be positive")
+        set_ = object.__setattr__
+        set_(self, "beta", beta)
+        set_(self, "wobble_lo", wobble_lo)
+        set_(self, "wobble", wobble)
+        set_(self, "exact", exact)
 
     @property
     def n_cells(self) -> int:
@@ -177,8 +195,7 @@ class CellStructure:
         return Fraction(1)
 
 
-@dataclass(frozen=True)
-class DissipativeSystem:
+class DissipativeSystem(Record):
     """A dissipative system: window measures, optional cells, distortion constant K.
 
     The distortion certificate is computed once, at construction, and kept
@@ -187,30 +204,42 @@ class DissipativeSystem:
     below that minimum is accepted here and refused by classification.
     """
 
+    _fields = ("p", "measures", "cells", "distortion_constant")
+    __slots__ = _fields + ("_cell_log_shares", "_wobble_logs", "distortion_certificate")
+
     p: float
     measures: MeasureSequence
-    cells: CellStructure | None = None
-    distortion_constant: float | None = None
+    cells: CellStructure | None
+    distortion_constant: float | None
 
-    def __post_init__(self) -> None:
-        check_exponent(self.p)
-        if self.cells is not None:
+    def __init__(
+        self,
+        p: float,
+        measures: MeasureSequence,
+        cells: CellStructure | None = None,
+        distortion_constant: float | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "p", p)
+        set_(self, "measures", measures)
+        set_(self, "cells", cells)
+        set_(self, "distortion_constant", distortion_constant)
+        check_exponent(p)
+        if cells is not None:
             self._validate_cells()
-            cells = self.cells
-            log_mu0 = self.measures._log_mu0
+            log_mu0 = measures._log_mu0
             # log(beta_j / mu0) per cell and log theta_{k, j} per wobble entry,
             # read by site_log_measure; not fields, so ==, hash and repr ignore them.
-            object.__setattr__(self, "_cell_log_shares",
-                               tuple(_log_fraction(b) - log_mu0 for b in cells.beta))
-            object.__setattr__(self, "_wobble_logs",
-                               tuple(tuple(_log_fraction(t) for t in row) for row in cells.wobble))
+            set_(self, "_cell_log_shares", tuple(_log_fraction(b) - log_mu0 for b in cells.beta))
+            set_(self, "_wobble_logs",
+                 tuple(tuple(_log_fraction(t) for t in row) for row in cells.wobble))
         # Written as "not >= 1" so that a NaN constant is refused too.
-        if self.distortion_constant is not None and not self.distortion_constant >= 1:
+        if distortion_constant is not None and not distortion_constant >= 1:
             raise InvalidSystem("distortion constant must be at least 1")
         cert = check_bounded_distortion(self)
-        object.__setattr__(self, "distortion_certificate", cert)
-        if self.distortion_constant is None:
-            object.__setattr__(self, "distortion_constant", cert.k_min)
+        set_(self, "distortion_certificate", cert)
+        if distortion_constant is None:
+            set_(self, "distortion_constant", cert.k_min)
 
     def _validate_cells(self) -> None:
         cells = self.cells
@@ -303,19 +332,22 @@ class DissipativeSystem:
         return config
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """Finitely many atoms permuted cyclically: f(a_i) = a_{i+1 mod r}."""
 
-    measures: tuple[Fraction, ...]
-    exact: bool = True
+    __slots__ = _fields = ("measures", "exact")
 
-    def __post_init__(self) -> None:
-        if not self.measures:
+    measures: tuple[Fraction, ...]
+    exact: bool
+
+    def __init__(self, measures: tuple[Fraction, ...], exact: bool = True) -> None:
+        if not measures:
             raise InvalidSystem("a cycle needs at least one atom")
-        for m in self.measures:
+        for m in measures:
             if m <= 0:
                 raise InvalidSystem("atom measures must be positive")
+        object.__setattr__(self, "measures", measures)
+        object.__setattr__(self, "exact", exact)
 
     @classmethod
     def from_values(cls, measures: Sequence[ScalarLike]) -> "Cycle":
@@ -342,15 +374,18 @@ class Cycle:
 Component = Union[Cycle, MeasureSequence]
 
 
-@dataclass(frozen=True)
-class AtomicSystem:
+class AtomicSystem(Record):
+    __slots__ = _fields = ("p", "components")
+
     p: float
     components: tuple[Component, ...]
 
-    def __post_init__(self) -> None:
-        check_exponent(self.p)
-        if not self.components:
+    def __init__(self, p: float, components: tuple[Component, ...]) -> None:
+        check_exponent(p)
+        if not components:
             raise InvalidSystem("an atomic system needs at least one component")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "components", components)
 
     @property
     def periods(self) -> tuple[int | None, ...]:
@@ -377,15 +412,19 @@ class AtomicSystem:
         return config
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(Record):
     """Weights of a bilateral shift; bounded above and below automatically.
 
     Invertibility of the shift needs the weights bounded away from zero,
     which an eventually periodic presentation gives for free.
     """
 
+    __slots__ = _fields = ("values",)
+
     values: EventuallyPeriodicSequence
+
+    def __init__(self, values: EventuallyPeriodicSequence) -> None:
+        object.__setattr__(self, "values", values)
 
     @property
     def sup(self) -> float:
@@ -420,19 +459,35 @@ def eps_to_config(seq: EventuallyPeriodicSequence) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class StarCertificate:
+class StarCertificate(Record):
     """Single-step measure bounds: mu(f^{-1} B) <= c mu(B) and the f-image twin.
 
     ``norm_bound`` is c^{1/p}, an upper bound for the operator norm; the
     inverse pair bounds the inverse operator the same way.
     """
 
+    __slots__ = _fields = ("c", "norm_bound", "c_inverse", "norm_bound_inverse", "c_fraction")
+
     c: float
     norm_bound: float
     c_inverse: float
     norm_bound_inverse: float
-    c_fraction: Fraction | None = None
+    c_fraction: Fraction | None
+
+    def __init__(
+        self,
+        c: float,
+        norm_bound: float,
+        c_inverse: float,
+        norm_bound_inverse: float,
+        c_fraction: Fraction | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "c", c)
+        set_(self, "norm_bound", norm_bound)
+        set_(self, "c_inverse", c_inverse)
+        set_(self, "norm_bound_inverse", norm_bound_inverse)
+        set_(self, "c_fraction", c_fraction)
 
 
 def _atom_ratio_candidates(ratio: EventuallyPeriodicSequence) -> list[Fraction]:
@@ -472,13 +527,29 @@ def check_star(system: DissipativeSystem | AtomicSystem) -> StarCertificate:
     )
 
 
-@dataclass(frozen=True)
-class DistortionCertificate:
+class DistortionCertificate(Record):
+    __slots__ = _fields = ("ok", "k_min", "declared", "witness", "k_min_fraction")
+
     ok: bool
     k_min: float
     declared: float | None
     witness: tuple[int, int] | None  # (k, 1-based cell index)
-    k_min_fraction: Fraction | None = None
+    k_min_fraction: Fraction | None
+
+    def __init__(
+        self,
+        ok: bool,
+        k_min: float,
+        declared: float | None,
+        witness: tuple[int, int] | None,
+        k_min_fraction: Fraction | None = None,
+    ) -> None:
+        set_ = object.__setattr__
+        set_(self, "ok", ok)
+        set_(self, "k_min", k_min)
+        set_(self, "declared", declared)
+        set_(self, "witness", witness)
+        set_(self, "k_min_fraction", k_min_fraction)
 
 
 def check_bounded_distortion(system: DissipativeSystem) -> DistortionCertificate:

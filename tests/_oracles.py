@@ -125,6 +125,11 @@ def norm_direct(vec, p, site_log_mu):
     return total ** (1.0 / p)
 
 
+def site_is_stable(op, site, splitting):
+    """Whether a site lies on the stable side of a splitting, by its line position."""
+    return splitting.covers_stable(op._locate(site)[1])
+
+
 def shadow_exact_corrections(op, pt, splitting):
     """Untruncated shadowing corrections, one series term at a time.
 
@@ -138,7 +143,7 @@ def shadow_exact_corrections(op, pt, splitting):
             acc[site] = acc.get(site, 0.0) + sign * c
 
     def stable(site):
-        return op.site_is_stable(site, splitting)
+        return site_is_stable(op, site, splitting)
 
     points = pt.points
     n = len(points)
@@ -204,7 +209,7 @@ def shadow_stepwise(op, pt, splitting=None):
         stable_part = {}
         unstable_part = {}
         for s, c in vec.items():
-            (stable_part if op.site_is_stable(s, splitting) else unstable_part)[s] = c
+            (stable_part if site_is_stable(op, s, splitting) else unstable_part)[s] = c
         return stable_part, unstable_part
 
     split_errors = [halves(e) for e in errors]
@@ -278,6 +283,43 @@ def memo_log_norm_walk(op, vec, direction):
         yield logsumexp(terms) / p
 
 
+def pointwise_reference(outcomes, twosided):
+    """pointwise_verdict as two passes over per-outcome (crossed_at, certificate) pairs.
+
+    This is how a reading was taken before one pass gave both: first the
+    Fails scan for a sample certified bounded in every read direction,
+    then the crossing scan.  The probe's readings must equal it.
+    """
+    from shiftlab.classify import Status, Verdict
+
+    def sides(outcome):
+        forward = (outcome.crossed_at, outcome.certificate)
+        if not twosided:
+            return (forward,)
+        return forward, (outcome.backward_crossed_at, outcome.backward_certificate)
+
+    for outcome in outcomes:
+        read = sides(outcome)
+        if all(certificate is not None for _, certificate in read):
+            witness = {"sample": outcome.label}
+            for name, (_, c) in zip(("certificate", "backward_certificate"), read):
+                witness[name] = {"kind": c.kind, "period": c.period, "sup_norm": c.sup_norm}
+            return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
+    crossings = []
+    for outcome in outcomes:
+        crossed = [n for n, _ in sides(outcome) if n is not None]
+        if not crossed:
+            return Verdict(
+                Status.UNDECIDED, "definition", "brute-force", None,
+                {"sample": outcome.label, "reason": "no crossing within the horizon"},
+            )
+        crossings.append(min(crossed))
+    return Verdict(
+        Status.HOLDS, "definition", "brute-force", None,
+        {"max_crossing_n": max(crossings), "samples": len(outcomes)},
+    )
+
+
 def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
     """brute_force_expansivity with only wholly-in-tail walks shared, kept as the reference.
 
@@ -285,7 +327,7 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
     shared by what it read: a basis walk is shared only when it lies
     wholly in one periodic tail, keyed by ``_tail_phase``, and a random
     sample memoizes its site measures per walk.  The probe must return an
-    equal report on every input.
+    equal report on every input, its readings taken by ``pointwise_reference``.
     """
     import random
 
@@ -298,7 +340,6 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
         _scan,
         _shared_crossing,
         operator_for,
-        pointwise_verdict,
     )
 
     op = operator_for(system, p)
@@ -332,6 +373,7 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
     if mode.uniform:
         verdict = (_certified_bounded(outcomes, mode.twosided)
                    or _shared_crossing([walks for _, _, walks in probes], horizon))
-    else:
-        verdict = pointwise_verdict(outcomes, mode.twosided)
-    return BruteForceReport(verdict, mode, horizon, seed, outcomes)
+        return BruteForceReport(verdict, mode, horizon, seed, outcomes)
+    verdict = pointwise_reference(outcomes, mode.twosided)
+    positive = pointwise_reference(outcomes, False) if mode.twosided else None
+    return BruteForceReport(verdict, mode, horizon, seed, outcomes, positive)

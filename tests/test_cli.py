@@ -1,7 +1,6 @@
 """End-to-end command tests: configs in, reports and exit codes out."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -358,6 +357,11 @@ def test_audit_constant_system_stays_open(config_file, capsys):
     assert summary["distribution"]["strong_structural_stability"]["Undecided"] == 1
 
 
+def replaced(record, **changes):
+    """A copy of a record with the given fields changed."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._fields}, **changes})
+
+
 def test_audit_detects_injected_corruption(config_file, capsys, monkeypatch):
     """A report carrying a splitting without shadowing makes the audit exit 3 and name both."""
     real = shiftlab.cli.classify_report
@@ -369,9 +373,7 @@ def test_audit_detects_injected_corruption(config_file, capsys, monkeypatch):
         verdicts = dict(report.verdicts)
         verdicts["generalized_hyperbolic"] = Verdict(Status.HOLDS, "GH", "injected")
         verdicts["shadowing"] = Verdict(Status.FAILS, "SC2", "injected")
-        return dataclasses.replace(
-            report, verdicts=verdicts, violations=implication_audit(verdicts)
-        )
+        return replaced(report, verdicts=verdicts, violations=implication_audit(verdicts))
 
     monkeypatch.setattr(shiftlab.cli, "classify_report", corrupted_report)
     code, out, _ = run(
@@ -442,7 +444,7 @@ def test_audit_brute_force_detector_flags_disagreement(monkeypatch):
         verdicts = dict(report.verdicts)
         for prop, status in forced[label].items():
             verdicts[prop] = Verdict(status, "forced")
-        return dataclasses.replace(report, verdicts=verdicts)
+        return replaced(report, verdicts=verdicts)
 
     monkeypatch.setattr(shiftlab.cli, "classify_report", forced_report)
     lines = []

@@ -39,6 +39,25 @@ def test_seqcore_loads_no_other_shiftlab_module():
     assert loaded_by("shiftlab.seqcore") == {"shiftlab", "shiftlab.seqcore"}
 
 
+def test_cli_start_loads_every_layer_and_no_dataclasses_inspect_or_hashlib():
+    """What ``import shiftlab.cli`` adds to sys.modules in a fresh interpreter.
+
+    Every shiftlab module but presets, since a traced CLI run finds the
+    functions of the modules that import loaded; and none of dataclasses, inspect
+    (which dataclasses loads) or hashlib, which only a printed fingerprint
+    needs.
+    """
+    code = ("import json, sys; before = set(sys.modules); import shiftlab.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True, timeout=60)
+    added = set(json.loads(result.stdout))
+    layers = ("canon", "seqcore", "systems", "classify", "simulate", "cli")
+    assert {f"shiftlab.{name}" for name in layers} <= added, sorted(added)
+    assert not added & {"dataclasses", "inspect", "hashlib"}, sorted(added)
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names a module imports and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -4,7 +4,6 @@ import functools
 import hashlib
 import math
 import random
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import islice
 
@@ -60,6 +59,7 @@ from _oracles import (
     norm_direct,
     shadow_exact_corrections,
     shadow_stepwise,
+    site_is_stable,
 )
 
 F = Fraction
@@ -595,7 +595,7 @@ def brute_pin_reports():
                     "mode": mode.value,
                     "horizon": horizon,
                     "verdict": report.verdict.to_dict(),
-                    "samples": [asdict(s) for s in report.samples],
+                    "samples": [s.as_dict() for s in report.samples],
                 })
     return reports
 
@@ -608,6 +608,7 @@ def test_brute_reports_are_pinned():
 def assert_positive_reading(twosided, positive):
     assert twosided.mode is BruteMode.TWOSIDED and positive.mode is BruteMode.POSITIVE
     assert pointwise_verdict(twosided.samples, twosided=False) == positive.verdict
+    assert twosided.positive_verdict == positive.verdict and positive.positive_verdict is None
     assert len(twosided.samples) == len(positive.samples)
     for both, forward in zip(twosided.samples, positive.samples):
         assert (both.label, both.kind, both.crossed_at, both.certificate) == (
@@ -1131,7 +1132,7 @@ def test_atomic_union_shadows_like_the_exact_series(seed):
     assert result.splitting.kind == "split"
     error_sites = {site for e in pt.errors(op) for site in e}
     assert {site[0] for site in error_sites} == {0, 1}
-    assert {op.site_is_stable(site, result.splitting) for site in error_sites} == {True, False}
+    assert {site_is_stable(op, site, result.splitting) for site in error_sites} == {True, False}
     exact = shadow_exact_corrections(op, pt, result.splitting)
     exact_max = max(op.norm(d) for d in exact)
     assert exact_max <= result.eps_achieved <= exact_max + 1e-12 * pt.delta
