@@ -86,9 +86,9 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()  # type: ignore[attr-defined]
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
