@@ -730,43 +730,26 @@ def brute_force_expansivity(
     else:
         outcomes = tuple(SampleOutcome(label, kind, f.crossed_at, f.certificate)
                          for label, kind, (f,) in probes)
-    if uniform:
-        verdict = (_certified_bounded(outcomes, twosided)
-                   or _shared_crossing([walks for _, _, walks in probes], horizon))
-        return BruteForceReport(verdict, mode, horizon, seed, outcomes)
     readings = _pointwise_readings(outcomes, twosided)
-    return BruteForceReport(readings[-1], mode, horizon, seed, outcomes,
-                            readings[0] if twosided else None)
-
-
-def _bounded(outcome: SampleOutcome, twosided: bool) -> Verdict:
-    """Fails, witnessed by a sample whose read walks all carry a bound certificate."""
-    witness = {"sample": outcome.label, "certificate": outcome.certificate.as_dict()}
-    if twosided:
-        witness["backward_certificate"] = outcome.backward_certificate.as_dict()
-    return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
-
-
-def _certified_bounded(outcomes: tuple[SampleOutcome, ...], twosided: bool) -> Verdict | None:
-    """Fails at the first sample whose read walks all carry a bound certificate, else None."""
-    for outcome in outcomes:
-        if outcome.certificate is not None and (
-            not twosided or outcome.backward_certificate is not None
-        ):
-            return _bounded(outcome, twosided)
-    return None
+    verdict = readings[-1]
+    if uniform and not verdict.fails:
+        verdict = _shared_crossing([walks for _, _, walks in probes], horizon)
+    positive = readings[0] if twosided and not uniform else None
+    return BruteForceReport(verdict, mode, horizon, seed, outcomes, positive)
 
 
 def _pointwise_readings(
     outcomes: tuple[SampleOutcome, ...], twosided: bool
 ) -> tuple[Verdict, ...]:
-    """The positive reading of a pointwise probe's outcomes, then the two-sided one if twosided.
+    """The positive reading of a probe's outcomes, then the two-sided one if twosided.
 
     Both come from one pass.  A reading Fails at the first sample whose
     read walks all certify boundedness; otherwise it is Undecided at the
     first sample that crosses in no read direction, and Holds when every
     sample crosses, with the latest of their first crossings.  The
-    positive reading reads the forward walks only.
+    positive reading reads the forward walks only.  These are the verdicts
+    of the pointwise modes; the uniform modes keep a Fails and otherwise
+    look for a shared crossing.
     """
     count = 2 if twosided else 1
     # Per reading (positive, two-sided): the first certified sample, the
@@ -806,7 +789,10 @@ def _reading(
     samples: int, twosided: bool,
 ) -> Verdict:
     if bounded is not None:
-        return _bounded(bounded, twosided)
+        witness = {"sample": bounded.label, "certificate": bounded.certificate.as_dict()}
+        if twosided:
+            witness["backward_certificate"] = bounded.backward_certificate.as_dict()
+        return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
     if uncrossed is not None:
         return Verdict(
             Status.UNDECIDED, "definition", "brute-force", None,
@@ -816,18 +802,6 @@ def _reading(
         Status.HOLDS, "definition", "brute-force", None,
         {"max_crossing_n": latest, "samples": samples},
     )
-
-
-def pointwise_verdict(outcomes: tuple[SampleOutcome, ...], twosided: bool) -> Verdict:
-    """Verdict of the positive (forward walks only) or two-sided pointwise probe.
-
-    Holds needs every sample to cross in some read direction, Fails a
-    certified bounded basis walk in every read direction.  The forward
-    pairs of a two-sided report are the walks a positive probe with the
-    same horizon, samples and seed makes, so ``twosided=False`` on them
-    gives that probe's verdict.
-    """
-    return _pointwise_readings(outcomes, twosided)[-1]
 
 
 def _shared_crossing(curves: list, horizon: int) -> Verdict:

@@ -284,7 +284,7 @@ def memo_log_norm_walk(op, vec, direction):
 
 
 def pointwise_reference(outcomes, twosided):
-    """pointwise_verdict as two passes over per-outcome (crossed_at, certificate) pairs.
+    """A pointwise reading as two passes over per-outcome (crossed_at, certificate) pairs.
 
     This is how a reading was taken before one pass gave both: first the
     Fails scan for a sample certified bounded in every read direction,
@@ -334,7 +334,6 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
     from shiftlab.simulate import (
         BruteForceReport,
         SampleOutcome,
-        _certified_bounded,
         _line_walk,
         _random_sample,
         _scan,
@@ -370,10 +369,10 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
         SampleOutcome(label, kind, *(field for w in walks for field in (w.crossed_at, w.certificate)))
         for label, kind, walks in probes
     )
-    if mode.uniform:
-        verdict = (_certified_bounded(outcomes, mode.twosided)
-                   or _shared_crossing([walks for _, _, walks in probes], horizon))
-        return BruteForceReport(verdict, mode, horizon, seed, outcomes)
     verdict = pointwise_reference(outcomes, mode.twosided)
+    if mode.uniform:
+        if not verdict.fails:
+            verdict = _shared_crossing([walks for _, _, walks in probes], horizon)
+        return BruteForceReport(verdict, mode, horizon, seed, outcomes)
     positive = pointwise_reference(outcomes, False) if mode.twosided else None
     return BruteForceReport(verdict, mode, horizon, seed, outcomes, positive)

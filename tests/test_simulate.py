@@ -37,7 +37,6 @@ from shiftlab.simulate import (
     operator_for,
     orbit_log_norms,
     orbit_norms,
-    pointwise_verdict,
     shadow,
     vec_add,
     vec_scale,
@@ -550,12 +549,11 @@ def test_far_core_certificates_read_at_most_the_cap(monkeypatch):
         # Each backward walk would enter its tail about 10^6 steps out: past the cap.
         assert [o.backward_certificate for o in basis] == [None] * len(basis), name
     # decay's forward walks cross at once, so both readings keep the near-core Holds.
-    for twosided in (False, True):
-        assert pointwise_verdict(probes["decay"].samples, twosided).holds
-        assert pointwise_verdict(probes["near decay"].samples, twosided).holds
+    for name in ("decay", "near decay"):
+        assert probes[name].positive_verdict.holds and probes[name].verdict.holds
     # flat's readings rest on certificates: the forward ones still certify, and the
     # two-sided reading, short of its backward certificates, turns Undecided, not wrong.
-    assert pointwise_verdict(probes["flat"].samples, twosided=False).fails
+    assert probes["flat"].positive_verdict.fails
     assert probes["flat"].verdict.status is Status.UNDECIDED
 
 
@@ -607,7 +605,6 @@ def test_brute_reports_are_pinned():
 
 def assert_positive_reading(twosided, positive):
     assert twosided.mode is BruteMode.TWOSIDED and positive.mode is BruteMode.POSITIVE
-    assert pointwise_verdict(twosided.samples, twosided=False) == positive.verdict
     assert twosided.positive_verdict == positive.verdict and positive.positive_verdict is None
     assert len(twosided.samples) == len(positive.samples)
     for both, forward in zip(twosided.samples, positive.samples):
