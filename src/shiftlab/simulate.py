@@ -751,7 +751,7 @@ def _pointwise_readings(
     of the pointwise modes; the uniform modes keep a Fails and otherwise
     look for a shared crossing.
     """
-    count = 2 if twosided else 1
+    last = 1 if twosided else 0
     # Per reading (positive, two-sided): the first certified sample, the
     # first uncrossed sample, and the latest first crossing.
     bounded: list[SampleOutcome | None] = [None, None]
@@ -767,27 +767,28 @@ def _pointwise_readings(
         if bounded[0] is None and outcome.certificate is not None:
             bounded[0] = outcome
         if twosided:
-            backward = outcome.backward_crossed_at
-            if backward is not None and (forward is None or backward < forward):
-                forward = backward
-            if forward is None:
+            first = outcome.backward_crossed_at
+            if first is None or (forward is not None and forward <= first):
+                first = forward
+            if first is None:
                 if uncrossed[1] is None:
                     uncrossed[1] = outcome
-            elif forward > latest[1]:
-                latest[1] = forward
+            elif first > latest[1]:
+                latest[1] = first
             if (bounded[1] is None and outcome.certificate is not None
                     and outcome.backward_certificate is not None):
                 bounded[1] = outcome
-        if bounded[count - 1] is not None:
+        if bounded[last] is not None:
             break  # every reading Fails; a two-sided bound is a forward one too
     return tuple(_reading(bounded[i], uncrossed[i], latest[i], len(outcomes), i == 1)
-                 for i in range(count))
+                 for i in range(last + 1))
 
 
 def _reading(
     bounded: SampleOutcome | None, uncrossed: SampleOutcome | None, latest: int,
     samples: int, twosided: bool,
 ) -> Verdict:
+    """One reading's verdict from what the pass over the outcomes found."""
     if bounded is not None:
         witness = {"sample": bounded.label, "certificate": bounded.certificate.as_dict()}
         if twosided:
