@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, cycle, islice
+from operator import add
 from typing import Iterator, Sequence, Union
 
 ScalarLike = Union[int, float, str, Fraction]
@@ -293,7 +295,7 @@ class SideRate(Record):
 
 
 def _tail_log_mean(seq: EventuallyPeriodicSequence, logs: tuple[float, ...]) -> float:
-    return seq.exp * sum(logs) / len(logs)
+    return seq.exp * reduce(add, logs, 0.0) / len(logs)
 
 
 def side_geometric_means(seq: EventuallyPeriodicSequence) -> SideRate:
@@ -333,7 +335,7 @@ def _tail_sign(seq: EventuallyPeriodicSequence, side: str) -> int:
             return 0
         raw_sign = 1 if product > 1 else -1
     else:
-        log_sum = sum(_log_fraction(f) for f in period)
+        log_sum = reduce(add, map(_log_fraction, period), 0.0)
         if abs(log_sum) <= len(period) * REL_LOG_TOL:
             return 0
         raw_sign = 1 if log_sum > 0 else -1

@@ -31,9 +31,22 @@ what it read.  A random sample's stream (``log_norm_walk``) is lazy, so
 it stops at its crossing; composition and atomic maps only move sites,
 so each step adds p log|c| to a site log measure, read from one table
 per line that every sample of the probe shares, and builds no vector,
-while a shift applies each step.  The forward walks of a
+while a shift applies each step.  Outside the uniform modes a sample is
+read only for its first crossing, so a step sums its terms only when
+the bounds top/p and (top + log m)/p of its log-sum-exp leave the
+crossing open (``_crossing_walk``).  The forward walks of a
 two-sided probe are those of a positive probe with the same seed, so one
 pass over a two-sided report's outcomes reads both pointwise verdicts.
+
+Shadowing keeps only the largest of its log norms (the errors, the
+corrections and the orbit residuals).  On a shift each is decided from
+a certified upper bound, log(S)/p + 1e-9 with S the fsum of |c|^p
+(``log_norm_bound``), and the exact log norm is taken only for a vector
+whose bound reaches the running maximum (``_max_log_norm``).
+
+Float sums are folded left to right with ``reduce(add, ..., 0.0)``:
+``sum()`` compensates float sums from Python 3.12 on, which would move
+the last bits of every norm.
 """
 
 from __future__ import annotations
@@ -42,8 +55,9 @@ import math
 import random
 import sys
 from enum import Enum
-from itertools import accumulate, count, islice
-from operator import neg
+from functools import reduce
+from itertools import accumulate, count, islice, repeat
+from operator import add, neg
 from typing import Iterator
 
 from .classify import Status, Verdict
@@ -65,6 +79,10 @@ Vec = dict  # site key -> float coefficient
 _LOG2 = math.log(2.0)
 _NEG_INF = -math.inf
 _CROSS_TOL = 1e-12
+_THRESHOLD = _LOG2 - _CROSS_TOL  # a log norm at or above it has crossed ||T^n x|| >= 2
+# Above the rounding of a log norm's log-sum-exp (under 1e-12 for float
+# entries), so a bound plus this margin lies above the computed log norm.
+_BOUND_MARGIN = 1e-9
 _CERT_GAP = 1e-9
 # Most values a basis walk's boundedness certificate may read (n_enter +
 # period).  The test pins, the acceptance tests and the benchmark workloads
@@ -76,8 +94,8 @@ _CERT_READ_CAP = 4096
 def _add_into(out: Vec, b: Vec, negate: bool = False) -> Vec:
     """out + b (out + (-b) with negate), in place; a sum of exactly 0 drops its site.
 
-    The one home of the zero rule: vec_add, vec_sub and shadow's passes all
-    add here.  New sites follow out's in b's order.
+    The one home of the zero rule: vec_add and shadow's passes add here.
+    New sites follow out's in b's order.
     """
     for site, coeff in b.items():
         if negate:
@@ -97,14 +115,20 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return _add_into(dict(a), b)
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return _add_into(dict(a), b, negate=True)
-
-
 def vec_scale(a: Vec, factor: float) -> Vec:
     if factor == 0.0:
         return {}
     return {site: c * factor for site, c in a.items()}
+
+
+def _log_sum_exp(terms: list[float]) -> float:
+    """systems.logsumexp of a list, inlined for the norms: the same floats, summed in the same order."""
+    if _NEG_INF in terms:
+        terms = [v for v in terms if v != _NEG_INF]
+    if not terms:
+        return _NEG_INF
+    top = max(terms)
+    return top + math.log(reduce(add, [math.exp(v - top) for v in terms], 0.0))
 
 
 class LineSumOperator:
@@ -137,19 +161,41 @@ class LineSumOperator:
     def log_norm(self, vec: Vec) -> float:
         if not vec:
             return -math.inf
-        p, log, exp = self.p, math.log, math.exp
+        p, log = self.p, math.log
         measure = self._log_measure
         if measure is None:
             terms = [p * log(abs(c)) for c in vec.values() if c]
         else:
             terms = [p * log(abs(c)) + measure(a, b) for (a, b), c in vec.items() if c]
-        # systems.logsumexp inlined: the same floats, summed in the same order.
-        if _NEG_INF in terms:
-            terms = [v for v in terms if v != _NEG_INF]
-        if not terms:
+        return _log_sum_exp(terms) / p
+
+    def log_norm_bound(self, vec: Vec) -> float:
+        """A certified upper bound on log_norm(vec) from its l^p sum; inf where there is none.
+
+        On unit-measure lines log_norm(vec) is log(S) / p with
+        S = sum |c|^p, up to the rounding of its log-sum-exp: under 1e-12
+        for float entries, whose |log|c|| is at most 745.  math.fsum rounds
+        S once, and from S >= 1e-290 on the entries whose |c|^p underflowed
+        cannot move it, so log(S) / p + _BOUND_MARGIN lies above the
+        computed log norm.  An empty vector reads -inf, its log norm.
+        Measured lines, sums that are tiny, non-finite or beyond float
+        range, and NaN entries get inf.
+        """
+        if not vec:
             return _NEG_INF
-        top = max(terms)
-        return (top + log(sum([exp(v - top) for v in terms]))) / p
+        if self._log_measure is not None:
+            return math.inf
+        p = self.p
+        try:
+            if p == 1:
+                total = math.fsum(map(abs, vec.values()))
+            else:
+                total = math.fsum(map(pow, map(abs, vec.values()), repeat(p)))
+        except OverflowError:
+            return math.inf
+        if 1e-290 <= total < math.inf:
+            return math.log(total) / p + _BOUND_MARGIN
+        return math.inf
 
     def log_term(self, site, c: float) -> float:
         """log ||c e_site||^p of one entry: its term inside log_norm (-inf at 0)."""
@@ -203,8 +249,37 @@ class LineSumOperator:
         operator computes each one once.  A shift, whose steps rescale
         coefficients, overrides this.
         """
-        p, measure, key = self.p, self._log_measure, self._key
-        log, exp = math.log, math.exp
+        p = self.p
+        for terms in self._step_terms(vec, direction):
+            yield _log_sum_exp(terms) / p
+
+    def _crossing_walk(self, vec: Vec, direction: int) -> Iterator[float]:
+        """log_norm_walk as a scan for its first value >= _THRESHOLD reads it.
+
+        Each value is log_norm_walk's, or a stand-in on the same side of
+        the threshold.  A step's log-sum-exp is top + log(s) with s the sum
+        of exp(v - top), which holds exp(0) = 1 and at most m terms: so
+        top / p stands in once it reaches the threshold, and
+        (top + log m) / p + _BOUND_MARGIN while that stays below it.  Only
+        the steps in between sum their terms.  Random samples have finite
+        coefficients and site measures, so no term is NaN.
+        """
+        p, log = self.p, math.log
+        for terms in self._step_terms(vec, direction):
+            if not terms:
+                yield _NEG_INF
+                continue
+            top = max(terms)
+            low = top / p
+            if low >= _THRESHOLD:
+                yield low
+                continue
+            high = (top + log(len(terms))) / p + _BOUND_MARGIN
+            yield high if high < _THRESHOLD else _log_sum_exp(terms) / p
+
+    def _step_terms(self, vec: Vec, direction: int) -> Iterator[list[float]]:
+        """Each step's log terms p log|c| + the moved site's log measure, in vec's key order."""
+        p, measure, key, log = self.p, self._log_measure, self._key, math.log
         entries = []
         for site, c in vec.items():
             if c != 0:
@@ -219,14 +294,7 @@ class LineSumOperator:
                 if site_term is None:
                     site_term = table[moved] = measure(*key(line, moved))
                 terms.append(coeff_term + site_term)
-            # systems.logsumexp inlined: the same floats, summed in the same order.
-            if _NEG_INF in terms:
-                terms = [v for v in terms if v != _NEG_INF]
-            if not terms:
-                yield _NEG_INF
-                continue
-            top = max(terms)
-            yield (top + log(sum([exp(v - top) for v in terms]))) / p
+            yield terms
 
 
 class ShiftOperator(LineSumOperator):
@@ -282,6 +350,9 @@ class ShiftOperator(LineSumOperator):
                 log_scale += shift * _LOG2
             current = moved
             yield self.log_norm(current) + log_scale
+
+    # A shift builds each step's vector anyway; its scan reads the exact stream.
+    _crossing_walk = log_norm_walk
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         if steps == 1 or steps == -1:  # the one step every recursion and walk takes
@@ -500,7 +571,7 @@ def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalW
     certifiable = drift <= 0 and n_enter + period <= _CERT_READ_CAP
     cert_end = n_enter + period if certifiable else 0
     search_end = min(horizon, cert_end) if certifiable else horizon
-    threshold = _LOG2 - _CROSS_TOL
+    threshold = _THRESHOLD
     stream = iter(log_norms)
     values: list[float] = []
     crossed = None
@@ -718,9 +789,12 @@ def brute_force_expansivity(
         walks = [_shared_line_walk(shared, index, line, position, d, horizon, uniform)
                  for d in directions]
         probes.append((op.site_label(site), "basis", walks))
+    # A sample's curve is kept only in the uniform modes; otherwise its
+    # stream is read for its first crossing alone.
+    sample_walk = op.log_norm_walk if uniform else op._crossing_walk
     for i in range(samples):
         vec = _random_sample(op, rng)
-        walks = [_scan(op.log_norm_walk(vec, d), horizon, uniform) for d in directions]
+        walks = [_scan(sample_walk(vec, d), horizon, uniform) for d in directions]
         probes.append((f"rand[{i}]", "random", walks))
     # The forward walk fills crossed_at and certificate, the backward one the backward pair.
     if twosided:
@@ -807,7 +881,7 @@ def _reading(
 
 def _shared_crossing(curves: list, horizon: int) -> Verdict:
     """Holds at the first n where every sample's curve crosses in some direction."""
-    threshold = _LOG2 - _CROSS_TOL
+    threshold = _THRESHOLD
     for n in range(horizon):
         if all(any(w.log_norms[n] >= threshold for w in walks) for walks in curves):
             return Verdict(
@@ -845,9 +919,6 @@ class Pseudotrajectory(Record):
         points = self.points
         return [_add_into(op.apply(points[i], 1), points[i + 1], negate=True)
                 for i in range(len(points) - 1)]
-
-    def max_residual(self, op: LineSumOperator) -> float:
-        return max((op.norm(e) for e in self.errors(op)), default=0.0)
 
 
 def make_pseudotrajectory(
@@ -937,7 +1008,7 @@ def _series_sum(table: tuple[float, ...], window: int, include_zero: bool) -> fl
     a_m = table[window - 1]
     if a_m >= 1:
         raise NoSplitting("certificate window does not contract")
-    block = 1.0 + sum(table[: window - 1])  # j = 0 .. window-1
+    block = 1.0 + reduce(add, table[: window - 1], 0.0)  # j = 0 .. window-1
     total = block / (1.0 - a_m)
     if not math.isfinite(total):
         raise NoSplitting("certificate constants leave float range")
@@ -1075,6 +1146,28 @@ def _keep_without_log(op: LineSumOperator, floor: float) -> float:
     return math.nan
 
 
+def _max_log_norm(op: LineSumOperator, vecs, start: float | None = None) -> float:
+    """max(map(op.log_norm, vecs), default=-inf), or max(start, ...) of them when start is given.
+
+    A vector whose log_norm_bound lies below a finite running maximum
+    cannot beat it, so its exact log norm is skipped; every other one is
+    computed and compared as max compares, so the first maximum wins and a
+    NaN reads as max reads it.  So the result is max's, to the last bit.
+    """
+    log_norm, bound = op.log_norm, op.log_norm_bound
+    vecs, top = iter(vecs), start
+    if top is None:
+        first = next(vecs, None)
+        top = _NEG_INF if first is None else log_norm(first)
+    for vec in vecs:
+        if _NEG_INF < top < math.inf and bound(vec) < top:
+            continue
+        value = log_norm(vec)
+        if value > top:
+            top = value
+    return top
+
+
 def shadow(
     op: LineSumOperator,
     pt: Pseudotrajectory,
@@ -1095,18 +1188,21 @@ def shadow(
     the orbit relation before being returned.
 
     The passes are fused: a recursion step is one apply, one in-place add
-    and one prune, and one closing pass takes each ||d_i||, orbit residual
-    e_i + T d_i - d_{i+1} and z_i together.  Every float and key order is
-    that of the step-by-step recursions, which build each quantity from
-    fresh copies in a loop of its own.
+    and one prune, and one closing pass builds each orbit residual
+    e_i + T d_i - d_{i+1} and z_i together.  The largest error, ||d_i||
+    and residual are read through _max_log_norm: on a shift a vector's
+    exact log norm is computed only when its certified l^p bound reaches
+    the running maximum.  Every float and key order is that of the
+    step-by-step recursions, which build each quantity from fresh copies
+    in a loop of its own.
     """
     if splitting is None:
         splitting = build_splitting(op)
     errors = pt.errors(op)
     count = len(pt.points)
-    log_norm, apply, p = op.log_norm, op.apply, op.p
+    apply, p = op.apply, op.p
     # _exp is monotone, so the largest norm is _exp of the largest log norm.
-    delta_eff = _exp(max(map(log_norm, errors), default=-math.inf))
+    delta_eff = _exp(_max_log_norm(op, errors))
     floor = p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
     keep_at = _keep_without_log(op, floor)
     log_term = op.log_term
@@ -1146,16 +1242,15 @@ def shadow(
             _add_into(corrections[i], unstable, negate=True)
 
     # The closing pass.  The recursions are done, so each e_i takes its
-    # residual in place; the largest log norms go through _exp once.
-    log_eps = log_residual = -math.inf
+    # residual e_i + T d_i - d_{i+1} in place; the largest log norms of the
+    # d_i and of the residuals go through _exp once.
     z_points = []
     for i, (x, d) in enumerate(zip(pt.points, corrections)):
-        log_d = log_norm(d)
-        log_eps = log_d if i == 0 else max(log_eps, log_d)
         if i + 1 < count:
-            moved = _add_into(apply(d, 1), corrections[i + 1], negate=True)
-            log_residual = max(log_residual, log_norm(_add_into(errors[i], moved)))
+            _add_into(errors[i], _add_into(apply(d, 1), corrections[i + 1], negate=True))
         z_points.append(_add_into(dict(x), d))
+    log_eps = _max_log_norm(op, corrections)
+    log_residual = _max_log_norm(op, errors, start=-math.inf)
 
     dropped = math.exp(lost / p)
     eps = _exp(log_eps)

@@ -57,7 +57,7 @@ def logsumexp(values: Iterable[float]) -> float:
     if not items:
         return -math.inf
     top = max(items)
-    return top + math.log(sum(math.exp(v - top) for v in items))
+    return top + math.log(reduce(add, [math.exp(v - top) for v in items], 0.0))
 
 
 def draw_site(rng: random.Random, periods: Sequence[int | None], reach: int) -> tuple[int, int]:

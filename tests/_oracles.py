@@ -125,6 +125,18 @@ def norm_direct(vec, p, site_log_mu):
     return total ** (1.0 / p)
 
 
+def vec_sub(a, b):
+    """a - b: a copy of a with b added negated through simulate's zero rule."""
+    from shiftlab.simulate import _add_into
+
+    return _add_into(dict(a), b, negate=True)
+
+
+def max_residual(op, pt):
+    """The largest one-step error ||T x_i - x_(i+1)|| of a pseudotrajectory (0 for none)."""
+    return max((op.norm(e) for e in pt.errors(op)), default=0.0)
+
+
 def site_is_stable(op, site, splitting):
     """Whether a site lies on the stable side of a splitting, by its line position."""
     return splitting.covers_stable(op._locate(site)[1])
@@ -177,7 +189,6 @@ def shadow_stepwise(op, pt, splitting=None):
         ShadowResult,
         build_splitting,
         vec_add,
-        vec_sub,
     )
     from shiftlab.systems import logsumexp
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftlab import seqcore
 from shiftlab.seqcore import (
     REL_LOG_TOL,
     EventuallyPeriodicSequence,
@@ -246,3 +247,25 @@ def test_log_at_consistent_with_base():
     s = seq(-1, [3, "1/2"], [2], [5])
     for k in range(-6, 7):
         assert s.log_at(k) == pytest.approx(math.log(float(s.base_at(k))), rel=1e-12)
+
+
+def _fold(values):
+    """A float sum taken left to right in an explicit loop."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_tail_log_sums_are_left_to_right_folds(monkeypatch):
+    # Logs where a compensated sum (math.fsum, or sum() from Python 3.12 on)
+    # reads 6e-9 but the left-to-right fold reads 0: 1e8 absorbs each 3e-9.
+    logs = (1e8, 3e-9, 3e-9, -1e8)
+    assert _fold(logs) == 0.0 and math.fsum(logs) > len(logs) * REL_LOG_TOL
+    line = seq(0, [1.5], [1.5], [2.5, 3.5, 4.5, 5.5])
+    assert not line.exact
+    assert seqcore._tail_log_mean(line, logs) == line.exp * _fold(logs) / len(logs)
+    by_entry = dict(zip(line.pos_period, logs))
+    monkeypatch.setattr(seqcore, "_log_fraction", by_entry.__getitem__)
+    # The fold reads a period product of exactly 1; a compensated sum would read > 1.
+    assert seqcore._tail_sign(line, "pos") == 0

@@ -40,7 +40,6 @@ from shiftlab.simulate import (
     shadow,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from shiftlab.systems import (
     AtomicSystem,
@@ -54,11 +53,13 @@ from shiftlab.systems import (
 
 from _oracles import (
     brute_force_reference,
+    max_residual,
     memo_log_norm_walk,
     norm_direct,
     shadow_exact_corrections,
     shadow_stepwise,
     site_is_stable,
+    vec_sub,
 )
 
 F = Fraction
@@ -746,7 +747,7 @@ def test_brute_force_never_contradicts_the_rules(name, p):
 def test_noisy_trajectory_is_valid():
     op = CompositionOperator(peak(p=2.0))
     pt = make_pseudotrajectory(op, op.normalized_basis((0, None)), 1e-3, 41, seed=7)
-    assert 0.0 < pt.max_residual(op) <= 1e-3
+    assert 0.0 < max_residual(op, pt) <= 1e-3
     assert len(pt.errors(op)) == 40
 
 
@@ -763,7 +764,7 @@ def test_single_injected_error_has_residual_delta():
     op = ShiftOperator(doubling_weights(), 1.0)
     delta = 1e-3
     pt = Pseudotrajectory(start_index=0, points=({}, {0: delta}), delta=delta)
-    assert pt.max_residual(op) == pytest.approx(delta, rel=1e-14)
+    assert max_residual(op, pt) == pytest.approx(delta, rel=1e-14)
 
 
 def test_trajectory_input_checks():
@@ -1059,6 +1060,139 @@ def shadow_pin_records():
 def test_shadow_results_are_pinned():
     text = canonical_json(shadow_pin_records())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHADOW_PIN_DIGEST
+
+
+def extreme_shadow_cases():
+    """(label, op, pseudotrajectory, splitting) where the bounded maxima meet their edge cases.
+
+    Kept apart from shadow_grid, whose digest is pinned.  p = 3 shifts with
+    errors near 1e300 (|c|^3 overflows), near 1e100 (the l^p sum overflows
+    in fsum), about 1e-97 (the sum straddles 1e-290) and near 1e-300 (|c|^3
+    underflows); then pseudotrajectories whose errors all tie in norm.
+    """
+    half = WeightSequence(ratio(0, ["1/2"], ["1/2"], ["1/2"]))
+    cases = []
+    for name, weights in (("doubling", doubling_weights()), ("split", split_weights()),
+                          ("half", half)):
+        op = ShiftOperator(weights, 3.0)
+        splitting = build_splitting(op)
+        for delta in (1e300, 1e100, 1e-3, 3e-97, 1e-97, 1e-300):
+            for seed in range(3):
+                pt = make_pseudotrajectory(op, {0: 1.0}, delta, 41, seed)
+                cases.append((f"{name} p=3 delta={delta:g} seed={seed}", op, pt, splitting))
+    for p in (1.0, 3.0):
+        op = ShiftOperator(half, p)
+        # T x_i - x_(i+1) = (-1)^i (0.5e-3 e_-1 + 1e-3 e_0): every error has the same norm.
+        points = tuple({0: (-1.0) ** i * 1e-3} for i in range(41))
+        pt = Pseudotrajectory(start_index=-20, points=points, delta=1e-2)
+        cases.append((f"tied p={p:g}", op, pt, build_splitting(op)))
+    return cases
+
+
+def test_shadow_matches_the_stepwise_recursions_at_the_bound_edges():
+    for label, op, pt, splitting in extreme_shadow_cases():
+        fused = shadow_or_raise(shadow, op, pt, splitting)
+        stepwise = shadow_or_raise(shadow_stepwise, op, pt, splitting)
+        if isinstance(stepwise, tuple) or isinstance(fused, tuple):
+            assert fused == stepwise, label
+            continue
+        for field in ("eps_achieved", "dropped", "max_orbit_residual", "bound_a_priori"):
+            assert getattr(fused, field).hex() == getattr(stepwise, field).hex(), (label, field)
+        for z, expected in zip(fused.z_points, stepwise.z_points, strict=True):
+            assert [(s, c.hex()) for s, c in z.items()] == [(s, c.hex()) for s, c in expected.items()]
+
+
+def test_shadow_takes_exact_log_norms_only_where_they_can_set_a_maximum(monkeypatch):
+    calls = [0]
+    log_norm = simulate.LineSumOperator.log_norm
+
+    def counted(self, vec):
+        calls[0] += 1
+        return log_norm(self, vec)
+
+    monkeypatch.setattr(simulate.LineSumOperator, "log_norm", counted)
+    op, pt = shadow_case("split", 201, 1)
+    result = shadow(op, pt, build_splitting(op))
+    # Taken exactly, the largest error, ||d_i|| and residual need 200 + 201 + 200.
+    assert calls[0] < len(pt.points), calls[0]
+    assert result.eps_achieved == pytest.approx(PINNED_EPS["split", 1], rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_log_norm_bound_lies_above_the_log_norm(p):
+    op = ShiftOperator(split_weights(), p)
+    rng = random.Random(int(p))
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-320, 307)  # entries stay finite
+        vec = {k: rng.choice([-1.0, 1.0]) * scale * rng.uniform(0.0, 2.0)
+               for k in range(rng.randint(1, 40))}
+        exact, bound = op.log_norm(vec), op.log_norm_bound(vec)
+        assert exact <= bound, (vec, exact, bound)
+        if bound < math.inf:
+            assert bound - exact <= 2e-9
+    assert op.log_norm_bound({}) == -math.inf == op.log_norm({})
+    for vec in ({0: math.nan}, {0: math.inf, 1: 1.0}, {0: 1e-310}):
+        assert op.log_norm_bound(vec) == math.inf
+    # Site measures need every entry's log term: a composition map has no bound.
+    composition = CompositionOperator(peak(p=p))
+    assert composition.log_norm_bound({(0, None): 1.0}) == math.inf
+
+
+@pytest.mark.parametrize("op", sample_stream_operators(), ids=["window", "celled", "atomic"])
+def test_crossing_walk_reads_the_threshold_as_the_exact_walk_does(op):
+    rng = random.Random(11)
+    threshold = simulate._THRESHOLD
+    for _ in range(6):
+        sample = simulate._random_sample(op, rng)
+        for direction in (1, -1):
+            exact = list(islice(op.log_norm_walk(sample, direction), 30))
+            # Rescaled so that some step sits on the threshold, up to rounding.
+            for n in (0, 9, 29):
+                factor = math.exp(threshold - exact[n])
+                for nudge in (1 - 1e-15, 1.0, 1 + 1e-15):
+                    vec = vec_scale(sample, factor * nudge)
+                    walked = list(islice(op._crossing_walk(vec, direction), 30))
+                    expected = list(islice(op.log_norm_walk(vec, direction), 30))
+                    assert [v >= threshold for v in walked] == [v >= threshold for v in expected]
+
+
+def _fold(values):
+    """A float sum taken left to right in an explicit loop."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_float_sums_in_simulate_fold_left_to_right():
+    # Each sum below rounds differently under math.fsum (and under sum() from
+    # Python 3.12 on); the helpers must keep the left-to-right fold.
+    op = ShiftOperator(split_weights(), 1.0)
+    vec = {0: 1.0, 1: 1e-16, 2: 1e-16}
+    terms = [math.log(abs(c)) for c in vec.values()]
+    exps = [math.exp(v - max(terms)) for v in terms]
+    assert math.fsum(exps) != _fold(exps)
+    assert op.log_norm(vec) == max(terms) + math.log(_fold(exps))
+
+    composition = CompositionOperator(decay(p=1.0))
+    measure = composition._log_measure
+    # After one forward step the three terms sit at 0, log 1e-16 and log 1e-16 from the top.
+    top = measure(-1, None)
+    walk_vec = {(0, None): 1.0}
+    for k in (1, 2):
+        walk_vec[k, None] = 1e-16 * math.exp(top - measure(k - 1, None))
+    for n, value in enumerate(islice(composition.log_norm_walk(walk_vec, 1), 4), start=1):
+        step = [math.log(abs(c)) + measure(k - n, None) for (k, _), c in walk_vec.items()]
+        step_exps = [math.exp(v - max(step)) for v in step]
+        if n == 1:
+            assert math.fsum(step_exps) != _fold(step_exps)
+        assert value == max(step) + math.log(_fold(step_exps)), n
+
+    table = (1e8, 4e-9, 4e-9, 4e-9, 4e-9, 0.5)
+    assert math.fsum(table[:-1]) != _fold(table[:-1])
+    expected = (1.0 + _fold(table[:-1])) / (1.0 - table[-1])
+    assert simulate._series_sum(table, len(table), include_zero=True) == expected
+    assert simulate._series_sum(table, len(table), include_zero=False) == expected - 1.0
 
 
 # -- the line-sum core -------------------------------------------------------------

@@ -26,6 +26,7 @@ from shiftlab.systems import (
     derived_distortion_bound,
     eps_to_config,
     induced_weights,
+    logsumexp,
 )
 
 from _oracles import h_direct, kmin_direct, mu_direct, star_direct
@@ -114,6 +115,17 @@ def test_log_mu_is_a_left_to_right_fold():
     # The data is one where a compensated sum of the same logs rounds differently.
     windows = [[ms.ratio.log_at(j) for j in range(min(k, 0), max(k, 0))] for k in range(-60, 61)]
     assert any(math.fsum(logs) != reduce(add, logs, 0.0) for logs in windows)
+
+
+def test_logsumexp_is_a_left_to_right_fold():
+    values = [math.log(1e-16), 0.0, -math.inf, math.log(1e-16)]
+    exps = [math.exp(v) for v in values if v != -math.inf]
+    total = 0.0
+    for term in exps:  # the explicit loop
+        total += term
+    # A compensated sum (math.fsum, or sum() from Python 3.12 on) rounds differently.
+    assert math.fsum(exps) != total
+    assert logsumexp(values) == math.log(total)
 
 
 def test_side_rates_peak():
