@@ -31,10 +31,7 @@ what it read.  A random sample's stream (``log_norm_walk``) is lazy, so
 it stops at its crossing; composition and atomic maps only move sites,
 so each step adds p log|c| to a site log measure, read from one table
 per line that every sample of the probe shares, and builds no vector,
-while a shift applies each step.  Outside the uniform modes a sample is
-read only for its first crossing, so a step sums its terms only when
-the bounds top/p and (top + log m)/p of its log-sum-exp leave the
-crossing open (``_crossing_walk``).  The forward walks of a
+while a shift applies each step.  The forward walks of a
 two-sided probe are those of a positive probe with the same seed, so one
 pass over a two-sided report's outcomes reads both pointwise verdicts.
 
@@ -79,7 +76,6 @@ Vec = dict  # site key -> float coefficient
 _LOG2 = math.log(2.0)
 _NEG_INF = -math.inf
 _CROSS_TOL = 1e-12
-_THRESHOLD = _LOG2 - _CROSS_TOL  # a log norm at or above it has crossed ||T^n x|| >= 2
 # Above the rounding of a log norm's log-sum-exp (under 1e-12 for float
 # entries), so a bound plus this margin lies above the computed log norm.
 _BOUND_MARGIN = 1e-9
@@ -121,16 +117,6 @@ def vec_scale(a: Vec, factor: float) -> Vec:
     return {site: c * factor for site, c in a.items()}
 
 
-def _log_sum_exp(terms: list[float]) -> float:
-    """systems.logsumexp of a list, inlined for the norms: the same floats, summed in the same order."""
-    if _NEG_INF in terms:
-        terms = [v for v in terms if v != _NEG_INF]
-    if not terms:
-        return _NEG_INF
-    top = max(terms)
-    return top + math.log(reduce(add, [math.exp(v - top) for v in terms], 0.0))
-
-
 class LineSumOperator:
     """Composition-type operator on a direct sum of measured lines.
 
@@ -167,7 +153,7 @@ class LineSumOperator:
             terms = [p * log(abs(c)) for c in vec.values() if c]
         else:
             terms = [p * log(abs(c)) + measure(a, b) for (a, b), c in vec.items() if c]
-        return _log_sum_exp(terms) / p
+        return logsumexp(terms) / p
 
     def log_norm_bound(self, vec: Vec) -> float:
         """A certified upper bound on log_norm(vec) from its l^p sum; inf where there is none.
@@ -249,36 +235,6 @@ class LineSumOperator:
         operator computes each one once.  A shift, whose steps rescale
         coefficients, overrides this.
         """
-        p = self.p
-        for terms in self._step_terms(vec, direction):
-            yield _log_sum_exp(terms) / p
-
-    def _crossing_walk(self, vec: Vec, direction: int) -> Iterator[float]:
-        """log_norm_walk as a scan for its first value >= _THRESHOLD reads it.
-
-        Each value is log_norm_walk's, or a stand-in on the same side of
-        the threshold.  A step's log-sum-exp is top + log(s) with s the sum
-        of exp(v - top), which holds exp(0) = 1 and at most m terms: so
-        top / p stands in once it reaches the threshold, and
-        (top + log m) / p + _BOUND_MARGIN while that stays below it.  Only
-        the steps in between sum their terms.  Random samples have finite
-        coefficients and site measures, so no term is NaN.
-        """
-        p, log = self.p, math.log
-        for terms in self._step_terms(vec, direction):
-            if not terms:
-                yield _NEG_INF
-                continue
-            top = max(terms)
-            low = top / p
-            if low >= _THRESHOLD:
-                yield low
-                continue
-            high = (top + log(len(terms))) / p + _BOUND_MARGIN
-            yield high if high < _THRESHOLD else _log_sum_exp(terms) / p
-
-    def _step_terms(self, vec: Vec, direction: int) -> Iterator[list[float]]:
-        """Each step's log terms p log|c| + the moved site's log measure, in vec's key order."""
         p, measure, key, log = self.p, self._log_measure, self._key, math.log
         entries = []
         for site, c in vec.items():
@@ -294,7 +250,7 @@ class LineSumOperator:
                 if site_term is None:
                     site_term = table[moved] = measure(*key(line, moved))
                 terms.append(coeff_term + site_term)
-            yield terms
+            yield logsumexp(terms) / p
 
 
 class ShiftOperator(LineSumOperator):
@@ -350,9 +306,6 @@ class ShiftOperator(LineSumOperator):
                 log_scale += shift * _LOG2
             current = moved
             yield self.log_norm(current) + log_scale
-
-    # A shift builds each step's vector anyway; its scan reads the exact stream.
-    _crossing_walk = log_norm_walk
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         if steps == 1 or steps == -1:  # the one step every recursion and walk takes
@@ -571,7 +524,7 @@ def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalW
     certifiable = drift <= 0 and n_enter + period <= _CERT_READ_CAP
     cert_end = n_enter + period if certifiable else 0
     search_end = min(horizon, cert_end) if certifiable else horizon
-    threshold = _THRESHOLD
+    threshold = _LOG2 - _CROSS_TOL
     stream = iter(log_norms)
     values: list[float] = []
     crossed = None
@@ -789,12 +742,9 @@ def brute_force_expansivity(
         walks = [_shared_line_walk(shared, index, line, position, d, horizon, uniform)
                  for d in directions]
         probes.append((op.site_label(site), "basis", walks))
-    # A sample's curve is kept only in the uniform modes; otherwise its
-    # stream is read for its first crossing alone.
-    sample_walk = op.log_norm_walk if uniform else op._crossing_walk
     for i in range(samples):
         vec = _random_sample(op, rng)
-        walks = [_scan(sample_walk(vec, d), horizon, uniform) for d in directions]
+        walks = [_scan(op.log_norm_walk(vec, d), horizon, uniform) for d in directions]
         probes.append((f"rand[{i}]", "random", walks))
     # The forward walk fills crossed_at and certificate, the backward one the backward pair.
     if twosided:
@@ -881,7 +831,7 @@ def _reading(
 
 def _shared_crossing(curves: list, horizon: int) -> Verdict:
     """Holds at the first n where every sample's curve crosses in some direction."""
-    threshold = _THRESHOLD
+    threshold = _LOG2 - _CROSS_TOL
     for n in range(horizon):
         if all(any(w.log_norms[n] >= threshold for w in walks) for walks in curves):
             return Verdict(

@@ -53,7 +53,9 @@ def _exp(log_value: float) -> float:
 
 def logsumexp(values: Iterable[float]) -> float:
     """log of the sum of exp(v), skipping -inf terms; -inf for no terms."""
-    items = [v for v in values if v != -math.inf]
+    items = values if type(values) is list else list(values)
+    if -math.inf in items:
+        items = [v for v in items if v != -math.inf]
     if not items:
         return -math.inf
     top = max(items)

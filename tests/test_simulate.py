@@ -1138,24 +1138,6 @@ def test_log_norm_bound_lies_above_the_log_norm(p):
     assert composition.log_norm_bound({(0, None): 1.0}) == math.inf
 
 
-@pytest.mark.parametrize("op", sample_stream_operators(), ids=["window", "celled", "atomic"])
-def test_crossing_walk_reads_the_threshold_as_the_exact_walk_does(op):
-    rng = random.Random(11)
-    threshold = simulate._THRESHOLD
-    for _ in range(6):
-        sample = simulate._random_sample(op, rng)
-        for direction in (1, -1):
-            exact = list(islice(op.log_norm_walk(sample, direction), 30))
-            # Rescaled so that some step sits on the threshold, up to rounding.
-            for n in (0, 9, 29):
-                factor = math.exp(threshold - exact[n])
-                for nudge in (1 - 1e-15, 1.0, 1 + 1e-15):
-                    vec = vec_scale(sample, factor * nudge)
-                    walked = list(islice(op._crossing_walk(vec, direction), 30))
-                    expected = list(islice(op.log_norm_walk(vec, direction), 30))
-                    assert [v >= threshold for v in walked] == [v >= threshold for v in expected]
-
-
 def _fold(values):
     """A float sum taken left to right in an explicit loop."""
     total = 0.0

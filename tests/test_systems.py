@@ -125,7 +125,8 @@ def test_logsumexp_is_a_left_to_right_fold():
         total += term
     # A compensated sum (math.fsum, or sum() from Python 3.12 on) rounds differently.
     assert math.fsum(exps) != total
-    assert logsumexp(values) == math.log(total)
+    assert logsumexp(values) == math.log(total) == logsumexp(iter(values))
+    assert logsumexp([-math.inf]) == -math.inf == logsumexp([])
 
 
 def test_side_rates_peak():
