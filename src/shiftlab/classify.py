@@ -62,27 +62,13 @@ class Status(Enum):
 
 class Verdict(Record):
     __slots__ = _fields = ("status", "citation", "method", "margin", "witness")
+    _defaults = {"method": "exact", "margin": None, "witness": None}
 
     status: Status
     citation: str
     method: str
     margin: float | None
     witness: dict | None
-
-    def __init__(
-        self,
-        status: Status,
-        citation: str,
-        method: str = "exact",
-        margin: float | None = None,
-        witness: dict | None = None,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "status", status)
-        set_(self, "citation", citation)
-        set_(self, "method", method)
-        set_(self, "margin", margin)
-        set_(self, "witness", witness)
 
     @property
     def holds(self) -> bool:
@@ -118,16 +104,6 @@ class _RateView(Record):
     sign_minus: int  # trichotomy of g_minus against 1
     sign_plus: int
     method: str
-
-    def __init__(
-        self, g_minus: float, g_plus: float, sign_minus: int, sign_plus: int, method: str
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "g_minus", g_minus)
-        set_(self, "g_plus", g_plus)
-        set_(self, "sign_minus", sign_minus)
-        set_(self, "sign_plus", sign_plus)
-        set_(self, "method", method)
 
     @property
     def signs(self) -> tuple[int, int]:
@@ -411,6 +387,7 @@ _K_SPAN = 500
 class ClassificationReport(Record):
     _fields = ("kind", "label", "p", "system", "g_minus", "g_plus", "method", "horizon",
                "verdicts", "violations")
+    _defaults = {"violations": ()}
     # The instance dict holds the cached fingerprint.
     __slots__ = _fields + ("__dict__",)
     _repr_omits = ("system",)
@@ -425,31 +402,6 @@ class ClassificationReport(Record):
     horizon: int
     verdicts: dict[str, Verdict]
     violations: tuple[str, ...]
-
-    def __init__(
-        self,
-        kind: str,
-        label: str | None,
-        p: float | None,
-        system: DissipativeSystem | WeightSequence,
-        g_minus: float,
-        g_plus: float,
-        method: str,
-        horizon: int,
-        verdicts: dict[str, Verdict],
-        violations: tuple[str, ...] = (),
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "kind", kind)
-        set_(self, "label", label)
-        set_(self, "p", p)
-        set_(self, "system", system)
-        set_(self, "g_minus", g_minus)
-        set_(self, "g_plus", g_plus)
-        set_(self, "method", method)
-        set_(self, "horizon", horizon)
-        set_(self, "verdicts", verdicts)
-        set_(self, "violations", violations)
 
     @cached_property
     def fingerprint(self) -> str:

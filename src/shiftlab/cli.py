@@ -77,19 +77,6 @@ class ParsedConfig(Record):
     label: str | None
     p: float | None
 
-    def __init__(
-        self,
-        kind: str,
-        system: DissipativeSystem | WeightSequence | AtomicSystem,
-        label: str | None,
-        p: float | None,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "kind", kind)
-        set_(self, "system", system)
-        set_(self, "label", label)
-        set_(self, "p", p)
-
 
 def _require(mapping: dict, key: str, path: str):
     if key not in mapping:

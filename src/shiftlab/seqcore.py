@@ -71,19 +71,46 @@ def _log_fraction(frac: Fraction) -> float:
 class Record:
     """Base of the package's immutable records: equality, hash and repr by field.
 
-    A record names its fields, in order, in ``_fields`` and writes its own
-    ``__init__``, which sets each one with ``object.__setattr__``; after
-    that, assignment and deletion raise AttributeError.  Two records are
-    equal when they are of one class and their field tuples are equal, and
-    a record hashes as its field tuple.  The repr reads
-    ``Name(a=1, b=2)``, leaving out the fields named in ``_repr_omits``.
-    Attributes that are no fields (memos, values derived at construction)
-    take no part in ==, hash, repr or ``as_dict``.
+    A record names its fields, in order, in ``_fields``, and the default
+    values of its trailing fields in ``_defaults``.  From these each
+    subclass gets a generated ``__init__(self, a, b, c=...)`` that sets
+    every field with ``object.__setattr__`` and then calls the class's
+    ``_check(self)``, if it has one: the hook that refuses bad input and
+    sets the attributes derived from the fields.  A subclass that writes
+    its own ``__init__`` is refused.  After construction, assignment and
+    deletion raise AttributeError.  Two records are equal when they
+    are of one class and their field tuples are equal, and a record hashes
+    as its field tuple.  The repr reads ``Name(a=1, b=2)``, leaving out the
+    fields named in ``_repr_omits``.  Attributes that are no fields (memos,
+    values derived at construction) take no part in ==, hash, repr or
+    ``as_dict``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
     _repr_omits: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields, defaults = cls._fields, cls._defaults
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must not write __init__; checks go in _check")
+        if list(defaults) != list(fields[len(fields) - len(defaults):]):
+            raise TypeError(f"{cls.__name__}._defaults must cover its trailing fields, in order")
+        # Compiled once per class, as collections.namedtuple does: a plain
+        # function with one parameter per field is about twice as fast to
+        # call as a generic *args/**kwargs one.
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
+        lines += [f"    _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "_check"):
+            lines.append("    self._check()")
+        namespace = {"_set": object.__setattr__}
+        exec("\n".join(lines), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(defaults.values())
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -141,6 +168,7 @@ class EventuallyPeriodicSequence(Record):
     """
 
     _fields = ("core_lo", "core", "neg_period", "pos_period", "exp", "exact")
+    _defaults = {"exp": 1.0, "exact": True}
     __slots__ = _fields + (
         "_core_logs", "_neg_logs", "_pos_logs", "_scaled_logs", "core_hi", "_tail_signs",
     )
@@ -152,15 +180,8 @@ class EventuallyPeriodicSequence(Record):
     exp: float
     exact: bool
 
-    def __init__(
-        self,
-        core_lo: int,
-        core: tuple[Fraction, ...],
-        neg_period: tuple[Fraction, ...],
-        pos_period: tuple[Fraction, ...],
-        exp: float = 1.0,
-        exact: bool = True,
-    ) -> None:
+    def _check(self) -> None:
+        core, neg_period, pos_period, exp = self.core, self.neg_period, self.pos_period, self.exp
         if not core:
             raise SequenceError("core table must be nonempty")
         if not neg_period or not pos_period:
@@ -171,26 +192,20 @@ class EventuallyPeriodicSequence(Record):
                     raise SequenceError("sequence bases must be positive fractions")
         if not math.isfinite(exp):
             raise SequenceError("sequence exponent must be finite")
-        set_ = object.__setattr__
-        set_(self, "core_lo", core_lo)
-        set_(self, "core", core)
-        set_(self, "neg_period", neg_period)
-        set_(self, "pos_period", pos_period)
-        set_(self, "exp", exp)
-        set_(self, "exact", exact)
         logs = tuple(tuple(_log_fraction(f) for f in part)
                      for part in (neg_period, core, pos_period))
-        set_(self, "_neg_logs", logs[0])
-        set_(self, "_core_logs", logs[1])
-        set_(self, "_pos_logs", logs[2])
+        object.__setattr__(self, "_neg_logs", logs[0])
+        object.__setattr__(self, "_core_logs", logs[1])
+        object.__setattr__(self, "_pos_logs", logs[2])
         # (neg, core, pos) tables of exp * raw log: the floats log_at returns.
         # A plain attribute, because a cached_property read costs about as
         # much as the rest of log_at.
-        set_(self, "_scaled_logs", tuple(tuple(exp * raw for raw in part) for part in logs))
+        object.__setattr__(self, "_scaled_logs",
+                           tuple(tuple(exp * raw for raw in part) for part in logs))
         # The last core index, set once for the hot paths that read it, and the
         # memo of tail_sign_vs_one by side; not fields, so ==, hash and repr ignore them.
-        set_(self, "core_hi", core_lo + len(core) - 1)
-        set_(self, "_tail_signs", {})
+        object.__setattr__(self, "core_hi", self.core_lo + len(core) - 1)
+        object.__setattr__(self, "_tail_signs", {})
 
     @classmethod
     def from_values(
@@ -288,10 +303,6 @@ class SideRate(Record):
 
     gm_neg: float
     gm_pos: float
-
-    def __init__(self, gm_neg: float, gm_pos: float) -> None:
-        object.__setattr__(self, "gm_neg", gm_neg)
-        object.__setattr__(self, "gm_pos", gm_pos)
 
 
 def _tail_log_mean(seq: EventuallyPeriodicSequence, logs: tuple[float, ...]) -> float:

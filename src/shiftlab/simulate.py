@@ -53,7 +53,7 @@ import random
 import sys
 from enum import Enum
 from functools import reduce
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import add, neg
 from typing import Iterator
 
@@ -482,11 +482,6 @@ class BoundCertificate(Record):
     period: int
     sup_norm: float
 
-    def __init__(self, kind: str, period: int, sup_norm: float) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "sup_norm", sup_norm)
-
 
 class DirectionalWalk(Record):
     __slots__ = _fields = ("crossed_at", "certificate", "log_norms")
@@ -494,16 +489,6 @@ class DirectionalWalk(Record):
     crossed_at: int | None
     certificate: BoundCertificate | None
     log_norms: tuple[float, ...]  # log ||T^n x|| for n = 1..horizon, if asked for
-
-    def __init__(
-        self,
-        crossed_at: int | None,
-        certificate: BoundCertificate | None,
-        log_norms: tuple[float, ...],
-    ) -> None:
-        object.__setattr__(self, "crossed_at", crossed_at)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "log_norms", log_norms)
 
 
 def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalWalk:
@@ -647,6 +632,7 @@ def _reach(walk: DirectionalWalk, horizon: int, want_curve: bool) -> float:
 class SampleOutcome(Record):
     __slots__ = _fields = ("label", "kind", "crossed_at", "certificate",
                            "backward_crossed_at", "backward_certificate")
+    _defaults = {"backward_crossed_at": None, "backward_certificate": None}
 
     label: str
     kind: str  # "basis" or "random"
@@ -654,23 +640,6 @@ class SampleOutcome(Record):
     certificate: BoundCertificate | None
     backward_crossed_at: int | None
     backward_certificate: BoundCertificate | None
-
-    def __init__(
-        self,
-        label: str,
-        kind: str,
-        crossed_at: int | None,
-        certificate: BoundCertificate | None,
-        backward_crossed_at: int | None = None,
-        backward_certificate: BoundCertificate | None = None,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "label", label)
-        set_(self, "kind", kind)
-        set_(self, "crossed_at", crossed_at)
-        set_(self, "certificate", certificate)
-        set_(self, "backward_crossed_at", backward_crossed_at)
-        set_(self, "backward_certificate", backward_certificate)
 
 
 class BruteForceReport(Record):
@@ -683,6 +652,7 @@ class BruteForceReport(Record):
     """
 
     __slots__ = _fields = ("verdict", "mode", "horizon", "seed", "samples", "positive_verdict")
+    _defaults = {"positive_verdict": None}
 
     verdict: Verdict
     mode: BruteMode
@@ -690,23 +660,6 @@ class BruteForceReport(Record):
     seed: int
     samples: tuple[SampleOutcome, ...]
     positive_verdict: Verdict | None
-
-    def __init__(
-        self,
-        verdict: Verdict,
-        mode: BruteMode,
-        horizon: int,
-        seed: int,
-        samples: tuple[SampleOutcome, ...],
-        positive_verdict: Verdict | None = None,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "verdict", verdict)
-        set_(self, "mode", mode)
-        set_(self, "horizon", horizon)
-        set_(self, "seed", seed)
-        set_(self, "samples", samples)
-        set_(self, "positive_verdict", positive_verdict)
 
 
 def brute_force_expansivity(
@@ -855,14 +808,13 @@ class Pseudotrajectory(Record):
     points: tuple[Vec, ...]
     delta: float
 
-    def __init__(self, start_index: int, points: tuple[Vec, ...], delta: float) -> None:
-        if not delta > 0:  # a NaN delta is refused too
+    def _check(self) -> None:
+        if not self.delta > 0:  # a NaN delta is refused too
             raise ValueError("delta must be positive")
-        if len(points) < 2:
+        if len(self.points) < 2:
             raise ValueError("a pseudotrajectory needs at least two points")
-        object.__setattr__(self, "start_index", start_index)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "delta", delta)
+        if not all(map(math.isfinite, chain.from_iterable(map(dict.values, self.points)))):
+            raise ValueError("pseudotrajectory coefficients must be finite")
 
     def errors(self, op: LineSumOperator) -> list[Vec]:
         """e_i = T x_i - x_{i+1}, each built in place on the fresh result of apply."""
@@ -915,33 +867,6 @@ class Splitting(Record):
     lam_unstable: float | None
     stable_table: tuple[float, ...]
     unstable_table: tuple[float, ...]
-
-    def __init__(
-        self,
-        kind: str,
-        cut: int | None,
-        window: int,
-        lam_stable: float | None,
-        lam_unstable: float | None,
-        stable_table: tuple[float, ...],
-        unstable_table: tuple[float, ...],
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "kind", kind)
-        set_(self, "cut", cut)
-        set_(self, "window", window)
-        set_(self, "lam_stable", lam_stable)
-        set_(self, "lam_unstable", lam_unstable)
-        set_(self, "stable_table", stable_table)
-        set_(self, "unstable_table", unstable_table)
-
-    def covers_stable(self, k: int) -> bool:
-        if self.kind == "contraction":
-            return True
-        if self.kind == "expansion":
-            return False
-        assert self.cut is not None
-        return k <= self.cut
 
     def a_priori_bound(self, delta: float) -> float:
         """Worst-case shadowing distance for one-step errors of size delta."""
@@ -1054,25 +979,6 @@ class ShadowResult(Record):
     bound_a_priori: float
     max_orbit_residual: float
     splitting: Splitting
-
-    def __init__(
-        self,
-        start_index: int,
-        z_points: tuple[Vec, ...],
-        eps_achieved: float,
-        dropped: float,
-        bound_a_priori: float,
-        max_orbit_residual: float,
-        splitting: Splitting,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "start_index", start_index)
-        set_(self, "z_points", z_points)
-        set_(self, "eps_achieved", eps_achieved)
-        set_(self, "dropped", dropped)
-        set_(self, "bound_a_priori", bound_a_priori)
-        set_(self, "max_orbit_residual", max_orbit_residual)
-        set_(self, "splitting", splitting)
 
 
 # Drop floor for correction entries, relative to the largest one-step error.

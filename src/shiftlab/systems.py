@@ -81,24 +81,21 @@ class MeasureSequence(Record):
     """
 
     _fields = ("mu0", "ratio", "exact")
+    _defaults = {"exact": True}
     __slots__ = _fields + ("_log_mu0", "_log_mu_memo")
 
     mu0: Fraction
     ratio: EventuallyPeriodicSequence
     exact: bool
 
-    def __init__(self, mu0: Fraction, ratio: EventuallyPeriodicSequence, exact: bool = True) -> None:
-        if mu0 <= 0:
+    def _check(self) -> None:
+        if self.mu0 <= 0:
             raise InvalidSystem("base measure must be positive")
-        if ratio.exp != 1.0:
+        if self.ratio.exp != 1.0:
             raise InvalidSystem("ratio sequences carry no exponent")
-        set_ = object.__setattr__
-        set_(self, "mu0", mu0)
-        set_(self, "ratio", ratio)
-        set_(self, "exact", exact)
         # Memo of log_mu by index; not a field, so ==, hash and repr ignore it.
-        set_(self, "_log_mu0", _log_fraction(mu0))
-        set_(self, "_log_mu_memo", {})
+        object.__setattr__(self, "_log_mu0", _log_fraction(self.mu0))
+        object.__setattr__(self, "_log_mu_memo", {})
 
     @classmethod
     def from_values(
@@ -131,16 +128,6 @@ class MeasureSequence(Record):
     def mu(self, k: int) -> float:
         return math.exp(self.log_mu(k))
 
-    def mu_fraction(self, k: int) -> Fraction:
-        value = self.mu0
-        if k > 0:
-            for j in range(0, k):
-                value *= self.ratio.base_at(j)
-        else:
-            for j in range(k, 0):
-                value /= self.ratio.base_at(j)
-        return value
-
 
 class CellStructure(Record):
     """Decomposition of the window into cells with a distortion wobble.
@@ -152,35 +139,26 @@ class CellStructure(Record):
     """
 
     __slots__ = _fields = ("beta", "wobble_lo", "wobble", "exact")
+    _defaults = {"exact": True}
 
     beta: tuple[Fraction, ...]
     wobble_lo: int
     wobble: tuple[tuple[Fraction, ...], ...]
     exact: bool
 
-    def __init__(
-        self,
-        beta: tuple[Fraction, ...],
-        wobble_lo: int,
-        wobble: tuple[tuple[Fraction, ...], ...],
-        exact: bool = True,
-    ) -> None:
+    def _check(self) -> None:
+        beta = self.beta
         if not beta:
             raise InvalidSystem("cell decomposition needs at least one cell")
         for b in beta:
             if b <= 0:
                 raise InvalidSystem("cell measures must be positive")
-        for row in wobble:
+        for row in self.wobble:
             if len(row) != len(beta):
                 raise InvalidSystem("each wobble row must cover every cell")
             for theta in row:
                 if theta <= 0:
                     raise InvalidSystem("wobble factors must be positive")
-        set_ = object.__setattr__
-        set_(self, "beta", beta)
-        set_(self, "wobble_lo", wobble_lo)
-        set_(self, "wobble", wobble)
-        set_(self, "exact", exact)
 
     @property
     def n_cells(self) -> int:
@@ -207,6 +185,7 @@ class DissipativeSystem(Record):
     """
 
     _fields = ("p", "measures", "cells", "distortion_constant")
+    _defaults = {"cells": None, "distortion_constant": None}
     __slots__ = _fields + ("_cell_log_shares", "_wobble_logs", "distortion_certificate")
 
     p: float
@@ -214,34 +193,25 @@ class DissipativeSystem(Record):
     cells: CellStructure | None
     distortion_constant: float | None
 
-    def __init__(
-        self,
-        p: float,
-        measures: MeasureSequence,
-        cells: CellStructure | None = None,
-        distortion_constant: float | None = None,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "p", p)
-        set_(self, "measures", measures)
-        set_(self, "cells", cells)
-        set_(self, "distortion_constant", distortion_constant)
-        check_exponent(p)
+    def _check(self) -> None:
+        check_exponent(self.p)
+        cells, declared = self.cells, self.distortion_constant
         if cells is not None:
             self._validate_cells()
-            log_mu0 = measures._log_mu0
+            log_mu0 = self.measures._log_mu0
             # log(beta_j / mu0) per cell and log theta_{k, j} per wobble entry,
             # read by site_log_measure; not fields, so ==, hash and repr ignore them.
-            set_(self, "_cell_log_shares", tuple(_log_fraction(b) - log_mu0 for b in cells.beta))
-            set_(self, "_wobble_logs",
-                 tuple(tuple(_log_fraction(t) for t in row) for row in cells.wobble))
+            object.__setattr__(self, "_cell_log_shares",
+                               tuple(_log_fraction(b) - log_mu0 for b in cells.beta))
+            object.__setattr__(self, "_wobble_logs",
+                               tuple(tuple(_log_fraction(t) for t in row) for row in cells.wobble))
         # Written as "not >= 1" so that a NaN constant is refused too.
-        if distortion_constant is not None and not distortion_constant >= 1:
+        if declared is not None and not declared >= 1:
             raise InvalidSystem("distortion constant must be at least 1")
         cert = check_bounded_distortion(self)
-        set_(self, "distortion_certificate", cert)
-        if distortion_constant is None:
-            set_(self, "distortion_constant", cert.k_min)
+        object.__setattr__(self, "distortion_certificate", cert)
+        if declared is None:
+            object.__setattr__(self, "distortion_constant", cert.k_min)
 
     def _validate_cells(self) -> None:
         cells = self.cells
@@ -283,12 +253,6 @@ class DissipativeSystem(Record):
         if 0 <= offset < len(self._wobble_logs):
             total += self._wobble_logs[offset][cell]
         return total
-
-    def site_measure_fraction(self, k: int, cell: int | None = None) -> Fraction:
-        value = self.measures.mu_fraction(k)
-        if cell is None or self.cells is None:
-            return value
-        return value * self.cells.beta[cell] / self.measures.mu0 * self.cells.theta(k, cell)
 
     def cell_ratio(self, cell: int | None) -> EventuallyPeriodicSequence:
         """Ratio sequence of one cell's image measures (mu^{(j)}_{k+1}/mu^{(j)}_k).
@@ -338,18 +302,17 @@ class Cycle(Record):
     """Finitely many atoms permuted cyclically: f(a_i) = a_{i+1 mod r}."""
 
     __slots__ = _fields = ("measures", "exact")
+    _defaults = {"exact": True}
 
     measures: tuple[Fraction, ...]
     exact: bool
 
-    def __init__(self, measures: tuple[Fraction, ...], exact: bool = True) -> None:
-        if not measures:
+    def _check(self) -> None:
+        if not self.measures:
             raise InvalidSystem("a cycle needs at least one atom")
-        for m in measures:
+        for m in self.measures:
             if m <= 0:
                 raise InvalidSystem("atom measures must be positive")
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "exact", exact)
 
     @classmethod
     def from_values(cls, measures: Sequence[ScalarLike]) -> "Cycle":
@@ -382,12 +345,10 @@ class AtomicSystem(Record):
     p: float
     components: tuple[Component, ...]
 
-    def __init__(self, p: float, components: tuple[Component, ...]) -> None:
-        check_exponent(p)
-        if not components:
+    def _check(self) -> None:
+        check_exponent(self.p)
+        if not self.components:
             raise InvalidSystem("an atomic system needs at least one component")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "components", components)
 
     @property
     def periods(self) -> tuple[int | None, ...]:
@@ -424,9 +385,6 @@ class WeightSequence(Record):
     __slots__ = _fields = ("values",)
 
     values: EventuallyPeriodicSequence
-
-    def __init__(self, values: EventuallyPeriodicSequence) -> None:
-        object.__setattr__(self, "values", values)
 
     @property
     def sup(self) -> float:
@@ -469,27 +427,13 @@ class StarCertificate(Record):
     """
 
     __slots__ = _fields = ("c", "norm_bound", "c_inverse", "norm_bound_inverse", "c_fraction")
+    _defaults = {"c_fraction": None}
 
     c: float
     norm_bound: float
     c_inverse: float
     norm_bound_inverse: float
     c_fraction: Fraction | None
-
-    def __init__(
-        self,
-        c: float,
-        norm_bound: float,
-        c_inverse: float,
-        norm_bound_inverse: float,
-        c_fraction: Fraction | None = None,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "c", c)
-        set_(self, "norm_bound", norm_bound)
-        set_(self, "c_inverse", c_inverse)
-        set_(self, "norm_bound_inverse", norm_bound_inverse)
-        set_(self, "c_fraction", c_fraction)
 
 
 def _atom_ratio_candidates(ratio: EventuallyPeriodicSequence) -> list[Fraction]:
@@ -531,27 +475,13 @@ def check_star(system: DissipativeSystem | AtomicSystem) -> StarCertificate:
 
 class DistortionCertificate(Record):
     __slots__ = _fields = ("ok", "k_min", "declared", "witness", "k_min_fraction")
+    _defaults = {"k_min_fraction": None}
 
     ok: bool
     k_min: float
     declared: float | None
     witness: tuple[int, int] | None  # (k, 1-based cell index)
     k_min_fraction: Fraction | None
-
-    def __init__(
-        self,
-        ok: bool,
-        k_min: float,
-        declared: float | None,
-        witness: tuple[int, int] | None,
-        k_min_fraction: Fraction | None = None,
-    ) -> None:
-        set_ = object.__setattr__
-        set_(self, "ok", ok)
-        set_(self, "k_min", k_min)
-        set_(self, "declared", declared)
-        set_(self, "witness", witness)
-        set_(self, "k_min_fraction", k_min_fraction)
 
 
 def check_bounded_distortion(system: DissipativeSystem) -> DistortionCertificate:

@@ -72,13 +72,22 @@ def mu_direct(mu0, ratio_at, k):
     return value
 
 
+def site_measure_fraction(system, k, cell=None):
+    """Exact measure of the k-th image of a dissipative system's window, or of one cell."""
+    measures = system.measures
+    value = mu_direct(measures.mu0, measures.ratio.base_at, k)
+    if cell is None or system.cells is None:
+        return value
+    return value * system.cells.beta[cell] / measures.mu0 * system.cells.theta(k, cell)
+
+
 def star_direct(system, span):
     """Largest single-step measure ratio over an explicit site scan."""
     best = None
     cells = range(system.n_cells) if system.cells is not None else [None]
     for k in range(-span, span + 1):
         for j in cells:
-            ratio = system.site_measure_fraction(k - 1, j) / system.site_measure_fraction(k, j)
+            ratio = site_measure_fraction(system, k - 1, j) / site_measure_fraction(system, k, j)
             if best is None or ratio > best:
                 best = ratio
     return best
@@ -137,9 +146,19 @@ def max_residual(op, pt):
     return max((op.norm(e) for e in pt.errors(op)), default=0.0)
 
 
+def covers_stable(splitting, k):
+    """Whether line position k lies on the stable side of a splitting."""
+    if splitting.kind == "contraction":
+        return True
+    if splitting.kind == "expansion":
+        return False
+    assert splitting.cut is not None
+    return k <= splitting.cut
+
+
 def site_is_stable(op, site, splitting):
     """Whether a site lies on the stable side of a splitting, by its line position."""
-    return splitting.covers_stable(op._locate(site)[1])
+    return covers_stable(splitting, op._locate(site)[1])
 
 
 def shadow_exact_corrections(op, pt, splitting):

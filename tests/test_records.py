@@ -5,15 +5,35 @@ Each repr and ``as_dict`` below was recorded from the dataclass versions
 tuple, ``Name(field=value, ...)`` reprs, no assignment, and recursive dicts.
 """
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from shiftlab.classify import Status, Verdict, classify_shift
+from shiftlab import classify, cli, seqcore, simulate, systems
+from shiftlab.classify import ClassificationReport, Status, Verdict, _RateView, classify_shift
 from shiftlab.cli import ParsedConfig
-from shiftlab.seqcore import EventuallyPeriodicSequence
-from shiftlab.simulate import BoundCertificate, SampleOutcome
-from shiftlab.systems import CellStructure, DissipativeSystem, MeasureSequence, WeightSequence
+from shiftlab.seqcore import EventuallyPeriodicSequence, Record, SideRate
+from shiftlab.simulate import (
+    BoundCertificate,
+    BruteForceReport,
+    BruteMode,
+    DirectionalWalk,
+    Pseudotrajectory,
+    SampleOutcome,
+    ShadowResult,
+    Splitting,
+)
+from shiftlab.systems import (
+    AtomicSystem,
+    CellStructure,
+    Cycle,
+    DissipativeSystem,
+    DistortionCertificate,
+    MeasureSequence,
+    StarCertificate,
+    WeightSequence,
+)
 
 
 def ratio():
@@ -105,3 +125,98 @@ def test_report_repr_leaves_out_the_system_and_the_cached_fingerprint():
         "'Fails'>, citation='B', method='exact', margin=0.5, witness={'g_minus': 0.5, "
         "'g_plus': 2.0})}, violations=())"
     )
+
+
+# -- the generated __init__ ------------------------------------------------------
+
+CELLS = ((F(1), F(2)), 0, ((F(3, 2), F(3, 4)),))
+SPLIT = ("split", 0, 1, 0.5, 0.5, (0.5,), (0.5,))
+
+# record -> (a value for each field, in order; the defaults its trailing fields declare).
+# Every value differs from its field's default, so an ignored argument shows.
+BUILDS = {
+    Verdict: ((Status.FAILS, "ED2", "brute-force", 0.5, {"n": 3}),
+              {"method": "exact", "margin": None, "witness": None}),
+    _RateView: ((0.5, 2.0, -1, 1, "exact"), {}),
+    ClassificationReport: (("shift", "w", None, WeightSequence(ratio()), 0.5, 2.0, "exact",
+                            200, {}, ("HC",)), {"violations": ()}),
+    ParsedConfig: (("shift", WeightSequence(ratio()), "w", None), {}),
+    EventuallyPeriodicSequence: ((0, (F(1, 2),), (F(1, 2),), (F(2),), 2.0, False),
+                                 {"exp": 1.0, "exact": True}),
+    SideRate: ((0.5, 2.0), {}),
+    MeasureSequence: ((F(3), ratio(), False), {"exact": True}),
+    CellStructure: (CELLS + (False,), {"exact": True}),
+    DissipativeSystem: ((2.0, MeasureSequence(F(3), ratio()), CellStructure(*CELLS), 2.0),
+                        {"cells": None, "distortion_constant": None}),
+    Cycle: (((F(1, 2), F(3)), False), {"exact": True}),
+    AtomicSystem: ((2.0, (Cycle((F(1),)),)), {}),
+    WeightSequence: ((ratio(),), {}),
+    StarCertificate: ((2.0, 2 ** 0.5, 2.0, 2 ** 0.5, F(2)), {"c_fraction": None}),
+    DistortionCertificate: ((True, 1.5, 2.0, (0, 1), F(3, 2)), {"k_min_fraction": None}),
+    BoundCertificate: (("periodic", 2, 1.5), {}),
+    DirectionalWalk: ((3, None, (0.1, 0.2)), {}),
+    SampleOutcome: (("e[0]", "basis", None, BoundCertificate("decaying", 1, 1.0), 3,
+                     BoundCertificate("periodic", 2, 1.5)),
+                    {"backward_crossed_at": None, "backward_certificate": None}),
+    BruteForceReport: ((Verdict(Status.HOLDS, "ED1"), BruteMode.TWOSIDED, 40, 1, (),
+                        Verdict(Status.FAILS, "ED1")), {"positive_verdict": None}),
+    Pseudotrajectory: ((0, ({}, {0: 1e-3}), 1e-3), {}),
+    Splitting: (SPLIT, {}),
+    ShadowResult: ((-1, ({},), 0.0, 0.0, 1e-3, 0.0, Splitting(*SPLIT)), {}),
+}
+RECORD_CLASSES = sorted(BUILDS, key=lambda cls: cls.__qualname__)
+
+
+def test_every_record_of_the_package_is_covered():
+    found = {value for module in (seqcore, systems, classify, simulate, cli)
+             for value in vars(module).values()
+             if isinstance(value, type) and issubclass(value, Record) and value is not Record}
+    assert found == set(BUILDS) and len(found) == 21
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_generated_init_reads_position_keyword_and_defaults(cls):
+    values, defaults = BUILDS[cls]
+    assert cls._defaults == defaults
+    by_position = cls(*values)
+    assert [getattr(by_position, name) for name in cls._fields] == list(values)
+    assert by_position == cls(**dict(zip(cls._fields, values)))
+    required = values[:len(values) - len(defaults)]
+    omitted = cls(*required)
+    assert omitted == cls(*required, *defaults.values())
+    # Only an undeclared K is filled in, from the distortion certificate.
+    filled = {"distortion_constant": 1.0} if cls is DissipativeSystem else {}
+    assert {name: getattr(omitted, name) for name in defaults} == {**defaults, **filled}
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_generated_init_refuses_bad_arguments_by_name(cls):
+    values, defaults = BUILDS[cls]
+    required = values[:len(values) - len(defaults)]
+    name = re.escape(f"{cls.__qualname__}.__init__()")
+    last = cls._fields[len(required) - 1]
+    refusals = [
+        (required[:-1], {}, f"missing 1 required positional argument: '{last}'"),
+        (values, {"bogus": 1}, "got an unexpected keyword argument 'bogus'"),
+        (values + (None,), {}, f"takes .* positional arguments but {len(values) + 2} were given"),
+    ]
+    for args, kwargs, message in refusals:
+        with pytest.raises(TypeError, match=f"^{name} {message}$"):
+            cls(*args, **kwargs)
+    record = cls(*values)
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_records_declare_fields_not_an_init():
+    with pytest.raises(TypeError, match="must not write __init__"):
+        class Written(Record):
+            __slots__ = _fields = ("a",)
+
+            def __init__(self, a):
+                pass
+    with pytest.raises(TypeError, match="trailing fields"):
+        class Leading(Record):
+            __slots__ = _fields = ("a", "b")
+            _defaults = {"a": 0}

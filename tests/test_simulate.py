@@ -53,6 +53,7 @@ from shiftlab.systems import (
 
 from _oracles import (
     brute_force_reference,
+    covers_stable,
     max_residual,
     memo_log_norm_walk,
     norm_direct,
@@ -777,6 +778,16 @@ def test_trajectory_input_checks():
         Pseudotrajectory(start_index=0, points=({},), delta=1e-3)
 
 
+def test_non_finite_pseudotrajectory_is_refused():
+    # Both used to reach shadow, which returned them as verified orbits with
+    # residual and eps 0.0 (the inf one with z_points[5] == {0: nan}).
+    for i, value in ((5, math.inf), (0, math.nan)):
+        points = [{}] * 11
+        points[i] = {0: value}
+        with pytest.raises(ValueError, match="finite"):
+            Pseudotrajectory(start_index=-5, points=tuple(points), delta=1e-3)
+
+
 def test_start_index_centers_the_window():
     op = ShiftOperator(doubling_weights(), 1.0)
     pt = make_pseudotrajectory(op, {0: 1.0}, 1e-3, 201, seed=0)
@@ -792,7 +803,7 @@ def test_doubling_splitting_frozen():
     assert sp.window == 1
     assert sp.lam_unstable == pytest.approx(0.5)
     assert sp.a_priori_bound(1e-3) == pytest.approx(1e-3, rel=1e-12)
-    assert not sp.covers_stable(0)
+    assert not covers_stable(sp, 0)
 
 
 def test_contraction_splitting_frozen():
@@ -801,7 +812,7 @@ def test_contraction_splitting_frozen():
     assert sp.kind == "contraction"
     assert sp.lam_stable == pytest.approx(0.5)
     assert sp.a_priori_bound(1e-3) == pytest.approx(2e-3, rel=1e-12)
-    assert sp.covers_stable(10 ** 6)
+    assert covers_stable(sp, 10 ** 6)
 
 
 def test_split_shift_splitting_frozen():
@@ -810,7 +821,7 @@ def test_split_shift_splitting_frozen():
     assert sp.cut == 0
     assert sp.window == 1
     assert sp.a_priori_bound(1e-3) == pytest.approx(3e-3, rel=1e-12)
-    assert sp.covers_stable(0) and not sp.covers_stable(1)
+    assert covers_stable(sp, 0) and not covers_stable(sp, 1)
 
 
 def test_peak_splitting_needs_a_wider_window():

@@ -29,7 +29,7 @@ from shiftlab.systems import (
     logsumexp,
 )
 
-from _oracles import h_direct, kmin_direct, mu_direct, star_direct
+from _oracles import h_direct, kmin_direct, mu_direct, site_measure_fraction, star_direct
 
 F = Fraction
 
@@ -62,16 +62,15 @@ def cell_system(p=1.0, declared=None):
 
 def test_mu_fraction_decay_frozen():
     ms = decay().measures
-    assert ms.mu_fraction(3) == F(1, 8)
-    assert ms.mu_fraction(-3) == F(8)
-    assert ms.mu_fraction(0) == 1
+    for k, expected in ((3, F(1, 8)), (-3, F(8)), (0, F(1))):
+        assert mu_direct(ms.mu0, ms.ratio.base_at, k) == expected
+        assert ms.mu(k) == pytest.approx(float(expected), rel=1e-12)
 
 
 @given(k=st.integers(-25, 25))
 def test_mu_matches_recursion_oracle(k):
     ms = MeasureSequence(F(3, 2), ratio(-1, ["1/3", 4], [2, "1/5"], ["7/2"]))
     expected = mu_direct(ms.mu0, lambda j: ms.ratio.base_at(j), k)
-    assert ms.mu_fraction(k) == expected
     assert ms.log_mu(k) == pytest.approx(
         math.log(expected.numerator) - math.log(expected.denominator), abs=1e-9
     )
@@ -372,7 +371,7 @@ def test_cell_ratio_widens_core():
     for j in (0, 1):
         line = system.cell_ratio(j)
         for k in range(-6, 7):
-            expected = system.site_measure_fraction(k + 1, j) / system.site_measure_fraction(k, j)
+            expected = site_measure_fraction(system, k + 1, j) / site_measure_fraction(system, k, j)
             assert line.base_at(k) == expected
     assert system.cell_ratio(None) is system.measures.ratio
 
@@ -480,7 +479,10 @@ def test_random_mu_recursion_against_oracle():
             EventuallyPeriodicSequence(rng.randint(-2, 2), tuple(core), tuple(neg), tuple(pos)),
         )
         k = rng.randint(-15, 15)
-        assert ms.mu_fraction(k) == mu_direct(ms.mu0, lambda j: ms.ratio.base_at(j), k)
+        expected = mu_direct(ms.mu0, lambda j: ms.ratio.base_at(j), k)
+        assert ms.log_mu(k) == pytest.approx(
+            math.log(expected.numerator) - math.log(expected.denominator), abs=1e-9
+        )
 
 
 def test_atomic_components_report_their_log_measures():
