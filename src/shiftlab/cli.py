@@ -521,12 +521,14 @@ def run_audit(
 
         # One two-sided probe yields both pointwise checks: its forward
         # walks are the ones a positive probe with the same seed makes.
+        # Only the verdicts are read, so it stops once they are settled.
         brute = brute_force_expansivity(
             system,
             BruteMode.TWOSIDED,
             horizon=_BRUTE_HORIZON,
             samples=_BRUTE_SAMPLES,
             seed=seed + index,
+            until_settled=True,
         )
         for mode, prop, verdict in (
             (BruteMode.POSITIVE, "positively_expansive", brute.positive_verdict),

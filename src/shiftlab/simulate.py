@@ -670,6 +670,7 @@ def brute_force_expansivity(
     samples: int = 16,
     seed: int = 0,
     p: float | None = None,
+    until_settled: bool = False,
 ) -> BruteForceReport:
     """Definition-level expansivity probe over basis vectors and random ones.
 
@@ -678,6 +679,13 @@ def brute_force_expansivity(
     random sample; everything else stays Undecided.  A basis walk is
     computed once per line, direction and tail phase, and shared by every
     later site whose tail room covers what it read (``_shared_line_walk``).
+
+    Outcomes are computed lazily, basis sites first, as one pass reads
+    them.  With ``until_settled`` the report stops at the first sample
+    after which no reading can change, and ``samples`` holds the outcomes
+    read: the first sample whose read walks all certify boundedness, or in
+    the pointwise modes the end of the basis sites, once every reading
+    Fails or is Undecided.  Its verdicts are the full report's.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -685,48 +693,62 @@ def brute_force_expansivity(
         raise ValueError(f"samples must be at least 0, got {samples}")
     op = operator_for(system, p)
     rng = random.Random(seed)
+    # Drawn before any walk, so a sample beyond float range raises however far the pass reads.
+    vectors = [_random_sample(op, rng) for _ in range(samples)]
     uniform, twosided = mode.uniform, mode.twosided
     directions = (1, -1) if twosided else (1,)
-    probes: list[tuple[str, str, list[DirectionalWalk]]] = []
+    outcomes: list[SampleOutcome] = []
+    curves: list[list[DirectionalWalk]] = []
     shared: dict = {}
-    for site in op.basis_sites(horizon):
-        index, position = op._locate(site)
-        line = op.lines[index]
-        walks = [_shared_line_walk(shared, index, line, position, d, horizon, uniform)
-                 for d in directions]
-        probes.append((op.site_label(site), "basis", walks))
-    for i in range(samples):
-        vec = _random_sample(op, rng)
-        walks = [_scan(op.log_norm_walk(vec, d), horizon, uniform) for d in directions]
-        probes.append((f"rand[{i}]", "random", walks))
-    # The forward walk fills crossed_at and certificate, the backward one the backward pair.
-    if twosided:
-        outcomes = tuple(SampleOutcome(label, kind, f.crossed_at, f.certificate,
-                                       b.crossed_at, b.certificate)
-                         for label, kind, (f, b) in probes)
-    else:
-        outcomes = tuple(SampleOutcome(label, kind, f.crossed_at, f.certificate)
-                         for label, kind, (f,) in probes)
-    readings = _pointwise_readings(outcomes, twosided)
+
+    def outcome(label: str, kind: str, walks: list[DirectionalWalk]) -> SampleOutcome:
+        # The forward walk fills crossed_at and certificate, the backward one the backward pair.
+        f, b = walks[0], walks[-1]
+        result = SampleOutcome(label, kind, f.crossed_at, f.certificate,
+                               *((b.crossed_at, b.certificate) if twosided else ()))
+        outcomes.append(result)
+        curves.append(walks)
+        return result
+
+    def stream() -> Iterator[SampleOutcome | None]:
+        for site in op.basis_sites(horizon):
+            index, position = op._locate(site)
+            yield outcome(op.site_label(site), "basis", [
+                _shared_line_walk(shared, index, op.lines[index], position, d, horizon, uniform)
+                for d in directions])
+        yield None  # the end of the basis sites
+        for i, vec in enumerate(vectors):
+            yield outcome(f"rand[{i}]", "random",
+                          [_scan(op.log_norm_walk(vec, d), horizon, uniform) for d in directions])
+
+    pending = stream()
+    readings = _pointwise_readings(pending, twosided, settle=not uniform)
+    if not until_settled:
+        for _ in pending:  # the outcomes past the settling sample, for the full report
+            pass
     verdict = readings[-1]
     if uniform and not verdict.fails:
-        verdict = _shared_crossing([walks for _, _, walks in probes], horizon)
+        verdict = _shared_crossing(curves, horizon)
     positive = readings[0] if twosided and not uniform else None
-    return BruteForceReport(verdict, mode, horizon, seed, outcomes, positive)
+    return BruteForceReport(verdict, mode, horizon, seed, tuple(outcomes), positive)
 
 
 def _pointwise_readings(
-    outcomes: tuple[SampleOutcome, ...], twosided: bool
+    outcomes: Iterator[SampleOutcome | None], twosided: bool, settle: bool
 ) -> tuple[Verdict, ...]:
     """The positive reading of a probe's outcomes, then the two-sided one if twosided.
 
-    Both come from one pass.  A reading Fails at the first sample whose
-    read walks all certify boundedness; otherwise it is Undecided at the
-    first sample that crosses in no read direction, and Holds when every
-    sample crosses, with the latest of their first crossings.  The
-    positive reading reads the forward walks only.  These are the verdicts
-    of the pointwise modes; the uniform modes keep a Fails and otherwise
-    look for a shared crossing.
+    Both come from one pass, which reads the outcomes only as far as they
+    can change a reading; a None in them marks the end of the basis sites.
+    A reading Fails at the first sample whose read walks all certify
+    boundedness; otherwise it is Undecided at the first sample that
+    crosses in no read direction, and Holds when every sample crosses,
+    with the latest of their first crossings.  The positive reading reads
+    the forward walks only.  The pass stops once every reading Fails, and
+    with ``settle`` at the end of the basis sites once every reading Fails
+    or is Undecided, since a random sample never certifies.  These are the
+    verdicts of the pointwise modes; the uniform modes keep a Fails and
+    otherwise look for a shared crossing.
     """
     last = 1 if twosided else 0
     # Per reading (positive, two-sided): the first certified sample, the
@@ -734,7 +756,14 @@ def _pointwise_readings(
     bounded: list[SampleOutcome | None] = [None, None]
     uncrossed: list[SampleOutcome | None] = [None, None]
     latest = [0, 0]
+    read = 0
     for outcome in outcomes:
+        if outcome is None:
+            if settle and all(bounded[i] is not None or uncrossed[i] is not None
+                              for i in range(last + 1)):
+                break
+            continue
+        read += 1
         forward = outcome.crossed_at
         if forward is None:
             if uncrossed[0] is None:
@@ -757,7 +786,7 @@ def _pointwise_readings(
                 bounded[1] = outcome
         if bounded[last] is not None:
             break  # every reading Fails; a two-sided bound is a forward one too
-    return tuple(_reading(bounded[i], uncrossed[i], latest[i], len(outcomes), i == 1)
+    return tuple(_reading(bounded[i], uncrossed[i], latest[i], read, i == 1)
                  for i in range(last + 1))
 
 
@@ -1041,7 +1070,8 @@ def shadow(
     bounds what the drops could add to any d_i: a_priori_bound(dropped),
     plus dropped for the unstable j = 0 term that bound leaves out.
     eps_achieved is max ||d_i|| plus this.  The result is checked against
-    the orbit relation before being returned.
+    the orbit relation before being returned: shadowing is linear, so the
+    largest residual may be 1e-9 times the largest error once that exceeds 1.
 
     The passes are fused: a recursion step is one apply, one in-place add
     and one prune, and one closing pass builds each orbit residual
@@ -1112,7 +1142,7 @@ def shadow(
     eps = _exp(log_eps)
     eps += splitting.a_priori_bound(dropped) + dropped
     max_residual = _exp(log_residual)
-    if max_residual > 1e-9:
+    if max_residual > 1e-9 * max(1.0, delta_eff):
         raise NoSplitting(
             f"orbit relation failed after correction (residual {max_residual:.3e})"
         )

@@ -199,8 +199,9 @@ def shadow_stepwise(op, pt, splitting=None):
 
     This is the body ``simulate.shadow`` had before its fused passes: every
     error, recursion step and residual built from fresh dict copies, one
-    loop per quantity.  The fused ``shadow`` must return the same floats,
-    in the same key order, on every input.
+    loop per quantity, with the orbit-relation gate that scales with
+    errors larger than 1.  The fused ``shadow`` must return the same
+    floats, in the same key order, on every input.
     """
     from shiftlab.simulate import (
         _TRUNC,
@@ -263,7 +264,7 @@ def shadow_stepwise(op, pt, splitting=None):
     for i in range(count - 1):
         residual = vec_add(errors[i], vec_sub(op.apply(corrections[i], 1), corrections[i + 1]))
         max_residual = max(max_residual, op.norm(residual))
-    if max_residual > 1e-9:
+    if max_residual > 1e-9 * max(1.0, delta_eff):
         raise NoSplitting(
             f"orbit relation failed after correction (residual {max_residual:.3e})"
         )

@@ -268,6 +268,18 @@ def test_shadow_doubling_shift(config_file, capsys):
     assert payload["splitting"]["kind"] == "expansion"
 
 
+def test_shadow_at_a_large_delta_meets_the_scaled_gate(config_file, capsys):
+    # Its residual, about 2.8e-8, is 2.8e-15 of delta, as at delta 1e-3.
+    split = {"kind": "shift", "label": "split", "p": 1,
+             "weights": {"core_lo": 0, "core": ["1/2"], "neg_period": ["1/2"],
+                         "pos_period": ["2"]}}
+    code, out, err = run(capsys, "shadow", config_file(split), "--delta", "1e7", "--json")
+    assert code == EXIT_OK and err == ""
+    payload = json.loads(out)
+    assert payload["bound_satisfied"] is True
+    assert 1e-9 < payload["max_orbit_residual"] <= 1e-14 * payload["delta"]
+
+
 def test_shadow_flat_has_no_splitting(config_file, capsys):
     code, _, err = run(capsys, "shadow", config_file(FLAT))
     assert code == EXIT_NO_SPLITTING
@@ -411,16 +423,29 @@ def test_audit_text_output_lists_distribution(capsys):
 
 
 def test_audit_probes_each_system_once(monkeypatch):
-    modes = []
+    probes = []
 
     def counted(system, mode, **kwargs):
-        modes.append(mode)
+        probes.append((mode, kwargs.get("until_settled")))
         return brute_force_expansivity(system, mode, **kwargs)
 
     monkeypatch.setattr(shiftlab.cli, "brute_force_expansivity", counted)
     summary = run_audit(6, 7)
-    assert modes == [BruteMode.TWOSIDED] * 6
+    assert probes == [(BruteMode.TWOSIDED, True)] * 6
     assert summary["brute_checks"] == 12
+
+
+def test_settled_audit_probes_give_the_full_probes_summary(monkeypatch):
+    settled = run_audit(200, 7)
+    settled_flags = []
+
+    def full(system, mode, **kwargs):
+        settled_flags.append(kwargs.pop("until_settled"))
+        return brute_force_expansivity(system, mode, **kwargs)
+
+    monkeypatch.setattr(shiftlab.cli, "brute_force_expansivity", full)
+    assert canonical_json(run_audit(200, 7)) == canonical_json(settled)
+    assert settled_flags == [True] * 200
 
 
 def test_audit_brute_force_detector_flags_disagreement(monkeypatch):

@@ -665,6 +665,80 @@ def test_random_probes_equal_the_wholly_in_tail_reference():
         [(random_dissipative(random.Random(s)), None, s) for s in range(200)])
 
 
+def assert_settled_reports_agree(probes):
+    """A settled probe reads the full report's verdicts from a prefix of its outcomes.
+
+    A Fails ends the prefix at its witness.  Returns how many settled
+    reports stopped short, and how many of those stopped at the end of the
+    basis sites without a Fails.
+    """
+    short = at_basis_end = 0
+    for system, p, seed in probes:
+        for mode in BruteMode:
+            for horizon in (5, 40):
+                kwargs = dict(horizon=horizon, samples=3, seed=seed, p=p)
+                full = brute_force_expansivity(system, mode, **kwargs)
+                settled = brute_force_expansivity(system, mode, until_settled=True, **kwargs)
+                key = (seed, mode, horizon)
+                assert settled.verdict == full.verdict, key
+                assert settled.positive_verdict == full.positive_verdict, key
+                read = len(settled.samples)
+                assert settled.samples == full.samples[:read], key
+                if full.verdict.fails:
+                    assert settled.samples[-1].label == full.verdict.witness["sample"], key
+                if read < len(full.samples):
+                    short += 1
+                    at_basis_end += settled.samples[-1].kind == "basis" and not full.verdict.fails
+    return short, at_basis_end
+
+
+def test_settled_pin_probes_read_the_full_verdicts():
+    short, at_basis_end = assert_settled_reports_agree(
+        [(system, p, i) for i, (system, p) in enumerate(brute_pin_probes())])
+    assert short and at_basis_end
+
+
+def test_settled_random_probes_read_the_full_verdicts():
+    short, at_basis_end = assert_settled_reports_agree(
+        [(random_dissipative(random.Random(s)), None, s) for s in range(200)])
+    assert short and at_basis_end
+
+
+def test_a_settled_probe_stops_at_its_witness(monkeypatch):
+    """flat Fails two-sidedly at a basis site; slow drift is Undecided by the end of its sites.
+
+    So the settled flat probe walks fewer basis sites, the settled slow one
+    all of them, and neither walks a random sample.
+    """
+    walks, sampled = [0], [0]
+    line_walk, scan = simulate._line_walk, simulate._scan
+
+    def counted_line_walk(*args):
+        walks[0] += 1
+        return line_walk(*args)
+
+    def counted_scan(log_norms, horizon, want_curve, bound=None):
+        sampled[0] += bound is None  # a random sample's walk has no bound
+        return scan(log_norms, horizon, want_curve, bound)
+
+    monkeypatch.setattr(simulate, "_line_walk", counted_line_walk)
+    monkeypatch.setattr(simulate, "_scan", counted_scan)
+    slow = WeightSequence(ratio(0, [2], [2, "100/199"], [2, "100/199"]))
+    counts = {}
+    for system, mode, p, status in ((flat(p=2.0), BruteMode.TWOSIDED, None, Status.FAILS),
+                                    (slow, BruteMode.POSITIVE, 1.0, Status.UNDECIDED)):
+        for settled in (False, True):
+            walks[0] = sampled[0] = 0
+            report = brute_force_expansivity(system, mode, horizon=40, samples=3, seed=0, p=p,
+                                             until_settled=settled)
+            assert report.verdict.status is status
+            counts[status, settled] = walks[0], sampled[0]
+    assert counts[Status.FAILS, True][0] < counts[Status.FAILS, False][0], counts
+    assert counts[Status.UNDECIDED, True][0] == counts[Status.UNDECIDED, False][0], counts
+    assert all((sample_walks == 0) == settled
+               for (_, settled), (_, sample_walks) in counts.items()), counts
+
+
 def test_walks_that_never_cross_are_not_shared_from_a_finite_room():
     # Forward walks from right of the core read 1/2 for their room, then 48.
     # The one from site 2 (room 5) peaks at 48/2^5 = 1.5 after the core; the
@@ -881,6 +955,29 @@ def test_split_shadow_within_the_series_bound():
     assert result.bound_a_priori == pytest.approx(3e-3, rel=1e-12)
     assert result.eps_achieved <= result.bound_a_priori
     assert result.max_orbit_residual <= 1e-9
+
+
+def test_orbit_relation_gate_scales_with_errors_above_one():
+    """Shadowing is linear: the residual grows with delta, and past 1 the gate grows with it.
+
+    At delta 1e7 the residual is about 2.8e-8, which the absolute 1e-9 gate
+    refused as a missing splitting, at the same residual/delta as delta 1e-3.
+    """
+    op = ShiftOperator(split_weights(), 1.0)
+    ratios = []
+    for delta in (1e-3, 1.0, 1e5, 1e7, 1e12):
+        result = shadow(op, make_pseudotrajectory(op, {0: 1.0}, delta, 201, seed=1))
+        ratios.append(result.max_orbit_residual / delta)
+        assert result.eps_achieved <= result.bound_a_priori, delta
+    assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-6)
+    assert result.max_orbit_residual > 1e-9
+    # A backward step that is not T's inverse still fails the relation at every scale.
+    for delta in (1e-3, 1e7):
+        op = ShiftOperator(split_weights(), 1.0)
+        pt = make_pseudotrajectory(op, {0: 1.0}, delta, 201, seed=1)
+        op._backward.update(dict.fromkeys(range(-300, 300), 1.0))
+        with pytest.raises(NoSplitting, match="orbit relation failed"):
+            shadow(op, pt)
 
 
 def test_composition_shadowing_works_through_cells():
