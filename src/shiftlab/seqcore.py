@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, cycle, islice
 from operator import add
+from types import CodeType, FunctionType
 from typing import Iterator, Sequence, Union
 
 ScalarLike = Union[int, float, str, Fraction]
@@ -74,7 +75,7 @@ class Record:
     A record names its fields, in order, in ``_fields``, and the default
     values of its trailing fields in ``_defaults``.  From these each
     subclass gets a generated ``__init__(self, a, b, c=...)`` that sets
-    every field with ``object.__setattr__`` and then calls the class's
+    every field through its slot descriptor and then calls the class's
     ``_check(self)``, if it has one: the hook that refuses bad input and
     sets the attributes derived from the fields.  A subclass that writes
     its own ``__init__`` is refused.  After construction, assignment and
@@ -97,17 +98,14 @@ class Record:
             raise TypeError(f"{cls.__name__} must not write __init__; checks go in _check")
         if list(defaults) != list(fields[len(fields) - len(defaults):]):
             raise TypeError(f"{cls.__name__}._defaults must cover its trailing fields, in order")
-        # Compiled once per class, as collections.namedtuple does: a plain
-        # function with one parameter per field is about twice as fast to
-        # call as a generic *args/**kwargs one.
-        lines = [f"def __init__(self, {', '.join(fields)}):"]
-        lines += [f"    _set(self, {name!r}, {name})" for name in fields]
-        if hasattr(cls, "_check"):
-            lines.append("    self._check()")
-        namespace = {"_set": object.__setattr__}
-        exec("\n".join(lines), namespace)
-        init = namespace["__init__"]
-        init.__defaults__ = tuple(defaults.values())
+        # A plain function with one parameter per field is about twice as
+        # fast to call as a generic *args/**kwargs one.  Its code is the
+        # shape's template with the fields' names, and its globals are the
+        # fields' slot setters.
+        code = _init_template(len(fields), hasattr(cls, "_check"))
+        setters = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(fields)}
+        init = FunctionType(code.replace(co_varnames=("self", *fields)), setters, "__init__",
+                            tuple(defaults.values()))
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__
         cls.__init__ = init
@@ -137,6 +135,21 @@ class Record:
     def as_dict(self) -> dict:
         """The fields by name, with records inside them turned into dicts too."""
         return {name: _plain(getattr(self, name)) for name in self._fields}
+
+
+_INIT_TEMPLATES: dict[tuple[int, bool], CodeType] = {}
+
+
+def _init_template(count: int, checked: bool) -> CodeType:
+    """A record __init__'s code, compiled once per shape: _set{i}(self, _i) per field, _check."""
+    if (count, checked) not in _INIT_TEMPLATES:
+        lines = [f"def __init__(self, {', '.join(f'_{i}' for i in range(count))}):"]
+        lines += [f"    _set{i}(self, _{i})" for i in range(count)]
+        lines.append("    self._check()" if checked else "    pass")
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)
+        _INIT_TEMPLATES[count, checked] = namespace["__init__"].__code__
+    return _INIT_TEMPLATES[count, checked]
 
 
 def _plain(value):

@@ -21,25 +21,26 @@ directly: a unit vector escapes once some iterate has norm at least 2.
 Basis vectors have eventually periodic norm walks, so a non-crossing can
 be certified exactly; random simple functions can only ever cross, never
 certify boundedness, and an uncrossed one leaves the verdict Undecided.
-Each probe is one stream of log norms read by one scan, only as far as
-the decision needs.  A basis walk accumulates its weight line's
-increment stream (``logs_from``, built from the line's tables at C
-level).  A walk is fixed by its line, its direction, its phase in the
-tail it starts in and the increments it read, so it is computed once
-and shared by every later site of that phase whose tail room covers
-what it read.  A random sample's stream (``log_norm_walk``) is lazy, so
-it stops at its crossing; composition and atomic maps only move sites,
-so each step adds p log|c| to a site log measure, read from one table
-per line that every sample of the probe shares, and builds no vector,
-while a shift applies each step.  The forward walks of a
+Each walk is read only as far as the decision needs.  A basis walk is
+the running sum of its weight line's increments, sliced from one table
+per line and direction that all the probe's walks read (taken from the
+line's ``logs_from`` stream as far as some walk reads), and its crossing
+is found by a C-level scan.  A walk is fixed by its line, its direction,
+its phase in the tail it starts in and the increments it read, so it is
+computed once and shared by every later site of that phase whose tail
+room covers what it read.  A random sample's stream (``log_norm_walk``)
+is lazy, so it stops at its crossing; composition and atomic maps only
+move sites, so each step adds p log|c| to a site log measure, read from
+one table per line that every sample of the probe shares, and builds no
+vector, while a shift applies each step.  The forward walks of a
 two-sided probe are those of a positive probe with the same seed, so one
 pass over a two-sided report's outcomes reads both pointwise verdicts.
 
 Shadowing keeps only the largest of its log norms (the errors, the
-corrections and the orbit residuals).  On a shift each is decided from
-a certified upper bound, log(S)/p + 1e-9 with S the fsum of |c|^p
-(``log_norm_bound``), and the exact log norm is taken only for a vector
-whose bound reaches the running maximum (``_max_log_norm``).
+corrections and the orbit residuals).  Each is decided from a certified
+upper bound, log(S)/p + 1e-9 with S the fsum of ||c e_s||^p over the
+entries (``log_norm_bound``), and the exact log norm is taken only for a
+vector whose bound reaches the running maximum (``_max_log_norm``).
 
 Float sums are folded left to right with ``reduce(add, ..., 0.0)``:
 ``sum()`` compensates float sums from Python 3.12 on, which would move
@@ -53,8 +54,8 @@ import random
 import sys
 from enum import Enum
 from functools import reduce
-from itertools import accumulate, chain, count, islice, repeat
-from operator import add, neg
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, mul, neg
 from typing import Iterator
 
 from .classify import Status, Verdict
@@ -76,6 +77,7 @@ Vec = dict  # site key -> float coefficient
 _LOG2 = math.log(2.0)
 _NEG_INF = -math.inf
 _CROSS_TOL = 1e-12
+_THRESHOLD = _LOG2 - _CROSS_TOL  # a log norm at or above it has crossed the norm 2
 # Above the rounding of a log norm's log-sum-exp (under 1e-12 for float
 # entries), so a bound plus this margin lies above the computed log norm.
 _BOUND_MARGIN = 1e-9
@@ -137,8 +139,10 @@ class LineSumOperator:
         self._periods = tuple(periods) if periods is not None else (None,) * len(self.lines)
         # Called with the two parts of a site key; None for unit site measures.
         self._log_measure = site_log_measure
-        # Site log measures by position, one table per line, for log_norm_walk.
+        # Site log measures by position, one table per line, for log_norm_walk,
+        # and site norms mu^(1/p) by site key, for log_norm_bound.
         self._site_logs: tuple[dict[int, float], ...] = tuple({} for _ in self.lines)
+        self._site_norms: dict = {}
 
     def _cover(self, site) -> list:
         """The sites a key stands for: itself, unless it is a window over cells."""
@@ -158,25 +162,29 @@ class LineSumOperator:
     def log_norm_bound(self, vec: Vec) -> float:
         """A certified upper bound on log_norm(vec) from its l^p sum; inf where there is none.
 
-        On unit-measure lines log_norm(vec) is log(S) / p with
-        S = sum |c|^p, up to the rounding of its log-sum-exp: under 1e-12
-        for float entries, whose |log|c|| is at most 745.  math.fsum rounds
-        S once, and from S >= 1e-290 on the entries whose |c|^p underflowed
-        cannot move it, so log(S) / p + _BOUND_MARGIN lies above the
-        computed log norm.  An empty vector reads -inf, its log norm.
-        Measured lines, sums that are tiny, non-finite or beyond float
-        range, and NaN entries get inf.
+        log_norm(vec) is log(S) / p with S the sum of ||c e_s||^p =
+        (|c| mu_s^(1/p))^p, up to the rounding of its log-sum-exp: under
+        1e-12 for float entries and site norms, whose logs are at most 745
+        in size.  Each term is a product and a power of normal floats, and
+        math.fsum rounds S once; from S >= 1e-290 on the terms that
+        underflowed cannot move it, so log(S) / p + _BOUND_MARGIN lies above
+        the computed log norm.  Site norms are read from the operator's
+        table, where one outside the normal float range is NaN.  An empty
+        vector reads -inf, its log norm.  Sums that are tiny, non-finite or
+        beyond float range, and NaN entries get inf.
         """
         if not vec:
             return _NEG_INF
-        if self._log_measure is not None:
-            return math.inf
         p = self.p
+        sizes = map(abs, vec.values())
+        if self._log_measure is not None:
+            norms = self._site_norms
+            for site in vec.keys() - norms.keys():
+                norm = _exp(self._log_measure(*site) / p)
+                norms[site] = norm if norm >= sys.float_info.min else math.nan
+            sizes = map(mul, sizes, map(norms.__getitem__, vec))
         try:
-            if p == 1:
-                total = math.fsum(map(abs, vec.values()))
-            else:
-                total = math.fsum(map(pow, map(abs, vec.values()), repeat(p)))
+            total = math.fsum(sizes if p == 1 else map(pow, sizes, repeat(p)))
         except OverflowError:
             return math.inf
         if 1e-290 <= total < math.inf:
@@ -206,13 +214,10 @@ class LineSumOperator:
         log_mass = logsumexp([self.log_term(s, 1.0) for s in sites])
         return dict.fromkeys(sites, math.exp(-log_mass / self.p))
 
-    def basis_sites(self, span: int) -> list:
-        """Every site of a cycle, and positions -span..span of every other line."""
-        return [
-            self._key(line, k)
-            for line, period in enumerate(self._periods)
-            for k in (range(period) if period else range(-span, span + 1))
-        ]
+    def basis_positions(self, line: int, span: int) -> range:
+        """Every position of a cycle, and positions -span..span of every other line."""
+        period = self._periods[line]
+        return range(period) if period else range(-span, span + 1)
 
     def _draw_site(self, rng: random.Random, reach: int):
         """A seeded site near position 0: the line first, then the position."""
@@ -491,65 +496,94 @@ class DirectionalWalk(Record):
     log_norms: tuple[float, ...]  # log ||T^n x|| for n = 1..horizon, if asked for
 
 
-def _scan(log_norms, horizon: int, want_curve: bool, bound=None) -> DirectionalWalk:
-    """Scan a log-norm walk (n = 1, 2, ...) for a threshold crossing or a boundedness proof.
+def _scan(log_norms, horizon: int, want_curve: bool) -> DirectionalWalk:
+    """Scan a random sample's log-norm walk (n = 1, 2, ...) for a threshold crossing.
 
-    ``bound`` is ``(n_enter, period, drift)`` for a basis walk, whose
-    increments are exactly periodic from step n_enter on, with ``drift``
-    the sign of their sum over one period.  With drift <= 0 the walk is
-    dominated by its first full period past the entry point, so the
-    supremum over all n is already visible at n_enter + period, and a walk
-    that has not crossed by then never does.  A walk without a bound (a
-    random sample), or whose n_enter + period exceeds _CERT_READ_CAP (a core
-    far from the walk's start), never certifies.  The stream is read only as
-    far as the decision and the curve need: the first ``horizon`` values
-    when ``want_curve``.
+    A sample's walk has no periodic structure to certify, so it can only
+    cross.  The stream is read only as far as the crossing, or the first
+    ``horizon`` values when ``want_curve``.
     """
-    n_enter, period, drift = bound or (0, 0, 1)
-    certifiable = drift <= 0 and n_enter + period <= _CERT_READ_CAP
-    cert_end = n_enter + period if certifiable else 0
-    search_end = min(horizon, cert_end) if certifiable else horizon
-    threshold = _LOG2 - _CROSS_TOL
     stream = iter(log_norms)
     values: list[float] = []
     crossed = None
-    for n, value in zip(range(1, search_end + 1), stream):
+    for n, value in zip(range(1, horizon + 1), stream):
         values.append(value)
-        if value >= threshold:
+        if value >= _THRESHOLD:
             crossed = n
             break
-    need = max(horizon if want_curve else 0, cert_end if crossed is None else 0)
-    if need > len(values):
-        values.extend(islice(stream, need - len(values)))
+    if want_curve:
+        values.extend(islice(stream, horizon - len(values)))
+    return DirectionalWalk(crossed, None, tuple(values) if want_curve else ())
+
+
+class _WalkTable:
+    """The increments a probe's basis walks read along one weight line, in one direction.
+
+    ``increments`` holds them as far as some walk has read, taken from the
+    line's ``logs_from`` stream: entry i is log w at anchor - i forward and
+    -log w at anchor + 1 + i backward, the anchor being the line's first
+    basis position in that direction.  ``shared`` holds the walks that
+    later sites reuse, by tail phase.
+    """
+
+    __slots__ = ("line", "direction", "horizon", "want_curve", "anchor", "increments",
+                 "_stream", "shared")
+
+    def __init__(self, line: EventuallyPeriodicSequence, direction: int, positions: range,
+                 horizon: int, want_curve: bool):
+        self.line, self.direction, self.horizon, self.want_curve = (
+            line, direction, horizon, want_curve)
+        self.anchor = positions[-1] if direction > 0 else positions[0]
+        self._stream = (line.logs_from(self.anchor, -1) if direction > 0
+                        else map(neg, line.logs_from(self.anchor + 1, 1)))
+        self.increments: list[float] = []
+        self.shared: dict = {}
+
+    def read(self, start: int, stop: int) -> list[float]:
+        """Entries start .. stop - 1, taking more from the stream where the table ends."""
+        increments = self.increments
+        if stop > len(increments):
+            increments += islice(self._stream, stop - len(increments))
+        return increments[start:stop]
+
+
+def _table_walk(table: _WalkTable, position: int) -> DirectionalWalk:
+    """Norm walk of the basis vector at ``position``: the running sums of its increments.
+
+    Forward steps multiply by w at descending indices from ``position``,
+    backward steps divide by w at ascending ones.  From step n_enter on,
+    past the core, the increments are exactly periodic; with drift <= 0,
+    the sign of their sum over one period, the supremum over all n is
+    visible by n_enter + period, so a walk that has not crossed by then
+    never does.  Past _CERT_READ_CAP (a far core) a walk never certifies.
+    The crossing is found by a C-level scan; the rest of the certificate
+    window is read only when there is none, the curve only when asked for.
+    """
+    line, horizon = table.line, table.horizon
+    if table.direction > 0:
+        n_enter, period = max(1, position - line.core_lo + 2), len(line.neg_period)
+        drift = tail_sign_vs_one(line, "neg")
+    else:
+        n_enter, period = max(1, line.core_hi - position + 1), len(line.pos_period)
+        drift = -tail_sign_vs_one(line, "pos")
+    certifiable = drift <= 0 and n_enter + period <= _CERT_READ_CAP
+    cert_end = n_enter + period if certifiable else 0
+    search_end = min(horizon, cert_end) if certifiable else horizon
+    start = table.direction * (table.anchor - position)
+    reach = horizon if table.want_curve else search_end
+    values = list(accumulate(table.read(start, start + reach)))
+    crossed = next(compress(count(1), map(_THRESHOLD.__le__, values[:search_end])), None)
     certificate = None
     if crossed is None and certifiable:
+        if cert_end > len(values):
+            rest = table.read(start + len(values), start + cert_end)
+            values += islice(accumulate(rest, initial=values[-1]), 1, None)
         sup = max([0.0, *values[:cert_end]])
         if sup < _LOG2 - _CERT_GAP:
             kind = "periodic" if drift == 0 else "decaying"
             certificate = BoundCertificate(kind, period, math.exp(sup))
-    return DirectionalWalk(crossed, certificate, tuple(values[:horizon]) if want_curve else ())
-
-
-def _line_walk(
-    line: EventuallyPeriodicSequence, position: int, direction: int, horizon: int, want_curve: bool
-) -> DirectionalWalk:
-    """Norm walk of a basis vector along one weight line.
-
-    Forward steps multiply by w at descending indices starting at
-    ``position``; backward steps divide by w at ascending indices.  The
-    increments become exactly periodic once the walk clears the core, so
-    boundedness is certifiable from one extra period of scanning.  They
-    come from the line's table-driven stream, accumulated at C level.
-    """
-    if direction > 0:
-        increments = line.logs_from(position, -1)
-        bound = (max(1, position - line.core_lo + 2), len(line.neg_period),
-                 tail_sign_vs_one(line, "neg"))
-    else:
-        increments = map(neg, line.logs_from(position + 1, 1))
-        bound = (max(1, line.core_hi - position + 1), len(line.pos_period),
-                 -tail_sign_vs_one(line, "pos"))
-    return _scan(accumulate(increments), horizon, want_curve, bound)
+    curve = tuple(values[:horizon]) if table.want_curve else ()
+    return DirectionalWalk(crossed, certificate, curve)
 
 
 def _random_sample(op: LineSumOperator, rng: random.Random) -> Vec:
@@ -593,11 +627,8 @@ def _tail_start(
     return None
 
 
-def _shared_line_walk(
-    shared: dict, index: int, line: EventuallyPeriodicSequence, position: int,
-    direction: int, horizon: int, want_curve: bool,
-) -> DirectionalWalk:
-    """_line_walk, computed once for every site whose tail room covers what it read.
+def _shared_line_walk(table: _WalkTable, position: int) -> DirectionalWalk:
+    """_table_walk, computed once for every site whose tail room covers what it read.
 
     A basis walk is fixed by its line, its direction, its phase and the
     increments it read.  A walk that crossed at n read n of them (the whole
@@ -609,24 +640,23 @@ def _shared_line_walk(
     only when it never leaves its tail: every such walk enters its period
     at once.
     """
-    start = _tail_start(line, position, direction)
+    start = _tail_start(table.line, position, table.direction)
     if start is None:
-        return _line_walk(line, position, direction, horizon, want_curve)
+        return _table_walk(table, position)
     phase, room = start
-    key = (index, direction, phase)
-    walk = shared.get(key)
-    if walk is None or _reach(walk, horizon, want_curve) > room:
-        walk = _line_walk(line, position, direction, horizon, want_curve)
-        if _reach(walk, horizon, want_curve) <= room:
-            shared[key] = walk
+    walk = table.shared.get(phase)
+    if walk is None or _reach(walk, table) > room:
+        walk = _table_walk(table, position)
+        if _reach(walk, table) <= room:
+            table.shared[phase] = walk
     return walk
 
 
-def _reach(walk: DirectionalWalk, horizon: int, want_curve: bool) -> float:
+def _reach(walk: DirectionalWalk, table: _WalkTable) -> float:
     """How many increments a basis walk's result rests on: inf if it never crossed."""
     if walk.crossed_at is None:
         return math.inf
-    return horizon if want_curve else walk.crossed_at
+    return table.horizon if table.want_curve else walk.crossed_at
 
 
 class SampleOutcome(Record):
@@ -699,7 +729,6 @@ def brute_force_expansivity(
     directions = (1, -1) if twosided else (1,)
     outcomes: list[SampleOutcome] = []
     curves: list[list[DirectionalWalk]] = []
-    shared: dict = {}
 
     def outcome(label: str, kind: str, walks: list[DirectionalWalk]) -> SampleOutcome:
         # The forward walk fills crossed_at and certificate, the backward one the backward pair.
@@ -711,11 +740,12 @@ def brute_force_expansivity(
         return result
 
     def stream() -> Iterator[SampleOutcome | None]:
-        for site in op.basis_sites(horizon):
-            index, position = op._locate(site)
-            yield outcome(op.site_label(site), "basis", [
-                _shared_line_walk(shared, index, op.lines[index], position, d, horizon, uniform)
-                for d in directions])
+        for index, line in enumerate(op.lines):
+            positions = op.basis_positions(index, horizon)
+            tables = [_WalkTable(line, d, positions, horizon, uniform) for d in directions]
+            for position in positions:
+                yield outcome(op.site_label(op._key(index, position)), "basis",
+                              [_shared_line_walk(table, position) for table in tables])
         yield None  # the end of the basis sites
         for i, vec in enumerate(vectors):
             yield outcome(f"rand[{i}]", "random",
@@ -813,9 +843,8 @@ def _reading(
 
 def _shared_crossing(curves: list, horizon: int) -> Verdict:
     """Holds at the first n where every sample's curve crosses in some direction."""
-    threshold = _LOG2 - _CROSS_TOL
     for n in range(horizon):
-        if all(any(w.log_norms[n] >= threshold for w in walks) for walks in curves):
+        if all(any(w.log_norms[n] >= _THRESHOLD for w in walks) for walks in curves):
             return Verdict(
                 Status.HOLDS, "definition", "brute-force", None,
                 {"n": n + 1, "samples": len(curves)},
@@ -1076,9 +1105,9 @@ def shadow(
     The passes are fused: a recursion step is one apply, one in-place add
     and one prune, and one closing pass builds each orbit residual
     e_i + T d_i - d_{i+1} and z_i together.  The largest error, ||d_i||
-    and residual are read through _max_log_norm: on a shift a vector's
-    exact log norm is computed only when its certified l^p bound reaches
-    the running maximum.  Every float and key order is that of the
+    and residual are read through _max_log_norm: a vector's exact log
+    norm is computed only when its certified l^p bound reaches the
+    running maximum.  Every float and key order is that of the
     step-by-step recursions, which build each quantity from fresh copies
     in a loop of its own.
     """

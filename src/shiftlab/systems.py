@@ -18,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add
 from typing import Iterable, Sequence, Union
 
@@ -82,7 +82,7 @@ class MeasureSequence(Record):
 
     _fields = ("mu0", "ratio", "exact")
     _defaults = {"exact": True}
-    __slots__ = _fields + ("_log_mu0", "_log_mu_memo")
+    __slots__ = _fields + ("_log_mu0", "_log_mu_memo", "_log_mu_tables")
 
     mu0: Fraction
     ratio: EventuallyPeriodicSequence
@@ -93,9 +93,10 @@ class MeasureSequence(Record):
             raise InvalidSystem("base measure must be positive")
         if self.ratio.exp != 1.0:
             raise InvalidSystem("ratio sequences carry no exponent")
-        # Memo of log_mu by index; not a field, so ==, hash and repr ignore it.
+        # Memo of log_mu and its tables; not fields, so ==, hash and repr ignore them.
         object.__setattr__(self, "_log_mu0", _log_fraction(self.mu0))
         object.__setattr__(self, "_log_mu_memo", {})
+        object.__setattr__(self, "_log_mu_tables", ([0.0], []))
 
     @classmethod
     def from_values(
@@ -107,22 +108,31 @@ class MeasureSequence(Record):
         return cls(frac, ratio, exact and ratio.exact)
 
     def log_mu(self, k: int) -> float:
-        """log mu_k, summed over the ratio entries once per k and then memoized.
+        """log mu_k, summed over the ratio entries and then memoized.
 
         The ratio logs from min(k, 0) up to max(k, 0) - 1 are folded left
         to right, then added to (k > 0) or taken from (k < 0) log mu_0.
         That sequential sum fixes every bit of the result: a closed form
         (prefix sums plus whole periods) rounds differently, and so does
-        sum(), which compensates float sums from Python 3.12 on.
+        sum(), which compensates float sums from Python 3.12 on.  A miss
+        reads a table kept beside the memo, at least doubled when the fold
+        reads past its end: for k > 0 the fold's own partial sums from 0,
+        for k < 0 the ratio logs left of 0, folded from k.
         """
-        total = self._log_mu_memo.get(k)
+        memo = self._log_mu_memo
+        total = memo.get(k)
         if total is None:
-            total = self._log_mu0
+            partials, logs = self._log_mu_tables  # sums of log r_0 .. r_(j-1); log r_-len .. r_-1
             if k > 0:
-                total += reduce(add, islice(self.ratio.logs_from(0, 1), k), 0.0)
-            elif k < 0:
-                total -= reduce(add, islice(self.ratio.logs_from(k, 1), -k), 0.0)
-            self._log_mu_memo[k] = total
+                if len(partials) <= k:
+                    reach = max(k, 2 * len(partials))
+                    partials[:] = accumulate(islice(self.ratio.logs_from(0, 1), reach), initial=0.0)
+                total = memo[k] = self._log_mu0 + partials[k]
+            else:
+                if len(logs) < -k:
+                    grow = max(-k, 2 * len(logs)) - len(logs)
+                    logs[:0] = islice(self.ratio.logs_from(-len(logs) - grow, 1), grow)
+                total = memo[k] = self._log_mu0 - reduce(add, logs[len(logs) + k:], 0.0)
         return total
 
     def mu(self, k: int) -> float:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import neg
 
 
 def eval_periodic(core_lo, core, neg, pos, k):
@@ -351,6 +353,77 @@ def pointwise_reference(outcomes, twosided):
     )
 
 
+def scan_reference(log_norms, horizon, want_curve, bound=None):
+    """A walk's scan as one loop over a lazy stream, kept as the reference for the probe's walks.
+
+    ``bound`` is ``(n_enter, period, drift)`` for a basis walk, whose
+    increments are exactly periodic from step n_enter on, with ``drift``
+    the sign of their sum over one period.  With drift <= 0 the supremum
+    over all n is visible at n_enter + period, so a walk that has not
+    crossed by then never does.  A walk without a bound (a random sample),
+    or whose n_enter + period exceeds the read cap, never certifies.
+    """
+    from shiftlab.simulate import (
+        _CERT_GAP,
+        _CERT_READ_CAP,
+        _CROSS_TOL,
+        _LOG2,
+        BoundCertificate,
+        DirectionalWalk,
+    )
+
+    n_enter, period, drift = bound or (0, 0, 1)
+    certifiable = drift <= 0 and n_enter + period <= _CERT_READ_CAP
+    cert_end = n_enter + period if certifiable else 0
+    search_end = min(horizon, cert_end) if certifiable else horizon
+    threshold = _LOG2 - _CROSS_TOL
+    stream = iter(log_norms)
+    values = []
+    crossed = None
+    for n, value in zip(range(1, search_end + 1), stream):
+        values.append(value)
+        if value >= threshold:
+            crossed = n
+            break
+    need = max(horizon if want_curve else 0, cert_end if crossed is None else 0)
+    if need > len(values):
+        values.extend(islice(stream, need - len(values)))
+    certificate = None
+    if crossed is None and certifiable:
+        sup = max([0.0, *values[:cert_end]])
+        if sup < _LOG2 - _CERT_GAP:
+            kind = "periodic" if drift == 0 else "decaying"
+            certificate = BoundCertificate(kind, period, math.exp(sup))
+    return DirectionalWalk(crossed, certificate, tuple(values[:horizon]) if want_curve else ())
+
+
+def line_walk_reference(line, position, direction, horizon, want_curve):
+    """A basis walk as the running sums of the line's own ``logs_from`` chain, scanned lazily.
+
+    Forward steps multiply by w at descending indices starting at
+    ``position``; backward steps divide by w at ascending indices.  This
+    is the walk the probe computed before it read one increment table per
+    line and direction; ``_table_walk`` must equal it field for field.
+    """
+    from shiftlab.seqcore import tail_sign_vs_one
+
+    if direction > 0:
+        increments = line.logs_from(position, -1)
+        bound = (max(1, position - line.core_lo + 2), len(line.neg_period),
+                 tail_sign_vs_one(line, "neg"))
+    else:
+        increments = map(neg, line.logs_from(position + 1, 1))
+        bound = (max(1, line.core_hi - position + 1), len(line.pos_period),
+                 -tail_sign_vs_one(line, "pos"))
+    return scan_reference(accumulate(increments), horizon, want_curve, bound)
+
+
+def basis_sites(op, span):
+    """The site keys of the operator's basis positions, line by line."""
+    return [op._key(line, k)
+            for line in range(len(op.lines)) for k in op.basis_positions(line, span)]
+
+
 def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
     """brute_force_expansivity with only wholly-in-tail walks shared, kept as the reference.
 
@@ -365,9 +438,7 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
     from shiftlab.simulate import (
         BruteForceReport,
         SampleOutcome,
-        _line_walk,
         _random_sample,
-        _scan,
         _shared_crossing,
         operator_for,
     )
@@ -379,7 +450,7 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
         lambda vec, d: memo_log_norm_walk(op, vec, d))
     probes = []
     tail_walks = {}
-    for site in op.basis_sites(horizon):
+    for site in basis_sites(op, horizon):
         index, position = op._locate(site)
         line = op.lines[index]
         walks = []
@@ -387,14 +458,14 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
             phase = _tail_phase(line, position, d)
             walk = tail_walks.get((index, d, phase))  # never stored for phase None
             if walk is None:
-                walk = _line_walk(line, position, d, horizon, mode.uniform)
+                walk = line_walk_reference(line, position, d, horizon, mode.uniform)
                 if phase is not None:
                     tail_walks[index, d, phase] = walk
             walks.append(walk)
         probes.append((op.site_label(site), "basis", walks))
     for i in range(samples):
         vec = _random_sample(op, rng)
-        walks = [_scan(walk_of(vec, d), horizon, mode.uniform) for d in directions]
+        walks = [scan_reference(walk_of(vec, d), horizon, mode.uniform) for d in directions]
         probes.append((f"rand[{i}]", "random", walks))
     outcomes = tuple(
         SampleOutcome(label, kind, *(field for w in walks for field in (w.crossed_at, w.certificate)))

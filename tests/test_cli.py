@@ -234,6 +234,24 @@ def test_simulate_decay_csv(config_file, capsys):
     assert out.splitlines() == ["n,norm", "-2,0.25", "-1,0.5", "0,1", "1,2", "2,4"]
 
 
+# Config set 34 of the benchmark's cli pool: its row n = 7, mu(-7)/mu(0), is
+# 31.65380859375 exactly halfway at 10 decimals, and only the sequential
+# fold of the ratio logs rounds it up (a closed form prints ...937).
+ROUNDING_TIE = {
+    "kind": "dissipative", "p": 1, "mu0": "2",
+    "ratio": {"core_lo": 0, "core": ["4/6", "4/2", "2/6"], "neg_period": ["2/3", "4/7"],
+              "pos_period": ["5/6", "6/1", "6/5"]},
+}
+
+
+def test_simulate_rows_keep_the_rounding_tie_of_the_sequential_fold(config_file, capsys):
+    code, out, _ = run(
+        capsys, "simulate", config_file(ROUNDING_TIE), "--nmin", "-10", "--nmax", "10"
+    )
+    assert code == EXIT_OK
+    assert "7,31.6538085938" in out.splitlines()
+
+
 def test_simulate_cell_site(config_file, capsys):
     code, out, _ = run(
         capsys,

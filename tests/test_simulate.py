@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.canon import canonical_json
 from shiftlab.classify import Status, classify_report
@@ -52,7 +54,9 @@ from shiftlab.systems import (
 )
 
 from _oracles import (
+    basis_sites,
     brute_force_reference,
+    line_walk_reference,
     covers_stable,
     max_residual,
     memo_log_norm_walk,
@@ -89,7 +93,7 @@ def cell_system(p=1.0):
 def seeded_vec(op, seed, span=5):
     rng = random.Random(seed)
     vec = {}
-    sites = op.basis_sites(span)
+    sites = basis_sites(op, span)
     for site in rng.sample(sites, min(4, len(sites))):
         vec[site] = rng.uniform(-2.0, 2.0)
     return vec
@@ -479,20 +483,19 @@ def test_tail_walks_are_shared_and_samples_stop_at_their_crossing(monkeypatch):
     weights = doubling_weights()
     line = weights.values
     left_forward: list[int] = []
-    line_walk = simulate._line_walk
+    table_walk = simulate._table_walk
 
-    def counted_line_walk(line_, position, direction, horizon, want_curve):
-        if direction > 0 and position < line_.core_lo:
+    def counted_table_walk(table, position):
+        if table.direction > 0 and position < table.line.core_lo:
             left_forward.append(position)
-        return line_walk(line_, position, direction, horizon, want_curve)
+        return table_walk(table, position)
 
     sample_crossings: list[int | None] = []
     scan = simulate._scan
 
-    def recording_scan(log_norms, horizon, want_curve, bound=None):
-        walk = scan(log_norms, horizon, want_curve, bound)
-        if bound is None:
-            sample_crossings.append(walk.crossed_at)
+    def recording_scan(log_norms, horizon, want_curve):  # only random samples are scanned
+        walk = scan(log_norms, horizon, want_curve)
+        sample_crossings.append(walk.crossed_at)
         return walk
 
     applied = [0]
@@ -502,7 +505,7 @@ def test_tail_walks_are_shared_and_samples_stop_at_their_crossing(monkeypatch):
         applied[0] += 1
         return apply(self, vec, steps)
 
-    monkeypatch.setattr(simulate, "_line_walk", counted_line_walk)
+    monkeypatch.setattr(simulate, "_table_walk", counted_table_walk)
     monkeypatch.setattr(simulate, "_scan", recording_scan)
     monkeypatch.setattr(ShiftOperator, "apply", counted_apply)
     horizon = 40
@@ -511,10 +514,63 @@ def test_tail_walks_are_shared_and_samples_stop_at_their_crossing(monkeypatch):
     )
     assert report.verdict.holds
     # 40 sites lie left of the core; one walk per phase of the period serves them all.
-    assert len(left_forward) <= len(line.neg_period)
+    assert 0 < len(left_forward) <= len(line.neg_period)
     assert len(sample_crossings) == 5
     # Each sample is applied once per step, and no step after its crossing.
     assert applied[0] == sum(n if n is not None else horizon for n in sample_crossings)
+
+
+def walk_bits(walk):
+    """A basis walk's fields, every float as float.hex."""
+    cert = walk.certificate
+    return (walk.crossed_at, cert and (cert.kind, cert.period, cert.sup_norm.hex()),
+            [value.hex() for value in walk.log_norms])
+
+
+# Values near 1 make slow walks, whose supremum can lie past the horizon.
+WALK_VALUES = st.one_of(st.sampled_from(["1/2", "2", "1", "3/4", "4/3", "101/100", "99/100"]),
+                        st.floats(0.25, 4.0), st.floats(0.98, 1.02))
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_lo=st.integers(-3000, 3000),
+       core=st.lists(WALK_VALUES, min_size=1, max_size=4),
+       neg=st.lists(WALK_VALUES, min_size=1, max_size=3),
+       pos=st.lists(WALK_VALUES, min_size=1, max_size=3),
+       exp=st.sampled_from([1.0, -0.5, 2.0, -1 / 3]),
+       positions=st.lists(st.integers(-200, 200), min_size=1, max_size=6))
+def test_table_walks_equal_the_chain_walks(core_lo, core, neg, pos, exp, positions):
+    # Exact and float lines, cores up to 3000 sites out (so walks grow the
+    # table and certificate windows reach toward the read cap), each horizon
+    # and curve setting; the probe's site order and the drawn one.
+    line = ratio(core_lo, core, neg, pos).elementwise_pow(exp)
+    for horizon in (5, 40, 200):
+        span = range(-horizon, horizon + 1)
+        sites = [span[0], *(q for q in positions if q in span), span[-1]]
+        for direction in (1, -1):
+            for want_curve in (False, True):
+                table = simulate._WalkTable(line, direction, span, horizon, want_curve)
+                for q in sites:
+                    expected = line_walk_reference(line, q, direction, horizon, want_curve)
+                    assert walk_bits(simulate._table_walk(table, q)) == walk_bits(expected), (
+                        q, direction, horizon, want_curve)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_table_walks_certify_up_to_the_read_cap(direction):
+    # Site 0's walk runs flat to a core reach - 1 steps out, then decays:
+    # n_enter + period is reach, so it certifies exactly up to the cap.
+    cap = simulate._CERT_READ_CAP
+    for reach in (cap - 1, cap, cap + 1):
+        line = (ratio(3 - reach, ["1/2"], ["1/2"], ["1"]) if direction > 0
+                else ratio(reach - 2, ["2"], ["1"], ["2"]))
+        table = simulate._WalkTable(line, direction, range(-40, 41), 40, False)
+        walk = simulate._table_walk(table, 0)
+        assert walk_bits(walk) == walk_bits(line_walk_reference(line, 0, direction, 40, False))
+        assert (walk.certificate is not None) == (reach <= cap), reach
+        assert walk.crossed_at is None
+        # The first read took the 40 values of the horizon; the certificate read on.
+        assert len(table.increments) == 40 + (reach if reach <= cap else 40), reach
 
 
 def far_core(measure_ratio):
@@ -524,22 +580,19 @@ def far_core(measure_ratio):
 
 
 def test_far_core_certificates_read_at_most_the_cap(monkeypatch):
-    reads: list[int] = []
-    scan = simulate._scan
+    reads: list[int] = []  # increments read, per basis walk
+    table_walk, read = simulate._table_walk, simulate._WalkTable.read
 
-    def counting_scan(log_norms, horizon, want_curve, bound=None):
-        read = [0]
+    def counted_table_walk(table, position):
+        reads.append(0)
+        return table_walk(table, position)
 
-        def counted():
-            for value in log_norms:
-                read[0] += 1
-                yield value
+    def counted_read(self, start, stop):
+        reads[-1] += stop - start
+        return read(self, start, stop)
 
-        walk = scan(counted(), horizon, want_curve, bound)
-        reads.append(read[0])
-        return walk
-
-    monkeypatch.setattr(simulate, "_scan", counting_scan)
+    monkeypatch.setattr(simulate, "_table_walk", counted_table_walk)
+    monkeypatch.setattr(simulate._WalkTable, "read", counted_read)
     probes = {
         name: brute_force_expansivity(system, BruteMode.TWOSIDED, horizon=40, samples=3, seed=0)
         for name, system in (("decay", far_core("1/2")), ("flat", far_core(1)),
@@ -711,17 +764,17 @@ def test_a_settled_probe_stops_at_its_witness(monkeypatch):
     all of them, and neither walks a random sample.
     """
     walks, sampled = [0], [0]
-    line_walk, scan = simulate._line_walk, simulate._scan
+    table_walk, scan = simulate._table_walk, simulate._scan
 
-    def counted_line_walk(*args):
+    def counted_table_walk(*args):
         walks[0] += 1
-        return line_walk(*args)
+        return table_walk(*args)
 
-    def counted_scan(log_norms, horizon, want_curve, bound=None):
-        sampled[0] += bound is None  # a random sample's walk has no bound
-        return scan(log_norms, horizon, want_curve, bound)
+    def counted_scan(*args):  # only random samples are scanned
+        sampled[0] += 1
+        return scan(*args)
 
-    monkeypatch.setattr(simulate, "_line_walk", counted_line_walk)
+    monkeypatch.setattr(simulate, "_table_walk", counted_table_walk)
     monkeypatch.setattr(simulate, "_scan", counted_scan)
     slow = WeightSequence(ratio(0, [2], [2, "100/199"], [2, "100/199"]))
     counts = {}
@@ -733,6 +786,7 @@ def test_a_settled_probe_stops_at_its_witness(monkeypatch):
                                              until_settled=settled)
             assert report.verdict.status is status
             counts[status, settled] = walks[0], sampled[0]
+    assert all(basis_walks > 0 for basis_walks, _ in counts.values()), counts
     assert counts[Status.FAILS, True][0] < counts[Status.FAILS, False][0], counts
     assert counts[Status.UNDECIDED, True][0] == counts[Status.UNDECIDED, False][0], counts
     assert all((sample_walks == 0) == settled
@@ -759,23 +813,27 @@ def test_walks_into_the_core_are_shared_per_phase(monkeypatch):
     weights = WeightSequence(ratio(0, ["1/3"], ["1/2", "1/3"], ["3", "2"]))
     line = weights.values
     into_core: list[tuple[int, int]] = []
-    line_walk = simulate._line_walk
+    table_walk = simulate._table_walk
 
-    def counted_line_walk(line_, position, direction, horizon, want_curve):
+    def counted_table_walk(table, position):
+        direction, line_ = table.direction, table.line
         if (direction > 0 and position > line_.core_hi
                 or direction < 0 and position + 1 < line_.core_lo):
             into_core.append((direction, position))
-        return line_walk(line_, position, direction, horizon, want_curve)
+        return table_walk(table, position)
 
-    monkeypatch.setattr(simulate, "_line_walk", counted_line_walk)
+    monkeypatch.setattr(simulate, "_table_walk", counted_table_walk)
     for mode in (BruteMode.POSITIVE, BruteMode.TWOSIDED):
         into_core.clear()
         brute_force_expansivity(weights, mode, horizon=40, samples=0, p=1.0)
         forward = [position for d, position in into_core if d > 0]
         backward = [position for d, position in into_core if d < 0]
         # 40 sites lie right of the core; one walk per phase of the tail serves them all.
-        assert len(forward) <= len(line.pos_period), forward
-        assert len(backward) <= (len(line.neg_period) if mode.twosided else 0), backward
+        assert 0 < len(forward) <= len(line.pos_period), forward
+        if mode.twosided:
+            assert 0 < len(backward) <= len(line.neg_period), backward
+        else:
+            assert not backward, backward
 
 
 def test_site_log_measures_are_computed_once_per_operator():
@@ -1226,6 +1284,31 @@ def test_shadow_takes_exact_log_norms_only_where_they_can_set_a_maximum(monkeypa
     assert result.eps_achieved == pytest.approx(PINNED_EPS["split", 1], rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["peak p=2", "cells p=1", "two split lines p=1"])
+def test_measured_shadow_takes_exact_log_norms_only_where_they_can_set_a_maximum(
+        monkeypatch, name):
+    op = {"peak p=2": lambda: CompositionOperator(peak(p=2.0)),
+          "cells p=1": lambda: CompositionOperator(cell_system(p=1.0)),
+          "two split lines p=1": lambda: AtomicOperator(two_split_lines())}[name]()
+    pt = make_pseudotrajectory(op, op.normalized_basis(op.origin), 1e-3, 201, 1)
+    splitting = build_splitting(op)
+    expected = shadow_stepwise(op, pt, splitting)
+    calls = [0]
+    log_norm = simulate.LineSumOperator.log_norm
+
+    def counted(self, vec):
+        calls[0] += 1
+        return log_norm(self, vec)
+
+    monkeypatch.setattr(simulate.LineSumOperator, "log_norm", counted)
+    result = shadow(op, pt, splitting)
+    # Taken exactly, the largest error, ||d_i|| and residual need 200 + 201 + 200.
+    assert 0 < calls[0] < len(pt.points), calls[0]
+    for field in ("eps_achieved", "dropped", "max_orbit_residual", "bound_a_priori"):
+        assert getattr(result, field).hex() == getattr(expected, field).hex(), field
+    assert result.z_points == expected.z_points
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_log_norm_bound_lies_above_the_log_norm(p):
     op = ShiftOperator(split_weights(), p)
@@ -1241,9 +1324,37 @@ def test_log_norm_bound_lies_above_the_log_norm(p):
     assert op.log_norm_bound({}) == -math.inf == op.log_norm({})
     for vec in ({0: math.nan}, {0: math.inf, 1: 1.0}, {0: 1e-310}):
         assert op.log_norm_bound(vec) == math.inf
-    # Site measures need every entry's log term: a composition map has no bound.
-    composition = CompositionOperator(peak(p=p))
-    assert composition.log_norm_bound({(0, None): 1.0}) == math.inf
+
+
+def measured_bound_operators(p):
+    """Operators whose site measures leave float range both ways, beside plain measured ones."""
+    wide = MeasureSequence(F(1), ratio(0, ["1e300"], ["1e-30"], ["1e30"]))
+    return [CompositionOperator(peak(p=p)), CompositionOperator(cell_system(p=p)),
+            CompositionOperator(DissipativeSystem(p=p, measures=wide)),
+            AtomicOperator(AtomicSystem(p=p, components=(Cycle.from_values([1, "1e-200"]),
+                                                         two_split_lines().components[0])))]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_log_norm_bound_lies_above_the_log_norm_on_measured_lines(p):
+    rng = random.Random(int(p))
+    for op in measured_bound_operators(p):
+        sites = basis_sites(op, 12)
+        bounded = 0
+        for _ in range(500):
+            scale = 10.0 ** rng.uniform(-320, 307)
+            vec = {site: rng.choice([-1.0, 1.0]) * scale * rng.uniform(0.0, 2.0)
+                   for site in rng.sample(sites, rng.randint(1, 6))}
+            exact, bound = op.log_norm(vec), op.log_norm_bound(vec)
+            assert exact <= bound, (vec, exact, bound)
+            if bound < math.inf:
+                bounded += 1
+                assert bound - exact <= 2e-9
+        assert bounded > 20, bounded  # not vacuous
+        assert op.log_norm_bound({}) == -math.inf
+        site = op.origin if op._cover(op.origin) == [op.origin] else (0, 0)
+        for c in (math.nan, math.inf, 1e-310):
+            assert op.log_norm_bound({site: c}) == math.inf
 
 
 def _fold(values):
@@ -1324,7 +1435,7 @@ def test_cycle_is_a_periodic_weight_line():
         expected = (measures[(k - 1) % 3] / measures[k % 3]) ** 0.5
         assert math.exp(line.log_at(k)) == pytest.approx(expected, rel=1e-15), k
     assert (tail_sign_vs_one(line, "neg"), tail_sign_vs_one(line, "pos")) == (0, 0)
-    assert op.basis_sites(50) == [(0, 0), (0, 1), (0, 2)]
+    assert basis_sites(op, 50) == [(0, 0), (0, 1), (0, 2)]
 
 
 def test_atomic_norms_read_the_component_measures():

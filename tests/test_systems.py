@@ -104,6 +104,40 @@ def test_log_mu_memo_is_bit_identical_to_sequential_sum(ms):
         assert ms.log_mu(k) == log_mu_sequential(ms, k)
 
 
+LOG_MU_CASES = [
+    lambda: MeasureSequence(F(3, 2), ratio(-1, ["1/3", 4], [2, "1/5"], ["7/2"])),
+    lambda: MeasureSequence.from_values(0.7, ratio(2, [0.3, 1.9], [1.1, 0.45, 2.0], [0.8, 1.3])),
+    lambda: MeasureSequence.from_values(
+        0.7, ratio(-2, [0.3, 1e8, 1.9, 3e-7], [1.1, 1e-9, 2.0], [0.8, 7e6, 1.3])),
+    # The benchmark cli config whose mu(-7)/mu(0) sits on a rounding tie.
+    lambda: MeasureSequence(F(2), ratio(0, ["4/6", "4/2", "2/6"], ["2/3", "4/7"],
+                                        ["5/6", "6/1", "6/5"])),
+]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("case", range(len(LOG_MU_CASES)))
+def test_log_mu_tables_give_the_sequential_fold_in_any_first_order(order, case):
+    ks = list(range(-300, 301))
+    if order == "descending":
+        ks.reverse()
+    elif order == "shuffled":
+        random.Random(case).shuffle(ks)
+    ms = LOG_MU_CASES[case]()  # a fresh memo and fresh tables
+    assert [ms.log_mu(k).hex() for k in ks] == [log_mu_sequential(ms, k).hex() for k in ks]
+
+
+@settings(max_examples=50, deadline=None)
+@given(core_lo=st.integers(-20, 20),
+       core=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+       neg=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
+       pos=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3),
+       ks=st.lists(st.integers(-300, 300), min_size=1, max_size=40))
+def test_log_mu_tables_give_the_sequential_fold_for_drawn_lines(core_lo, core, neg, pos, ks):
+    ms = MeasureSequence.from_values(0.7, ratio(core_lo, core, neg, pos))
+    assert [ms.log_mu(k).hex() for k in ks] == [log_mu_sequential(ms, k).hex() for k in ks]
+
+
 def test_log_mu_is_a_left_to_right_fold():
     # Float ratios of mixed size, where a compensated sum rounds differently.
     ms = MeasureSequence.from_values(
