@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, cycle, islice
 from operator import add
 from types import CodeType, FunctionType
@@ -137,19 +137,15 @@ class Record:
         return {name: _plain(getattr(self, name)) for name in self._fields}
 
 
-_INIT_TEMPLATES: dict[tuple[int, bool], CodeType] = {}
-
-
+@cache
 def _init_template(count: int, checked: bool) -> CodeType:
     """A record __init__'s code, compiled once per shape: _set{i}(self, _i) per field, _check."""
-    if (count, checked) not in _INIT_TEMPLATES:
-        lines = [f"def __init__(self, {', '.join(f'_{i}' for i in range(count))}):"]
-        lines += [f"    _set{i}(self, _{i})" for i in range(count)]
-        lines.append("    self._check()" if checked else "    pass")
-        namespace: dict = {}
-        exec("\n".join(lines), namespace)
-        _INIT_TEMPLATES[count, checked] = namespace["__init__"].__code__
-    return _INIT_TEMPLATES[count, checked]
+    lines = [f"def __init__(self, {', '.join(f'_{i}' for i in range(count))}):"]
+    lines += [f"    _set{i}(self, _{i})" for i in range(count)]
+    lines.append("    self._check()" if checked else "    pass")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["__init__"].__code__
 
 
 def _plain(value):
