@@ -178,18 +178,16 @@ def _dissipative_view(system: DissipativeSystem, method: Method, horizon: int) -
 
 
 # The rule tags each strict sign pattern (sign_minus, sign_plus) fires:
-# the uniform-expansivity trichotomy and the splitting condition.  Patterns
-# with a rate on the boundary (a sign of 0) fire neither.
-_SIGN_TABLE: dict[tuple[int, int], tuple[str | None, str | None]] = {
-    (1, 1): ("UE1", "HC"),
-    (-1, -1): ("UE2", "HD"),
-    (-1, 1): ("UE3", None),
-    (1, -1): (None, "GH"),
+# the uniform-expansivity trichotomy, the splitting condition, and the
+# branch of the weighted-shift table.  Patterns with a rate on the
+# boundary (a sign of 0) fire none of them.
+_SIGN_TABLE: dict[tuple[int, int], tuple[str | None, str | None, str | None]] = {
+    (1, 1): ("UE1", "HC", "B-b"),
+    (-1, -1): ("UE2", "HD", "B-a"),
+    (-1, 1): ("UE3", None, "B-c"),
+    (1, -1): (None, "GH", None),
 }
-_NO_RULE = (None, None)
-# A weight line is its ratio line inverted, so a shift's branch of the
-# weighted-shift table is the splitting condition at the negated signs.
-_SHIFT_BRANCHES = {"HC": "B-a", "HD": "B-b", "GH": "B-c"}
+_NO_RULE = (None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +262,7 @@ def _dissipative_verdicts(system: DissipativeSystem, view: _RateView) -> dict[st
     expansivity verdicts.
     """
     rules = _line_rules(view)
-    uniform, splitting = _SIGN_TABLE.get(view.signs, _NO_RULE)
+    uniform, splitting, _ = _SIGN_TABLE.get(view.signs, _NO_RULE)
     exact = view.method == "exact"
     backward = rules["positively_expansive"]
     minus, plus, both = view.margin_minus, view.margin_plus, view.margin_both
@@ -462,16 +460,14 @@ def classify_shift(
 ) -> ClassificationReport:
     """Stability table for an invertible weighted shift.
 
-    The three branches of the weighted-shift table, read from the
-    splitting column of the sign-pattern table at the negated signs: both
-    weight rates below 1 (contraction), both above 1 (expansion), or
-    contracting on the left with expansion on the right.  Any branch gives
-    strong structural stability and shadowing; the first two give
-    hyperbolicity; outside the table stability Fails.
+    The three branches of the sign-pattern table: both weight rates below
+    1 (contraction), both above 1 (expansion), or contracting on the left
+    with expansion on the right.  Any branch gives strong structural
+    stability and shadowing; the first two give hyperbolicity; outside the
+    table stability Fails.
     """
     view = _view(weights.values, method, horizon)
-    sign_minus, sign_plus = view.signs
-    branch = _SHIFT_BRANCHES.get(_SIGN_TABLE.get((-sign_minus, -sign_plus), _NO_RULE)[1])
+    branch = _SIGN_TABLE.get(view.signs, _NO_RULE)[2]
     rates = _rates_witness(view)
     margin = view.margin_both
     conditioned = dict(rates, condition=branch) if branch is not None else rates

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, cycle, islice
 from operator import add
-from types import CodeType, FunctionType
 from typing import Iterator, Sequence, Union
 
 ScalarLike = Union[int, float, str, Fraction]
@@ -98,14 +97,18 @@ class Record:
             raise TypeError(f"{cls.__name__} must not write __init__; checks go in _check")
         if list(defaults) != list(fields[len(fields) - len(defaults):]):
             raise TypeError(f"{cls.__name__}._defaults must cover its trailing fields, in order")
-        # A plain function with one parameter per field is about twice as
-        # fast to call as a generic *args/**kwargs one.  Its code is the
-        # shape's template with the fields' names, and its globals are the
-        # fields' slot setters.
-        code = _init_template(len(fields), hasattr(cls, "_check"))
-        setters = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(fields)}
-        init = FunctionType(code.replace(co_varnames=("self", *fields)), setters, "__init__",
-                            tuple(defaults.values()))
+        # Compiled once per class, as collections.namedtuple does: a plain
+        # function with one parameter per field is about twice as fast to
+        # call as a generic *args/**kwargs one.  Each field is set through
+        # its slot descriptor's __set__, bound into the namespace.
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
+        lines += [f"    _set_{name}(self, {name})" for name in fields]
+        if hasattr(cls, "_check"):
+            lines.append("    self._check()")
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in fields}
+        exec("\n".join(lines), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(defaults.values())
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__
         cls.__init__ = init
@@ -135,17 +138,6 @@ class Record:
     def as_dict(self) -> dict:
         """The fields by name, with records inside them turned into dicts too."""
         return {name: _plain(getattr(self, name)) for name in self._fields}
-
-
-@cache
-def _init_template(count: int, checked: bool) -> CodeType:
-    """A record __init__'s code, compiled once per shape: _set{i}(self, _i) per field, _check."""
-    lines = [f"def __init__(self, {', '.join(f'_{i}' for i in range(count))}):"]
-    lines += [f"    _set{i}(self, _{i})" for i in range(count)]
-    lines.append("    self._check()" if checked else "    pass")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["__init__"].__code__
 
 
 def _plain(value):

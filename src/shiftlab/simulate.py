@@ -37,10 +37,10 @@ two-sided probe are those of a positive probe with the same seed, so one
 pass over a two-sided report's outcomes reads both pointwise verdicts.
 
 Shadowing keeps only the largest of its log norms (the errors, the
-corrections and the orbit residuals).  Each is decided from a certified
-upper bound, log(S)/p + 1e-9 with S the fsum of ||c e_s||^p over the
-entries (``log_norm_bound``), and the exact log norm is taken only for a
-vector whose bound reaches the running maximum (``_max_log_norm``).
+corrections and the orbit residuals).  On a shift each is decided from
+a certified upper bound, log(S)/p + 1e-9 with S the fsum of |c|^p
+(``log_norm_bound``), and the exact log norm is taken only for a vector
+whose bound reaches the running maximum (``_max_log_norm``).
 
 Float sums are folded left to right with ``reduce(add, ..., 0.0)``:
 ``sum()`` compensates float sums from Python 3.12 on, which would move
@@ -55,7 +55,7 @@ import sys
 from enum import Enum
 from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, mul, neg
+from operator import add, neg
 from typing import Iterator
 
 from .classify import Status, Verdict
@@ -139,10 +139,8 @@ class LineSumOperator:
         self._periods = tuple(periods) if periods is not None else (None,) * len(self.lines)
         # Called with the two parts of a site key; None for unit site measures.
         self._log_measure = site_log_measure
-        # Site log measures by position, one table per line, for log_norm_walk,
-        # and site norms mu^(1/p) by site key, for log_norm_bound.
+        # Site log measures by position, one table per line, for log_norm_walk.
         self._site_logs: tuple[dict[int, float], ...] = tuple({} for _ in self.lines)
-        self._site_norms: dict = {}
 
     def _cover(self, site) -> list:
         """The sites a key stands for: itself, unless it is a window over cells."""
@@ -162,29 +160,25 @@ class LineSumOperator:
     def log_norm_bound(self, vec: Vec) -> float:
         """A certified upper bound on log_norm(vec) from its l^p sum; inf where there is none.
 
-        log_norm(vec) is log(S) / p with S the sum of ||c e_s||^p =
-        (|c| mu_s^(1/p))^p, up to the rounding of its log-sum-exp: under
-        1e-12 for float entries and site norms, whose logs are at most 745
-        in size.  Each term is a product and a power of normal floats, and
-        math.fsum rounds S once; from S >= 1e-290 on the terms that
-        underflowed cannot move it, so log(S) / p + _BOUND_MARGIN lies above
-        the computed log norm.  Site norms are read from the operator's
-        table, where one outside the normal float range is NaN.  An empty
-        vector reads -inf, its log norm.  Sums that are tiny, non-finite or
-        beyond float range, and NaN entries get inf.
+        On unit-measure lines log_norm(vec) is log(S) / p with
+        S = sum |c|^p, up to the rounding of its log-sum-exp: under 1e-12
+        for float entries, whose |log|c|| is at most 745.  math.fsum rounds
+        S once, and from S >= 1e-290 on the entries whose |c|^p underflowed
+        cannot move it, so log(S) / p + _BOUND_MARGIN lies above the
+        computed log norm.  An empty vector reads -inf, its log norm.
+        Measured lines, sums that are tiny, non-finite or beyond float
+        range, and NaN entries get inf.
         """
         if not vec:
             return _NEG_INF
-        p = self.p
-        sizes = map(abs, vec.values())
         if self._log_measure is not None:
-            norms = self._site_norms
-            for site in vec.keys() - norms.keys():
-                norm = _exp(self._log_measure(*site) / p)
-                norms[site] = norm if norm >= sys.float_info.min else math.nan
-            sizes = map(mul, sizes, map(norms.__getitem__, vec))
+            return math.inf
+        p = self.p
         try:
-            total = math.fsum(sizes if p == 1 else map(pow, sizes, repeat(p)))
+            if p == 1:
+                total = math.fsum(map(abs, vec.values()))
+            else:
+                total = math.fsum(map(pow, map(abs, vec.values()), repeat(p)))
         except OverflowError:
             return math.inf
         if 1e-290 <= total < math.inf:
@@ -1105,9 +1099,9 @@ def shadow(
     The passes are fused: a recursion step is one apply, one in-place add
     and one prune, and one closing pass builds each orbit residual
     e_i + T d_i - d_{i+1} and z_i together.  The largest error, ||d_i||
-    and residual are read through _max_log_norm: a vector's exact log
-    norm is computed only when its certified l^p bound reaches the
-    running maximum.  Every float and key order is that of the
+    and residual are read through _max_log_norm: on a shift a vector's
+    exact log norm is computed only when its certified l^p bound reaches
+    the running maximum.  Every float and key order is that of the
     step-by-step recursions, which build each quantity from fresh copies
     in a loop of its own.
     """

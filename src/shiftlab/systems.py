@@ -73,6 +73,10 @@ def draw_site(rng: random.Random, periods: Sequence[int | None], reach: int) -> 
     return line, rng.randrange(period) if period else rng.randint(-reach, reach)
 
 
+# How far from 0 log_mu tabulates its folds; past it a miss streams the fold.
+_LOG_MU_TABLE_CAP = 4096
+
+
 class MeasureSequence(Record):
     """Orbit measures mu_k presented as mu_0 and the ratio sequence.
 
@@ -115,24 +119,37 @@ class MeasureSequence(Record):
         That sequential sum fixes every bit of the result: a closed form
         (prefix sums plus whole periods) rounds differently, and so does
         sum(), which compensates float sums from Python 3.12 on.  A miss
-        reads a table kept beside the memo, at least doubled when the fold
-        reads past its end: for k > 0 the fold's own partial sums from 0,
-        for k < 0 the ratio logs left of 0, folded from k.
+        with |k| up to _LOG_MU_TABLE_CAP reads a table kept beside the
+        memo, at least doubled when the fold reads past its end: for k > 0
+        the fold's own partial sums from 0, continued from the last one,
+        for k < 0 the ratio logs left of 0, folded from k.  Beyond the cap
+        a k > 0 fold streams on from the last partial sum and a k < 0
+        fold streams from k, so the tables never outgrow the cap.
         """
         memo = self._log_mu_memo
         total = memo.get(k)
         if total is None:
             partials, logs = self._log_mu_tables  # sums of log r_0 .. r_(j-1); log r_-len .. r_-1
             if k > 0:
-                if len(partials) <= k:
-                    reach = max(k, 2 * len(partials))
-                    partials[:] = accumulate(islice(self.ratio.logs_from(0, 1), reach), initial=0.0)
-                total = memo[k] = self._log_mu0 + partials[k]
+                top = len(partials) - 1
+                if top < min(k, _LOG_MU_TABLE_CAP):
+                    reach = min(max(k, 2 * top), _LOG_MU_TABLE_CAP)
+                    last = partials.pop()  # accumulate yields it first
+                    partials += accumulate(islice(self.ratio.logs_from(top, 1), reach - top),
+                                           initial=last)
+                    top = reach
+                if k <= top:
+                    total = partials[k]
+                else:  # the same fold, streamed on from the table's end
+                    total = reduce(add, islice(self.ratio.logs_from(top, 1), k - top), partials[top])
+                total = memo[k] = self._log_mu0 + total
             else:
-                if len(logs) < -k:
-                    grow = max(-k, 2 * len(logs)) - len(logs)
+                if len(logs) < -k <= _LOG_MU_TABLE_CAP:
+                    grow = min(max(-k, 2 * len(logs)), _LOG_MU_TABLE_CAP) - len(logs)
                     logs[:0] = islice(self.ratio.logs_from(-len(logs) - grow, 1), grow)
-                total = memo[k] = self._log_mu0 - reduce(add, logs[len(logs) + k:], 0.0)
+                tail = (logs[len(logs) + k:] if -k <= _LOG_MU_TABLE_CAP
+                        else islice(self.ratio.logs_from(k, 1), -k))
+                total = memo[k] = self._log_mu0 - reduce(add, tail, 0.0)
         return total
 
     def mu(self, k: int) -> float:

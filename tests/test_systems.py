@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from shiftlab.cli import random_dissipative
 from shiftlab.presets import decay, flat, growth, peak, valley
 from shiftlab.seqcore import EventuallyPeriodicSequence, side_geometric_means, tail_sign_vs_one
+from shiftlab import systems
 from shiftlab.systems import (
     AtomicSystem,
     CellStructure,
@@ -136,6 +137,19 @@ def test_log_mu_tables_give_the_sequential_fold_in_any_first_order(order, case):
 def test_log_mu_tables_give_the_sequential_fold_for_drawn_lines(core_lo, core, neg, pos, ks):
     ms = MeasureSequence.from_values(0.7, ratio(core_lo, core, neg, pos))
     assert [ms.log_mu(k).hex() for k in ks] == [log_mu_sequential(ms, k).hex() for k in ks]
+
+
+@pytest.mark.parametrize("case", range(len(LOG_MU_CASES)))
+def test_log_mu_tables_stop_at_their_cap(case):
+    # Far indices are folded past the tables, which never outgrow the cap;
+    # near ones read the tables, whichever comes first.
+    cap = systems._LOG_MU_TABLE_CAP
+    far = [5 * cap + 3, -5 * cap - 3, cap + 1, -cap - 1, cap, -cap]
+    for ks in (far + [7, -7, 2 * cap], [7, -7, 2 * cap] + far):
+        ms = LOG_MU_CASES[case]()
+        assert [ms.log_mu(k).hex() for k in ks] == [log_mu_sequential(ms, k).hex() for k in ks]
+        partials, logs = ms._log_mu_tables
+        assert len(partials) == cap + 1 and len(logs) == cap
 
 
 def test_log_mu_is_a_left_to_right_fold():
