@@ -100,7 +100,8 @@ class Record:
         # Compiled once per class, as collections.namedtuple does: a plain
         # function with one parameter per field is about twice as fast to
         # call as a generic *args/**kwargs one.  Each field is set through
-        # its slot descriptor's __set__, bound into the namespace.
+        # its slot descriptor's __set__, bound into the namespace: faster
+        # than object.__setattr__, which looks the descriptor up by name.
         lines = [f"def __init__(self, {', '.join(fields)}):"]
         lines += [f"    _set_{name}(self, {name})" for name in fields]
         if hasattr(cls, "_check"):
