@@ -8,6 +8,23 @@ from typing import Any
 
 
 def _canon_scalar(value: Any) -> str:
+    # Strings first: keys and labels are most of what a report holds.  The
+    # Fraction test comes last because Fraction is a numbers.Rational, so
+    # each miss runs the ABC machinery.  No value fits two branches, so the
+    # order changes no output.
+    if isinstance(value, str):
+        out = ['"']
+        for ch in value:
+            if ch == '"':
+                out.append('\\"')
+            elif ch == "\\":
+                out.append("\\\\")
+            elif ord(ch) < 0x20:
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        out.append('"')
+        return "".join(out)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -23,19 +40,6 @@ def _canon_scalar(value: Any) -> str:
         return format(value, ".12g")
     if isinstance(value, Fraction):
         return _canon_scalar(fraction_text(value))
-    if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 

@@ -56,6 +56,10 @@ EXIT_VIOLATION = 3
 EXIT_NO_SPLITTING = 4
 
 AUDIT_MARGIN_GATE = 0.05
+# Farthest `simulate --site` on a measured line (a dissipative window or an
+# atomic line): log mu_K folds |K| ratio logs, and at this reach the
+# default -10..10 orbit still prints in about a second.
+SITE_REACH = 10**6
 # Horizon and random samples of the audit's brute-force expansivity probes
 _BRUTE_HORIZON = 40
 _BRUTE_SAMPLES = 3
@@ -352,6 +356,7 @@ def _simulate_site(parsed: ParsedConfig, args):
     if parsed.kind == "shift":
         return args.site
     if parsed.kind == "dissipative":
+        _check_site_reach(args.site)
         n_cells = parsed.system.n_cells
         if args.cell is not None and not 1 <= args.cell <= n_cells:
             raise ConfigError("--cell", f"expected 1..{n_cells}, got {args.cell}")
@@ -361,7 +366,14 @@ def _simulate_site(parsed: ParsedConfig, args):
     count = len(parsed.system.components)
     if not 0 <= args.component < count:
         raise ConfigError("--component", f"expected 0..{count - 1}, got {args.component}")
+    if parsed.system.periods[args.component] is None:
+        _check_site_reach(args.site)
     return (args.component, args.site)
+
+
+def _check_site_reach(site: int) -> None:
+    if abs(site) > SITE_REACH:
+        raise ConfigError("--site", f"expected |K| <= {SITE_REACH} on a measured line, got {site}")
 
 
 def cmd_simulate(args) -> int:

@@ -12,6 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import neg
+from typing import Any
 
 
 def eval_periodic(core_lo, core, neg, pos, k):
@@ -478,3 +479,62 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
         return BruteForceReport(verdict, mode, horizon, seed, outcomes)
     positive = pointwise_reference(outcomes, False) if mode.twosided else None
     return BruteForceReport(verdict, mode, horizon, seed, outcomes, positive)
+
+
+# The canonical JSON encoder as it stood before its scalar dispatch was
+# reordered for speed, kept byte for byte (only the names differ) as the
+# reference that any later rewrite of shiftlab.canon must match.
+
+
+def _canon_scalar_reference(value: Any) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value!r}")
+        if value == int(value) and abs(value) < 1e15:
+            return str(int(value))
+        # 12 significant digits, enough to round-trip every reported rate.
+        return format(value, ".12g")
+    if isinstance(value, Fraction):
+        return _canon_scalar_reference(_fraction_text_reference(value))
+    if isinstance(value, str):
+        out = ['"']
+        for ch in value:
+            if ch == '"':
+                out.append('\\"')
+            elif ch == "\\":
+                out.append("\\\\")
+            elif ord(ch) < 0x20:
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        out.append('"')
+        return "".join(out)
+    raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+def canonical_json_reference(obj: Any) -> str:
+    """Serialize with sorted keys and fixed float formatting.
+
+    Equal inputs yield byte-identical output; reports and config dumps go
+    through here so repeated runs can be compared with a plain diff.
+    """
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: kv[0])
+        inner = ",".join(f"{_canon_scalar_reference(str(k))}:{canonical_json_reference(v)}"
+                         for k, v in items)
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(canonical_json_reference(v) for v in obj) + "]"
+    return _canon_scalar_reference(obj)
+
+
+def _fraction_text_reference(frac: Fraction) -> str:
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    return f"{frac.numerator}/{frac.denominator}"

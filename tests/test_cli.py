@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import time
 from decimal import Decimal
 
 import pytest
@@ -16,6 +17,7 @@ from shiftlab.cli import (
     EXIT_NO_SPLITTING,
     EXIT_OK,
     EXIT_VIOLATION,
+    SITE_REACH,
     _fmt_log,
     build_parser,
     main,
@@ -627,6 +629,39 @@ def test_simulate_rejects_out_of_range_site_flags(config_file, capsys, config, f
     code, _, err = run(capsys, "simulate", config_file(config), flag, value)
     assert code == EXIT_CONFIG
     assert flag in err and "Traceback" not in err
+
+
+CYCLE_AND_LINE = {
+    "kind": "atomic",
+    "p": 1,
+    "components": [THREE_CYCLE["components"][0],
+                   {"type": "line", "mu0": "1", "ratio": FLAT["ratio"]}],
+}
+
+
+@pytest.mark.parametrize("config, argv", [
+    (FLAT, ("--site", "100000000000")),
+    (FLAT, ("--site", str(-SITE_REACH - 1))),
+    (CELLS, ("--site", str(SITE_REACH + 1), "--cell", "2")),
+    (CYCLE_AND_LINE, ("--component", "1", "--site", "-100000000000")),
+])
+def test_simulate_refuses_far_sites_on_measured_lines(config_file, capsys, config, argv):
+    # log mu_K folds |K| ratio logs: a site past the reach is refused before any fold.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", config_file(config), *argv, "--nmin", "0", "--nmax", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_CONFIG and out == ""
+    assert "--site" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, argv", [
+    (DOUBLING_SHIFT, ("--site", "-100000000000")),
+    (CYCLE_AND_LINE, ("--component", "0", "--site", "100000000000")),
+])
+def test_simulate_takes_far_sites_where_no_fold_reaches_them(config_file, capsys, config, argv):
+    code, out, _ = run(capsys, "simulate", config_file(config), *argv, "--nmin", "0", "--nmax", "2")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 4
 
 
 def test_simulate_cell_flag_on_a_window_reads_the_window(config_file, capsys):
