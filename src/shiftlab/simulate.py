@@ -213,6 +213,10 @@ class LineSumOperator:
         period = self._periods[line]
         return range(period) if period else range(-span, span + 1)
 
+    def apply_add(self, vec: Vec, other: Vec, negate: bool = False) -> Vec:
+        """T vec + other (T vec - other with negate), under _add_into's floats and key order."""
+        return _add_into(self.apply(vec, 1), other, negate)
+
     def _draw_site(self, rng: random.Random, reach: int):
         """A seeded site near position 0: the line first, then the position."""
         return self._key(*draw_site(rng, self._periods, reach))
@@ -308,28 +312,45 @@ class ShiftOperator(LineSumOperator):
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         if steps == 1 or steps == -1:  # the one step every recursion and walk takes
-            return self._step(vec, steps > 0)
+            return self.apply_add(vec, {}) if steps > 0 else self._back_step(vec)
         for _ in range(abs(steps)):
-            vec = self._step(vec, steps > 0)
+            vec = self.apply_add(vec, {}) if steps > 0 else self._back_step(vec)
         return vec
 
-    def _step(self, vec: Vec, forward: bool) -> Vec:
-        w = self.weights.values
+    def apply_add(self, vec: Vec, other: Vec, negate: bool = False) -> Vec:
+        """T vec + other (T vec - other with negate) in one pass over each, no T vec built.
+
+        _add_into's floats, zero rule and key order: the moved entries in
+        vec's order, less those that other cancels exactly, then other's
+        remaining sites in other's order.
+        """
+        factors = self._forward
+        out: Vec = {}
+        for k, c in vec.items():
+            try:
+                f = factors[k]
+            except KeyError:
+                f = factors[k] = math.exp(self.weights.values.log_at(k))
+            site = k - 1
+            if site in other:
+                value = c * f - other[site] if negate else c * f + other[site]
+                if value:
+                    out[site] = value
+            else:
+                out[site] = c * f
+        for site, b in other.items():
+            if b and site + 1 not in vec:
+                out[site] = 0.0 - b if negate else 0.0 + b
+        return out
+
+    def _back_step(self, vec: Vec) -> Vec:
+        factors, log_at = self._backward, self.weights.values.log_at
         moved: Vec = {}
-        if forward:
-            factors = self._forward
-            for k, c in vec.items():
-                f = factors.get(k)
-                if f is None:
-                    f = factors[k] = math.exp(w.log_at(k))
-                moved[k - 1] = c * f
-        else:
-            factors = self._backward
-            for k, c in vec.items():
-                f = factors.get(k)
-                if f is None:
-                    f = factors[k] = math.exp(-w.log_at(k + 1))
-                moved[k + 1] = c * f
+        for k, c in vec.items():
+            f = factors.get(k)
+            if f is None:
+                f = factors[k] = math.exp(-log_at(k + 1))
+            moved[k + 1] = c * f
         return moved
 
 
@@ -869,9 +890,9 @@ class Pseudotrajectory(Record):
             raise ValueError("pseudotrajectory coefficients must be finite")
 
     def errors(self, op: LineSumOperator) -> list[Vec]:
-        """e_i = T x_i - x_{i+1}, each built in place on the fresh result of apply."""
+        """e_i = T x_i - x_{i+1}, each one apply_add."""
         points = self.points
-        return [_add_into(op.apply(points[i], 1), points[i + 1], negate=True)
+        return [op.apply_add(points[i], points[i + 1], negate=True)
                 for i in range(len(points) - 1)]
 
 
@@ -1021,16 +1042,30 @@ def build_splitting(op: LineSumOperator) -> Splitting:
 
 
 class ShadowResult(Record):
-    __slots__ = _fields = ("start_index", "z_points", "eps_achieved", "dropped",
-                           "bound_a_priori", "max_orbit_residual", "splitting")
+    """A verified shadowing: the true orbit z_i = x_i + d_i, its distance and its bounds."""
+
+    _fields = ("start_index", "points", "corrections", "eps_achieved", "dropped",
+               "bound_a_priori", "max_orbit_residual", "splitting")
+    __slots__ = _fields + ("_z_points",)
 
     start_index: int
-    z_points: tuple[Vec, ...]
+    points: tuple[Vec, ...]  # the pseudotrajectory's x_i
+    corrections: tuple[Vec, ...]  # the d_i
     eps_achieved: float
     dropped: float  # the largest norm the support bound dropped in one step
     bound_a_priori: float
     max_orbit_residual: float
     splitting: Splitting
+
+    @property
+    def z_points(self) -> tuple[Vec, ...]:
+        """The z_i = x_i + d_i, built on first read and kept."""
+        try:
+            return self._z_points
+        except AttributeError:
+            z = tuple([_add_into(dict(x), d) for x, d in zip(self.points, self.corrections)])
+            object.__setattr__(self, "_z_points", z)
+            return z
 
 
 # Drop floor for correction entries, relative to the largest one-step error.
@@ -1096,12 +1131,15 @@ def shadow(
     the orbit relation before being returned: shadowing is linear, so the
     largest residual may be 1e-9 times the largest error once that exceeds 1.
 
-    The passes are fused: a recursion step is one apply, one in-place add
-    and one prune, and one closing pass builds each orbit residual
-    e_i + T d_i - d_{i+1} and z_i together.  The largest error, ||d_i||
-    and residual are read through _max_log_norm: on a shift a vector's
-    exact log norm is computed only when its certified l^p bound reaches
-    the running maximum.  Every float and key order is that of the
+    The passes are fused: a stable step is one apply_add (on a shift one
+    pass, building no T s_{i-1}) and one prune, an unstable step one
+    in-place add, one apply and one prune, and a prune returns its input
+    when no entry lies below keep_at.  One closing pass only verifies,
+    building each orbit residual e_i + T d_i - d_{i+1}; the result keeps
+    the x_i and d_i and builds the z_i when first read.  The largest
+    error, ||d_i|| and residual are read through _max_log_norm: on a shift
+    a vector's exact log norm is computed only when its certified l^p
+    bound reaches the running maximum.  Every float and key order is that of the
     step-by-step recursions, which build each quantity from fresh copies
     in a loop of its own.
     """
@@ -1109,7 +1147,7 @@ def shadow(
         splitting = build_splitting(op)
     errors = pt.errors(op)
     count = len(pt.points)
-    apply, p = op.apply, op.p
+    apply_add, p = op.apply_add, op.p
     # _exp is monotone, so the largest norm is _exp of the largest log norm.
     delta_eff = _exp(_max_log_norm(op, errors))
     floor = p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
@@ -1118,8 +1156,13 @@ def shadow(
     lost = -math.inf  # the largest log ||dropped||^p of one step
 
     def pruned(vec: Vec) -> Vec:
-        """vec without its entries whose log term is below the floor; their mass goes to lost."""
+        """vec without its entries whose log term is below the floor; their mass goes to lost.
+
+        vec itself when no entry is below keep_at, which a NaN keep_at never shows.
+        """
         nonlocal lost
+        if min(map(abs, vec.values()), default=math.inf) >= keep_at:
+            return vec
         kept = {s: c for s, c in vec.items() if abs(c) >= keep_at or not log_term(s, c) < floor}
         if len(kept) < len(vec):
             lost = max(lost, logsumexp([log_term(s, c) for s, c in vec.items() if s not in kept]))
@@ -1142,22 +1185,19 @@ def shadow(
     if splitting.kind != "expansion":
         stable: Vec = {}
         for i in range(1, count):
-            stable = pruned(_add_into(apply(stable, 1), stable_errors[i - 1]))
+            stable = pruned(apply_add(stable, stable_errors[i - 1]))
             corrections[i] = stable
     if splitting.kind != "contraction":
         unstable: Vec = {}
         for i in range(count - 2, -1, -1):
-            unstable = pruned(apply(_add_into(unstable, unstable_errors[i]), -1))
+            unstable = pruned(op.apply(_add_into(unstable, unstable_errors[i]), -1))
             _add_into(corrections[i], unstable, negate=True)
 
-    # The closing pass.  The recursions are done, so each e_i takes its
-    # residual e_i + T d_i - d_{i+1} in place; the largest log norms of the
-    # d_i and of the residuals go through _exp once.
-    z_points = []
-    for i, (x, d) in enumerate(zip(pt.points, corrections)):
-        if i + 1 < count:
-            _add_into(errors[i], _add_into(apply(d, 1), corrections[i + 1], negate=True))
-        z_points.append(_add_into(dict(x), d))
+    # The closing pass only verifies.  The recursions are done, so each e_i
+    # takes its residual e_i + T d_i - d_{i+1} in place; the largest log
+    # norms of the d_i and of the residuals go through _exp once.
+    for i in range(count - 1):
+        _add_into(errors[i], apply_add(corrections[i], corrections[i + 1], negate=True))
     log_eps = _max_log_norm(op, corrections)
     log_residual = _max_log_norm(op, errors, start=-math.inf)
 
@@ -1172,7 +1212,8 @@ def shadow(
 
     return ShadowResult(
         start_index=pt.start_index,
-        z_points=tuple(z_points),
+        points=pt.points,
+        corrections=tuple(corrections),
         eps_achieved=eps,
         dropped=dropped,
         bound_a_priori=splitting.a_priori_bound(pt.delta),

@@ -204,20 +204,18 @@ def shadow_stepwise(op, pt, splitting=None):
     error, recursion step and residual built from fresh dict copies, one
     loop per quantity, with the orbit-relation gate that scales with
     errors larger than 1.  The fused ``shadow`` must return the same
-    floats, in the same key order, on every input.
+    floats, in the same key order, on every input.  It returns a namespace
+    of ShadowResult's fields plus ``z_points``, each z_i built here by
+    ``vec_add``, so a comparison reads no ShadowResult property.
     """
-    from shiftlab.simulate import (
-        _TRUNC,
-        NoSplitting,
-        ShadowResult,
-        build_splitting,
-        vec_add,
-    )
+    from types import SimpleNamespace
+
+    from shiftlab.simulate import _TRUNC, NoSplitting, build_splitting, vec_add
     from shiftlab.systems import logsumexp
 
     if splitting is None:
         splitting = build_splitting(op)
-    errors = pt.errors(op)
+    errors = [vec_sub(op.apply(x, 1), y) for x, y in zip(pt.points, pt.points[1:])]
     count = len(pt.points)
     delta_eff = max((op.norm(e) for e in errors), default=0.0)
     floor = op.p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
@@ -273,8 +271,10 @@ def shadow_stepwise(op, pt, splitting=None):
         )
 
     z_points = tuple(vec_add(x, d) for x, d in zip(pt.points, corrections))
-    return ShadowResult(
+    return SimpleNamespace(
         start_index=pt.start_index,
+        points=pt.points,
+        corrections=tuple(corrections),
         z_points=z_points,
         eps_achieved=eps,
         dropped=dropped,

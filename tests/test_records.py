@@ -162,7 +162,8 @@ BUILDS = {
                         Verdict(Status.FAILS, "ED1")), {"positive_verdict": None}),
     Pseudotrajectory: ((0, ({}, {0: 1e-3}), 1e-3), {}),
     Splitting: (SPLIT, {}),
-    ShadowResult: ((-1, ({},), 0.0, 0.0, 1e-3, 0.0, Splitting(*SPLIT)), {}),
+    ShadowResult: ((-1, ({0: 1.0},), ({0: 1e-3},), 0.0, 0.0, 1e-3, 0.0, Splitting(*SPLIT)),
+                   {}),
 }
 RECORD_CLASSES = sorted(BUILDS, key=lambda cls: cls.__qualname__)
 

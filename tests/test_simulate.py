@@ -1284,6 +1284,46 @@ def test_shadow_takes_exact_log_norms_only_where_they_can_set_a_maximum(monkeypa
     assert result.eps_achieved == pytest.approx(PINNED_EPS["split", 1], rel=1e-12)
 
 
+# Coefficients where the zero rule and float edges meet: signed zeros,
+# subnormals, infinities, and ordinary and extreme finite values.
+EDGE_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+                     1.0, -1.0, 0.5, 1e300, -1e-300]),
+    st.floats(allow_nan=False),
+)
+SHIFT_VECS = st.dictionaries(st.integers(-5, 5), EDGE_COEFFS, max_size=8)
+
+
+def hex_items(vec):
+    return [(site, c.hex()) for site, c in vec.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vec=SHIFT_VECS, other=SHIFT_VECS, negate=st.booleans(),
+       cancel=st.lists(st.integers(-6, 4), max_size=4))
+def test_shift_apply_add_is_apply_then_add_into(vec, other, negate, cancel):
+    op = sevens_shift(1.0)
+    # T vec by hand: site k moves to k - 1, scaled by w_k = exp(log w_k).
+    moved = {k - 1: c * math.exp(op.weights.values.log_at(k)) for k, c in vec.items()}
+    assert hex_items(op.apply(vec, 1)) == hex_items(moved)
+    for site in cancel:  # exact cancellations of some moved entries
+        if site in moved:
+            other[site] = moved[site] if negate else -moved[site]
+    expected = simulate._add_into(op.apply(vec, 1), other, negate)
+    assert hex_items(op.apply_add(vec, other, negate)) == hex_items(expected)
+
+
+def test_z_points_are_built_on_first_read_and_kept():
+    op, pt = shadow_case("split", 41, 0)
+    result = shadow(op, pt, build_splitting(op))
+    assert not hasattr(result, "_z_points")  # shadow itself builds no z_i
+    z = result.z_points
+    assert result.z_points is z
+    assert result.points is pt.points and len(result.corrections) == len(pt.points)
+    for zi, x, d in zip(z, pt.points, result.corrections, strict=True):
+        assert hex_items(zi) == hex_items(vec_add(x, d))
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_log_norm_bound_lies_above_the_log_norm(p):
     op = ShiftOperator(split_weights(), p)
