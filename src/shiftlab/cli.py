@@ -46,6 +46,7 @@ from .systems import (
     InvalidSystem,
     MeasureSequence,
     WeightSequence,
+    _LOG_MU_TABLE_CAP,
     _exp,
     induced_weights,
 )
@@ -60,6 +61,16 @@ AUDIT_MARGIN_GATE = 0.05
 # atomic line): log mu_K folds |K| ratio logs, and at this reach the
 # default -10..10 orbit still prints in about a second.
 SITE_REACH = 10**6
+# Most steps `simulate` walks, max(nmax, 0) + max(-nmin, 0), on any line:
+# a shift's orbit of this many steps prints in about a second.
+ORBIT_STEPS = 2 * 10**5
+# On a measured line a site past log mu's table (|K| > 4096) refolds |K|
+# ratio logs, so a walk that leaves the table may read (steps + 1) sites
+# times its farthest |K| up to this budget, which the default -10..10
+# orbit at SITE_REACH spends about two thirds of: about a second.
+FOLD_BUDGET = 3 * 10**7
+# Most points of a `shadow` pseudotrajectory: about a second on a shift.
+SHADOW_LENGTH = 20001
 # Horizon and random samples of the audit's brute-force expansivity probes
 _BRUTE_HORIZON = 40
 _BRUTE_SAMPLES = 3
@@ -356,7 +367,7 @@ def _simulate_site(parsed: ParsedConfig, args):
     if parsed.kind == "shift":
         return args.site
     if parsed.kind == "dissipative":
-        _check_site_reach(args.site)
+        _check_measured_reach(args)
         n_cells = parsed.system.n_cells
         if args.cell is not None and not 1 <= args.cell <= n_cells:
             raise ConfigError("--cell", f"expected 1..{n_cells}, got {args.cell}")
@@ -367,19 +378,40 @@ def _simulate_site(parsed: ParsedConfig, args):
     if not 0 <= args.component < count:
         raise ConfigError("--component", f"expected 0..{count - 1}, got {args.component}")
     if parsed.system.periods[args.component] is None:
-        _check_site_reach(args.site)
+        _check_measured_reach(args)
     return (args.component, args.site)
 
 
-def _check_site_reach(site: int) -> None:
+def _orbit_steps(args) -> int:
+    return max(args.nmax, 0) + max(-args.nmin, 0)
+
+
+def _check_measured_reach(args) -> None:
+    """Refuse a far site, and a walk past log mu's table whose folds exceed FOLD_BUDGET."""
+    site = args.site
     if abs(site) > SITE_REACH:
         raise ConfigError("--site", f"expected |K| <= {SITE_REACH} on a measured line, got {site}")
+    # Step n reads site K - n, for n from min(nmin, 0) to max(nmax, 0).
+    farthest = max(abs(site - max(args.nmax, 0)), abs(site + max(-args.nmin, 0)))
+    sites = _orbit_steps(args) + 1
+    if farthest > _LOG_MU_TABLE_CAP and sites * farthest > FOLD_BUDGET:
+        raise ConfigError(
+            "--nmin/--nmax",
+            f"the orbit reads {sites} sites out to |K| = {farthest} on a measured line; "
+            f"past |K| = {_LOG_MU_TABLE_CAP}, sites x |K| must stay within {FOLD_BUDGET}",
+        )
 
 
 def cmd_simulate(args) -> int:
     parsed = load_config(args.config)
     if args.nmin > args.nmax:
         raise ConfigError("--nmin", "empty range: nmin exceeds nmax")
+    if _orbit_steps(args) > ORBIT_STEPS:
+        raise ConfigError(
+            "--nmin/--nmax",
+            f"the orbit walks max(nmax, 0) + max(-nmin, 0) = {_orbit_steps(args)} steps; "
+            f"expected at most {ORBIT_STEPS}",
+        )
     op = operator_for(parsed.system, parsed.p)
     site = _simulate_site(parsed, args)
     vec = op.normalized_basis(site)
@@ -621,8 +653,8 @@ def cmd_audit(args) -> int:
 # Entry point
 
 
-def _int_at_least(minimum: int):
-    """argparse type of an integer flag that must be at least ``minimum``."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type of an integer flag that must be at least ``minimum`` (and at most ``maximum``)."""
 
     def parse(text: str) -> int:
         try:
@@ -631,6 +663,8 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -681,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     shadow_cmd.add_argument("config")
     shadow_cmd.add_argument("--delta", type=_delta_arg, default=1e-3, metavar="D")
     # A pseudotrajectory has at least two points.
-    shadow_cmd.add_argument("--length", type=_int_at_least(2), default=201, metavar="L")
+    shadow_cmd.add_argument("--length", type=_int_at_least(2, SHADOW_LENGTH), default=201,
+                            metavar="L")
     shadow_cmd.add_argument("--seed", type=int, default=0, metavar="S")
     shadow_cmd.add_argument("--json", action="store_true")
     shadow_cmd.set_defaults(func=cmd_shadow)

@@ -17,6 +17,8 @@ from shiftlab.cli import (
     EXIT_NO_SPLITTING,
     EXIT_OK,
     EXIT_VIOLATION,
+    ORBIT_STEPS,
+    SHADOW_LENGTH,
     SITE_REACH,
     _fmt_log,
     build_parser,
@@ -319,6 +321,7 @@ BAD_FLAG_CONFIGS = {"shadow": DOUBLING_SHIFT, "classify": PEAK, "audit": PEAK}
     "command, flag, value, message",
     [
         ("shadow", "--length", "1", "must be at least 2"),
+        ("shadow", "--length", str(SHADOW_LENGTH + 1), f"must be at most {SHADOW_LENGTH}"),
         ("shadow", "--delta", "0", "must be a finite number > 0"),
         ("shadow", "--delta", "nan", "must be a finite number > 0"),
         ("classify", "--horizon", "0", "must be at least 1"),
@@ -662,6 +665,51 @@ def test_simulate_takes_far_sites_where_no_fold_reaches_them(config_file, capsys
     code, out, _ = run(capsys, "simulate", config_file(config), *argv, "--nmin", "0", "--nmax", "2")
     assert code == EXIT_OK
     assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("config, argv", [
+    (FLAT, ("--nmin", "100000000000", "--nmax", "100000000000")),
+    (FLAT, ("--site", "1000000", "--nmin", "1000000", "--nmax", "1000000")),
+    (FLAT, ("--nmin", "0", "--nmax", "8000")),
+    (FLAT, ("--site", str(SITE_REACH), "--nmin", "-15", "--nmax", "15")),
+    (CELLS, ("--site", "-5000", "--nmin", "-10000", "--nmax", "10", "--cell", "1")),
+    (CYCLE_AND_LINE, ("--component", "1", "--nmin", "-20000", "--nmax", "0")),
+    (DOUBLING_SHIFT, ("--nmin", "100000000000", "--nmax", "100000000000")),
+    (DOUBLING_SHIFT, ("--nmin", str(-ORBIT_STEPS), "--nmax", "1")),
+    (THREE_CYCLE, ("--nmin", "-100000000000", "--nmax", "0")),
+])
+def test_simulate_refuses_far_orbit_ranges(config_file, capsys, config, argv):
+    # Each of these used to walk for seconds to hours, or until killed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", config_file(config), *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_CONFIG and out == ""
+    assert "--nmin/--nmax" in err and "Traceback" not in err
+
+
+def test_simulate_range_limits_sit_at_their_documented_edges(config_file, capsys, monkeypatch):
+    monkeypatch.setattr(shiftlab.cli, "ORBIT_STEPS", 30)
+    monkeypatch.setattr(shiftlab.cli, "FOLD_BUDGET", 3 * 5000)
+    shift, flat = config_file(DOUBLING_SHIFT, "shift.json"), config_file(FLAT, "flat.json")
+    cases = [
+        ((shift, "--nmin", "-10", "--nmax", "20"), EXIT_OK),  # 30 steps
+        ((shift, "--nmin", "-11", "--nmax", "20"), EXIT_CONFIG),
+        ((flat, "--nmin", "-15", "--nmax", "16"), EXIT_CONFIG),  # the cap holds on every kind
+        # Inside log mu's table any walk the step cap allows is taken.
+        ((flat, "--site", "4090", "--nmin", "-6", "--nmax", "20"), EXIT_OK),
+        # Past it, (steps + 1) sites times the farthest |K| meets the budget...
+        ((flat, "--site", "5000", "--nmin", "0", "--nmax", "2"), EXIT_OK),
+        # ...or exceeds it.
+        ((flat, "--site", "5000", "--nmin", "-1", "--nmax", "2"), EXIT_CONFIG),
+    ]
+    for argv, expected in cases:
+        code, _, err = run(capsys, "simulate", *argv)
+        assert code == expected, (argv, err)
+
+
+def test_shadow_takes_the_longest_documented_length():
+    args = build_parser().parse_args(["shadow", "shift.json", "--length", str(SHADOW_LENGTH)])
+    assert args.length == SHADOW_LENGTH
 
 
 def test_simulate_cell_flag_on_a_window_reads_the_window(config_file, capsys):
