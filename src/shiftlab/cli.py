@@ -63,14 +63,14 @@ AUDIT_MARGIN_GATE = 0.05
 SITE_REACH = 10**6
 # Most steps `simulate` walks, max(nmax, 0) + max(-nmin, 0), on any line:
 # a shift's orbit of this many steps prints in about a second.
-ORBIT_STEPS = 2 * 10**5
+MAX_ORBIT_STEPS = 2 * 10**5
 # On a measured line a site past log mu's table (|K| > 4096) refolds |K|
-# ratio logs, so a walk that leaves the table may read (steps + 1) sites
-# times its farthest |K| up to this budget, which the default -10..10
-# orbit at SITE_REACH spends about two thirds of: about a second.
+# ratio logs.  A walk that leaves the table may read (steps + 1) sites
+# times its farthest |K| up to this budget, about a second of folds; the
+# default -10..10 orbit at SITE_REACH spends 2.1e7 of it.
 FOLD_BUDGET = 3 * 10**7
 # Most points of a `shadow` pseudotrajectory: about a second on a shift.
-SHADOW_LENGTH = 20001
+MAX_SHADOW_LENGTH = 20001
 # Horizon and random samples of the audit's brute-force expansivity probes
 _BRUTE_HORIZON = 40
 _BRUTE_SAMPLES = 3
@@ -406,11 +406,11 @@ def cmd_simulate(args) -> int:
     parsed = load_config(args.config)
     if args.nmin > args.nmax:
         raise ConfigError("--nmin", "empty range: nmin exceeds nmax")
-    if _orbit_steps(args) > ORBIT_STEPS:
+    if _orbit_steps(args) > MAX_ORBIT_STEPS:
         raise ConfigError(
             "--nmin/--nmax",
             f"the orbit walks max(nmax, 0) + max(-nmin, 0) = {_orbit_steps(args)} steps; "
-            f"expected at most {ORBIT_STEPS}",
+            f"expected at most {MAX_ORBIT_STEPS}",
         )
     op = operator_for(parsed.system, parsed.p)
     site = _simulate_site(parsed, args)
@@ -714,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
     shadow_cmd = sub.add_parser("shadow", help="correct a seeded pseudotrajectory")
     shadow_cmd.add_argument("config")
     shadow_cmd.add_argument("--delta", type=_delta_arg, default=1e-3, metavar="D")
-    # A pseudotrajectory has at least two points.
-    shadow_cmd.add_argument("--length", type=_int_at_least(2, SHADOW_LENGTH), default=201,
+    # A pseudotrajectory has at least two points, and at most MAX_SHADOW_LENGTH.
+    shadow_cmd.add_argument("--length", type=_int_at_least(2, MAX_SHADOW_LENGTH), default=201,
                             metavar="L")
     shadow_cmd.add_argument("--seed", type=int, default=0, metavar="S")
     shadow_cmd.add_argument("--json", action="store_true")

@@ -1147,7 +1147,7 @@ def shadow(
         splitting = build_splitting(op)
     errors = pt.errors(op)
     count = len(pt.points)
-    apply_add, p = op.apply_add, op.p
+    apply, apply_add, p = op.apply, op.apply_add, op.p
     # _exp is monotone, so the largest norm is _exp of the largest log norm.
     delta_eff = _exp(_max_log_norm(op, errors))
     floor = p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
@@ -1190,7 +1190,7 @@ def shadow(
     if splitting.kind != "contraction":
         unstable: Vec = {}
         for i in range(count - 2, -1, -1):
-            unstable = pruned(op.apply(_add_into(unstable, unstable_errors[i]), -1))
+            unstable = pruned(apply(_add_into(unstable, unstable_errors[i]), -1))
             _add_into(corrections[i], unstable, negate=True)
 
     # The closing pass only verifies.  The recursions are done, so each e_i

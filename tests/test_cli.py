@@ -17,8 +17,8 @@ from shiftlab.cli import (
     EXIT_NO_SPLITTING,
     EXIT_OK,
     EXIT_VIOLATION,
-    ORBIT_STEPS,
-    SHADOW_LENGTH,
+    MAX_ORBIT_STEPS,
+    MAX_SHADOW_LENGTH,
     SITE_REACH,
     _fmt_log,
     build_parser,
@@ -321,7 +321,7 @@ BAD_FLAG_CONFIGS = {"shadow": DOUBLING_SHIFT, "classify": PEAK, "audit": PEAK}
     "command, flag, value, message",
     [
         ("shadow", "--length", "1", "must be at least 2"),
-        ("shadow", "--length", str(SHADOW_LENGTH + 1), f"must be at most {SHADOW_LENGTH}"),
+        ("shadow", "--length", str(MAX_SHADOW_LENGTH + 1), f"must be at most {MAX_SHADOW_LENGTH}"),
         ("shadow", "--delta", "0", "must be a finite number > 0"),
         ("shadow", "--delta", "nan", "must be a finite number > 0"),
         ("classify", "--horizon", "0", "must be at least 1"),
@@ -675,7 +675,7 @@ def test_simulate_takes_far_sites_where_no_fold_reaches_them(config_file, capsys
     (CELLS, ("--site", "-5000", "--nmin", "-10000", "--nmax", "10", "--cell", "1")),
     (CYCLE_AND_LINE, ("--component", "1", "--nmin", "-20000", "--nmax", "0")),
     (DOUBLING_SHIFT, ("--nmin", "100000000000", "--nmax", "100000000000")),
-    (DOUBLING_SHIFT, ("--nmin", str(-ORBIT_STEPS), "--nmax", "1")),
+    (DOUBLING_SHIFT, ("--nmin", str(-MAX_ORBIT_STEPS), "--nmax", "1")),
     (THREE_CYCLE, ("--nmin", "-100000000000", "--nmax", "0")),
 ])
 def test_simulate_refuses_far_orbit_ranges(config_file, capsys, config, argv):
@@ -688,7 +688,7 @@ def test_simulate_refuses_far_orbit_ranges(config_file, capsys, config, argv):
 
 
 def test_simulate_range_limits_sit_at_their_documented_edges(config_file, capsys, monkeypatch):
-    monkeypatch.setattr(shiftlab.cli, "ORBIT_STEPS", 30)
+    monkeypatch.setattr(shiftlab.cli, "MAX_ORBIT_STEPS", 30)
     monkeypatch.setattr(shiftlab.cli, "FOLD_BUDGET", 3 * 5000)
     shift, flat = config_file(DOUBLING_SHIFT, "shift.json"), config_file(FLAT, "flat.json")
     cases = [
@@ -708,8 +708,8 @@ def test_simulate_range_limits_sit_at_their_documented_edges(config_file, capsys
 
 
 def test_shadow_takes_the_longest_documented_length():
-    args = build_parser().parse_args(["shadow", "shift.json", "--length", str(SHADOW_LENGTH)])
-    assert args.length == SHADOW_LENGTH
+    args = build_parser().parse_args(["shadow", "shift.json", "--length", str(MAX_SHADOW_LENGTH)])
+    assert args.length == MAX_SHADOW_LENGTH
 
 
 def test_simulate_cell_flag_on_a_window_reads_the_window(config_file, capsys):
