@@ -204,9 +204,11 @@ def shadow_stepwise(op, pt, splitting=None):
     error, recursion step and residual built from fresh dict copies, one
     loop per quantity, with the orbit-relation gate that scales with
     errors larger than 1.  The fused ``shadow`` must return the same
-    floats, in the same key order, on every input.  It returns a namespace
-    of ShadowResult's fields plus ``z_points``, each z_i built here by
-    ``vec_add``, so a comparison reads no ShadowResult property.
+    floats, in the same key order, on every input.  The errors
+    T x_i - x_(i+1) are built here from ``apply`` too, not read from
+    ``Pseudotrajectory.errors``.  It returns a namespace of ShadowResult's
+    fields plus ``z_points``, each z_i built here by ``vec_add``, so a
+    comparison reads no ShadowResult property.
     """
     from types import SimpleNamespace
 
