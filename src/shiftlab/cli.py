@@ -436,6 +436,9 @@ def cmd_shadow(args) -> int:
     except NoSplitting as err:
         print(f"no splitting: {err}", file=sys.stderr)
         return EXIT_NO_SPLITTING
+    if not all(map(math.isfinite, (result.eps_achieved, result.bound_a_priori,
+                                   result.max_orbit_residual))):
+        raise ConfigError("--delta", "the shadow's eps, bound or residual leaves float range")
     bound_ok = result.eps_achieved <= result.bound_a_priori * (1 + 1e-12)
     payload = {
         "version": __version__,

@@ -919,9 +919,10 @@ def make_pseudotrajectory(
         points.append(vec_add(current, noise))
         if i + 1 < length:
             current = op.apply(current, 1)
-    # Positive finite factors keep an overflowed coefficient non-finite.
-    if not all(map(math.isfinite, current.values())):
-        raise OverflowError("the orbit of x0 leaves float range")
+    # Positive finite factors keep an overflowed coefficient non-finite, so
+    # an orbit past float range shows in the last point, a noise term in its own.
+    if not all(map(math.isfinite, chain.from_iterable(map(dict.values, points)))):
+        raise OverflowError("the orbit of x0 or its noise leaves float range")
     return Pseudotrajectory(start_index=start, points=tuple(points), delta=delta)
 
 

@@ -302,6 +302,33 @@ def test_shadow_at_a_large_delta_meets_the_scaled_gate(config_file, capsys):
     assert 1e-9 < payload["max_orbit_residual"] <= 1e-14 * payload["delta"]
 
 
+SPLIT_SHIFT = {
+    "kind": "shift", "label": "split", "p": 1,
+    "weights": {"core_lo": 0, "core": ["1/2"], "neg_period": ["1/2"], "pos_period": ["2"]},
+}
+
+
+@pytest.mark.parametrize("delta", ["1e308", "1.7e308"])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_shadow_refuses_results_beyond_float_range(config_file, capsys, delta, as_json):
+    # The split shift's a priori bound is 3 delta, past float range here: the
+    # JSON report used to crash, the text report to stop after its eps line.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "shadow", config_file(SPLIT_SHIFT), "--delta", delta,
+                         *(["--json"] if as_json else []))
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_CONFIG and out == ""
+    assert "--delta" in err and "float range" in err and "Traceback" not in err
+
+
+def test_shadow_at_the_top_of_float_range_where_the_bound_is_delta(config_file, capsys):
+    code, out, err = run(capsys, "shadow", config_file(DOUBLING_SHIFT), "--delta", "1.7e308",
+                         "--json")
+    assert code == EXIT_OK and err == ""
+    payload = json.loads(out)
+    assert payload["bound_a_priori"] == 1.7e308 and payload["bound_satisfied"] is True
+
+
 def test_shadow_flat_has_no_splitting(config_file, capsys):
     code, _, err = run(capsys, "shadow", config_file(FLAT))
     assert code == EXIT_NO_SPLITTING
@@ -724,6 +751,21 @@ def test_shadow_rejects_an_orbit_beyond_float_range(config_file, capsys):
     code, _, err = run(capsys, "shadow", config_file({"kind": "shift", "weights": weights}),
                        "--length", "9")
     assert code == EXIT_CONFIG
+    assert "float range" in err and "Traceback" not in err
+
+
+def test_shadow_rejects_noise_beyond_float_range(config_file, capsys):
+    # Found by test_cli_fuzz at the top of --delta: the unit vector of a site
+    # of measure 5e-301 is 2e300 there, and its noise overflowed only in a
+    # point, which the pseudotrajectory refused with a traceback.
+    config = {
+        "kind": "dissipative", "p": 1, "mu0": "1",
+        "ratio": {"core_lo": 0, "core": ["1/2"], "neg_period": ["2"], "pos_period": ["1e-300"]},
+        "cells": {"beta": ["1/1"], "wobble_lo": 0, "wobble": []},
+    }
+    code, out, err = run(capsys, "shadow", config_file(config), "--length", "2",
+                         "--delta", "1e308", "--seed", "1")
+    assert code == EXIT_CONFIG and out == ""
     assert "float range" in err and "Traceback" not in err
 
 
