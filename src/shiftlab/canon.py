@@ -32,15 +32,20 @@ def _canon_scalar(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value!r}")
-        if value == int(value) and abs(value) < 1e15:
-            return str(int(value))
-        # 12 significant digits, enough to round-trip every reported rate.
-        return format(value, ".12g")
+        return float_text(value)
     if isinstance(value, Fraction):
         return _canon_scalar(fraction_text(value))
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+def float_text(value: float) -> str:
+    """A finite float's text in every report, canonical JSON or plain text."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite float {value!r}")
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    # 12 significant digits, enough to round-trip every reported rate.
+    return format(value, ".12g")
 
 
 def canonical_json(obj: Any) -> str:

@@ -52,6 +52,8 @@ from .systems import (
 )
 
 Method = Literal["exact", "horizon"]
+# Entries per tail that the horizon method averages, unless told otherwise.
+DEFAULT_HORIZON = 200
 
 
 class Status(Enum):
@@ -143,7 +145,7 @@ def _sign_of(value: float) -> int:
 
 
 def _view(
-    seq: EventuallyPeriodicSequence, method: Method = "exact", horizon: int = 200
+    seq: EventuallyPeriodicSequence, method: Method = "exact", horizon: int = DEFAULT_HORIZON
 ) -> _RateView:
     if method == "exact":
         rates = side_geometric_means(seq)
@@ -178,16 +180,18 @@ def _dissipative_view(system: DissipativeSystem, method: Method, horizon: int) -
 
 
 # The rule tags each strict sign pattern (sign_minus, sign_plus) fires:
-# the uniform-expansivity trichotomy, the splitting condition, and the
-# branch of the weighted-shift table.  Patterns with a rate on the
-# boundary (a sign of 0) fire none of them.
-_SIGN_TABLE: dict[tuple[int, int], tuple[str | None, str | None, str | None]] = {
-    (1, 1): ("UE1", "HC", "B-b"),
-    (-1, -1): ("UE2", "HD", "B-a"),
-    (-1, 1): ("UE3", None, "B-c"),
-    (1, -1): (None, "GH", None),
+# the uniform-expansivity trichotomy and the splitting condition.
+# Patterns with a rate on the boundary (a sign of 0) fire neither.
+_SIGN_TABLE: dict[tuple[int, int], tuple[str | None, str | None]] = {
+    (1, 1): ("UE1", "HC"),
+    (-1, -1): ("UE2", "HD"),
+    (-1, 1): ("UE3", None),
+    (1, -1): (None, "GH"),
 }
-_NO_RULE = (None, None, None)
+_NO_RULE = (None, None)
+# A weight line is its ratio line inverted, w_k = (mu_{k-1}/mu_k)^(1/p), so a
+# weighted-shift branch is the splitting condition at the negated signs.
+_SHIFT_BRANCH = {"HC": "B-a", "HD": "B-b", "GH": "B-c"}
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +266,7 @@ def _dissipative_verdicts(system: DissipativeSystem, view: _RateView) -> dict[st
     expansivity verdicts.
     """
     rules = _line_rules(view)
-    uniform, splitting, _ = _SIGN_TABLE.get(view.signs, _NO_RULE)
+    uniform, splitting = _SIGN_TABLE.get(view.signs, _NO_RULE)
     exact = view.method == "exact"
     backward = rules["positively_expansive"]
     minus, plus, both = view.margin_minus, view.margin_plus, view.margin_both
@@ -428,7 +432,7 @@ def classify_report(
     *,
     label: str | None = None,
     method: Method = "exact",
-    horizon: int = 200,
+    horizon: int = DEFAULT_HORIZON,
 ) -> ClassificationReport:
     """Full verdict table for a dissipative system, with the audit attached."""
     view = _dissipative_view(system, method, horizon)
@@ -456,18 +460,19 @@ def classify_shift(
     *,
     label: str | None = None,
     method: Method = "exact",
-    horizon: int = 200,
+    horizon: int = DEFAULT_HORIZON,
 ) -> ClassificationReport:
     """Stability table for an invertible weighted shift.
 
-    The three branches of the sign-pattern table: both weight rates below
-    1 (contraction), both above 1 (expansion), or contracting on the left
-    with expansion on the right.  Any branch gives strong structural
-    stability and shadowing; the first two give hyperbolicity; outside the
-    table stability Fails.
+    The three branches, the splitting conditions at mirrored signs: both
+    weight rates below 1 (contraction), both above 1 (expansion), or
+    contracting on the left with expansion on the right.  Any branch gives
+    strong structural stability and shadowing; the first two give
+    hyperbolicity; outside them stability Fails.
     """
     view = _view(weights.values, method, horizon)
-    branch = _SIGN_TABLE.get(view.signs, _NO_RULE)[2]
+    mirrored = _SIGN_TABLE.get((-view.sign_minus, -view.sign_plus), _NO_RULE)[1]
+    branch = _SHIFT_BRANCH.get(mirrored)
     rates = _rates_witness(view)
     margin = view.margin_both
     conditioned = dict(rates, condition=branch) if branch is not None else rates

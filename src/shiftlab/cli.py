@@ -18,8 +18,9 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .canon import canonical_json
+from .canon import canonical_json, float_text
 from .classify import (
+    DEFAULT_HORIZON,
     REPORT_PROPERTIES,
     DistortionError,
     Status,
@@ -48,6 +49,7 @@ from .systems import (
     WeightSequence,
     _LOG_MU_TABLE_CAP,
     _exp,
+    check_exponent,
     induced_weights,
 )
 
@@ -57,17 +59,13 @@ EXIT_VIOLATION = 3
 EXIT_NO_SPLITTING = 4
 
 AUDIT_MARGIN_GATE = 0.05
-# Farthest `simulate --site` on a measured line (a dissipative window or an
-# atomic line): log mu_K folds |K| ratio logs, and at this reach the
-# default -10..10 orbit still prints in about a second.
-SITE_REACH = 10**6
 # Most steps `simulate` walks, max(nmax, 0) + max(-nmin, 0), on any line:
 # a shift's orbit of this many steps prints in about a second.
 MAX_ORBIT_STEPS = 2 * 10**5
 # On a measured line a site past log mu's table (|K| > 4096) refolds |K|
 # ratio logs.  A walk that leaves the table may read (steps + 1) sites
 # times its farthest |K| up to this budget, about a second of folds; the
-# default -10..10 orbit at SITE_REACH spends 2.1e7 of it.
+# default -10..10 orbit at |K| = 10**6 spends 2.1e7 of it.
 FOLD_BUDGET = 3 * 10**7
 # Most points of a `shadow` pseudotrajectory: about a second on a shift.
 MAX_SHADOW_LENGTH = 20001
@@ -117,16 +115,15 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _as_scalar(value, path):
-    # numbers or "a/b" strings; positivity is enforced downstream
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(path, f"expected a number or ratio string, got {value!r}")
+def _as_number(value, path: str) -> int | float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {value!r}")
     return value
 
 
 def _coerce_config_scalar(value, path: str) -> tuple[Fraction, bool]:
     try:
-        return _coerce(_as_scalar(value, path))
+        return _coerce(value)
     except SequenceError as err:
         raise ConfigError(path, str(err)) from err
 
@@ -186,16 +183,14 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
         if table.get("cells") is not None:
             cells = _parse_cells(table["cells"], "cells", mu0_exact)
         declared = table.get("distortion_constant")
-        if declared is not None and (
-            isinstance(declared, bool) or not isinstance(declared, (int, float))
-        ):
-            raise ConfigError("distortion_constant", f"expected a number, got {declared!r}")
+        if declared is not None:
+            declared = float(_as_number(declared, "distortion_constant"))
         try:
             system = DissipativeSystem(
                 p=p,
                 measures=MeasureSequence(mu0, ratio, mu0_exact and ratio.exact),
                 cells=cells,
-                distortion_constant=float(declared) if declared is not None else None,
+                distortion_constant=declared,
             )
         except InvalidSystem as err:
             raise ConfigError("cells" if cells is not None else "ratio", str(err)) from err
@@ -243,14 +238,11 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
 
 
 def _parse_p(raw) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError("p", f"expected a number, got {raw!r}")
-    p = float(raw)
-    if not math.isfinite(p):
-        raise ConfigError("p", f"exponent must be finite, got {raw!r}")
-    if p < 1:
-        raise ConfigError("p", f"exponent must be >= 1, got {raw!r}")
-    return p
+    try:
+        check_exponent(_as_number(raw, "p"))
+    except InvalidSystem as err:
+        raise ConfigError("p", str(err)) from err
+    return float(raw)
 
 
 def load_config(path: str) -> ParsedConfig:
@@ -269,11 +261,7 @@ def load_config(path: str) -> ParsedConfig:
 def _fmt(value) -> str:
     if value is None:
         return "-"
-    if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e15:
-            return str(int(value))
-        return format(value, ".12g")
-    return str(value)
+    return float_text(value) if isinstance(value, float) else str(value)
 
 
 # ln 10 as hi + lo: n * _LN10_HI is exact for |n| < 2**21, and _LN10_LO
@@ -387,16 +375,14 @@ def _orbit_steps(args) -> int:
 
 
 def _check_measured_reach(args) -> None:
-    """Refuse a far site, and a walk past log mu's table whose folds exceed FOLD_BUDGET."""
+    """Refuse a walk past log mu's table whose folds exceed FOLD_BUDGET."""
     site = args.site
-    if abs(site) > SITE_REACH:
-        raise ConfigError("--site", f"expected |K| <= {SITE_REACH} on a measured line, got {site}")
     # Step n reads site K - n, for n from min(nmin, 0) to max(nmax, 0).
     farthest = max(abs(site - max(args.nmax, 0)), abs(site + max(-args.nmin, 0)))
     sites = _orbit_steps(args) + 1
     if farthest > _LOG_MU_TABLE_CAP and sites * farthest > FOLD_BUDGET:
         raise ConfigError(
-            "--nmin/--nmax",
+            "--site/--nmin/--nmax",
             f"the orbit reads {sites} sites out to |K| = {farthest} on a measured line; "
             f"past |K| = {_LOG_MU_TABLE_CAP}, sites x |K| must stay within {FOLD_BUDGET}",
         )
@@ -426,12 +412,8 @@ def cmd_shadow(args) -> int:
     op = operator_for(parsed.system, parsed.p)
     try:
         splitting = build_splitting(op)
-    except NoSplitting as err:
-        print(f"no splitting: {err}", file=sys.stderr)
-        return EXIT_NO_SPLITTING
-    x0 = op.normalized_basis(op.origin)
-    pt = make_pseudotrajectory(op, x0, args.delta, args.length, args.seed)
-    try:
+        x0 = op.normalized_basis(op.origin)
+        pt = make_pseudotrajectory(op, x0, args.delta, args.length, args.seed)
         result = shadow(op, pt, splitting)
     except NoSplitting as err:
         print(f"no splitting: {err}", file=sys.stderr)
@@ -518,7 +500,7 @@ def run_audit(
     count: int,
     seed: int,
     *,
-    horizon: int = 200,
+    horizon: int = DEFAULT_HORIZON,
     k_span: int = 500,
     base_system: DissipativeSystem | None = None,
     base_label: str | None = None,
@@ -699,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("config", help="path to a system config (JSON)")
     classify.add_argument("--json", action="store_true", help="canonical JSON output")
     classify.add_argument("--method", choices=("exact", "horizon"), default="exact")
-    classify.add_argument("--horizon", type=_int_at_least(1), default=200, metavar="N")
+    classify.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON, metavar="N")
     classify.set_defaults(func=cmd_classify)
 
     simulate = sub.add_parser("simulate", help="orbit norms as CSV")
@@ -733,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optional dissipative config audited first")
     audit.add_argument("--count", type=int, default=50, metavar="C")
     audit.add_argument("--seed", type=int, default=0, metavar="S")
-    audit.add_argument("--horizon", type=_int_at_least(1), default=200, metavar="N")
+    audit.add_argument("--horizon", type=_int_at_least(1), default=DEFAULT_HORIZON, metavar="N")
     audit.add_argument("--json", action="store_true")
     audit.set_defaults(func=cmd_audit)
 

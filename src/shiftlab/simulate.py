@@ -905,8 +905,6 @@ def make_pseudotrajectory(
     norm at most delta / (1 + ||T||), which keeps every one-step residual
     within delta at any orbit scale; the seed makes runs repeatable.
     """
-    if length < 2:
-        raise ValueError("length must be at least 2")
     rng = random.Random(seed)
     scale = delta / (1.0 + op.norm_upper_bound())
     start = -((length - 1) // 2)

@@ -39,8 +39,10 @@ class InvalidSystem(ValueError):
 
 def check_exponent(p: float) -> None:
     """Refuse a norm exponent that is not a finite real >= 1 (NaN included)."""
-    if not (p >= 1 and math.isfinite(p)):
-        raise InvalidSystem("exponent p must be a finite real >= 1")
+    if not math.isfinite(p):
+        raise InvalidSystem(f"exponent must be finite, got {p!r}")
+    if p < 1:
+        raise InvalidSystem(f"exponent must be >= 1, got {p!r}")
 
 
 def _exp(log_value: float) -> float:

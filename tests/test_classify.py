@@ -452,6 +452,29 @@ def test_shift_split_branch():
     assert v["hyperbolic"].fails
 
 
+# The weighted-shift column the sign table used to hold, kept here as the
+# reference for the branch classify_shift now reads at mirrored signs.
+OLD_SHIFT_COLUMN = {(1, 1): "B-b", (-1, -1): "B-a", (-1, 1): "B-c", (1, -1): None}
+
+
+@pytest.mark.parametrize("sign_minus", [-1, 0, 1])
+@pytest.mark.parametrize("sign_plus", [-1, 0, 1])
+def test_shift_branch_is_the_old_table_column(sign_minus, sign_plus):
+    tail = {-1: "1/2", 0: "1", 1: "2"}
+    weights = WeightSequence(ratio(0, ["3"], [tail[sign_minus]], [tail[sign_plus]]))
+    report = classify_shift(weights)
+    assert (report.g_minus > 1) - (report.g_minus < 1) == sign_minus
+    assert (report.g_plus > 1) - (report.g_plus < 1) == sign_plus
+    branch = OLD_SHIFT_COLUMN.get((sign_minus, sign_plus))
+    v = report.verdicts
+    assert v["strong_structural_stability"].holds == (branch is not None)
+    assert v["strong_structural_stability"].citation == (branch or "B")
+    assert v["shadowing"].witness.get("condition") == branch
+    hyperbolic = branch if branch in ("B-a", "B-b") else None
+    assert v["hyperbolic"].holds == (hyperbolic is not None)
+    assert v["hyperbolic"].citation == (hyperbolic or "B")
+
+
 def test_shift_outside_the_table():
     ones = WeightSequence(ratio(0, [1], [1], [1]))
     v = classify_shift(ones).verdicts

@@ -17,9 +17,9 @@ from shiftlab.cli import (
     EXIT_NO_SPLITTING,
     EXIT_OK,
     EXIT_VIOLATION,
+    FOLD_BUDGET,
     MAX_ORBIT_STEPS,
     MAX_SHADOW_LENGTH,
-    SITE_REACH,
     _fmt_log,
     build_parser,
     main,
@@ -217,6 +217,35 @@ def test_nan_p_rejected_by_shadow(config_file, capsys):
     code, _, err = run(capsys, "shadow", config_file(bad))
     assert code == EXIT_CONFIG
     assert "p: exponent must be finite" in err
+
+
+@pytest.mark.parametrize("p, message", [
+    (0, "p: exponent must be >= 1, got 0"),
+    (0.5, "p: exponent must be >= 1, got 0.5"),
+    ("2", "p: expected a number, got '2'"),
+    (True, "p: expected a number, got True"),
+])
+def test_bad_p_is_refused_with_its_path(config_file, capsys, p, message):
+    code, out, err = run(capsys, "classify", config_file(dict(PEAK, p=p)))
+    assert code == EXIT_CONFIG and out == ""
+    assert message in err and "Traceback" not in err
+
+
+# seqcore._coerce words these refusals; the config parser adds the path.
+@pytest.mark.parametrize("entry, message", [
+    (True, "sequence values must be numbers, not bool"),
+    ([1], "unsupported sequence value type list"),
+    (None, "unsupported sequence value type NoneType"),
+])
+def test_non_number_entries_are_refused_with_their_path(config_file, capsys, entry, message):
+    in_ratio, in_cells = json.loads(json.dumps(PEAK)), json.loads(json.dumps(CELLS))
+    in_ratio["ratio"]["core"] = ["1/2", entry]
+    in_cells["cells"]["beta"] = [entry, "2/3"]
+    for config, path in ((in_ratio, "ratio.core[1]"), (in_cells, "cells.beta[0]"),
+                         (dict(PEAK, mu0=entry), "mu0")):
+        code, out, err = run(capsys, "classify", config_file(config))
+        assert code == EXIT_CONFIG and out == ""
+        assert f"{path}: {message}" in err and "Traceback" not in err
 
 
 def test_parse_config_round_trips_the_preset():
@@ -671,17 +700,29 @@ CYCLE_AND_LINE = {
 
 @pytest.mark.parametrize("config, argv", [
     (FLAT, ("--site", "100000000000")),
-    (FLAT, ("--site", str(-SITE_REACH - 1))),
-    (CELLS, ("--site", str(SITE_REACH + 1), "--cell", "2")),
+    (FLAT, ("--site", str(-(FOLD_BUDGET // 3) - 1))),
+    (CELLS, ("--site", str(FOLD_BUDGET // 3 + 1), "--cell", "2")),
     (CYCLE_AND_LINE, ("--component", "1", "--site", "-100000000000")),
 ])
 def test_simulate_refuses_far_sites_on_measured_lines(config_file, capsys, config, argv):
-    # log mu_K folds |K| ratio logs: a site past the reach is refused before any fold.
+    # log mu_K folds |K| ratio logs: three sites out past FOLD_BUDGET / 3 are
+    # refused before any fold.
     start = time.perf_counter()
     code, out, err = run(capsys, "simulate", config_file(config), *argv, "--nmin", "0", "--nmax", "2")
     assert time.perf_counter() - start < 2.0
     assert code == EXIT_CONFIG and out == ""
     assert "--site" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("site", [FOLD_BUDGET // 3, -(FOLD_BUDGET // 3)])
+def test_simulate_takes_a_far_single_site_within_the_fold_budget(config_file, capsys, site):
+    # No reach caps the site itself: one site 10**7 out spends a third of the budget.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", config_file(FLAT), "--site", str(site),
+                         "--nmin", "0", "--nmax", "0")
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines() == ["n,norm", "0,1"]
 
 
 @pytest.mark.parametrize("config, argv", [
@@ -698,7 +739,7 @@ def test_simulate_takes_far_sites_where_no_fold_reaches_them(config_file, capsys
     (FLAT, ("--nmin", "100000000000", "--nmax", "100000000000")),
     (FLAT, ("--site", "1000000", "--nmin", "1000000", "--nmax", "1000000")),
     (FLAT, ("--nmin", "0", "--nmax", "8000")),
-    (FLAT, ("--site", str(SITE_REACH), "--nmin", "-15", "--nmax", "15")),
+    (FLAT, ("--site", "1000000", "--nmin", "-15", "--nmax", "15")),
     (CELLS, ("--site", "-5000", "--nmin", "-10000", "--nmax", "10", "--cell", "1")),
     (CYCLE_AND_LINE, ("--component", "1", "--nmin", "-20000", "--nmax", "0")),
     (DOUBLING_SHIFT, ("--nmin", "100000000000", "--nmax", "100000000000")),

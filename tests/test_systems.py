@@ -481,8 +481,11 @@ def test_cycle_construction():
 
 
 def test_atomic_system_validation():
-    with pytest.raises(InvalidSystem):
+    with pytest.raises(InvalidSystem, match="exponent must be >= 1, got 0.5"):
         AtomicSystem(p=0.5, components=(Cycle.from_values([1]),))
+    for p in (math.inf, math.nan):
+        with pytest.raises(InvalidSystem, match=f"exponent must be finite, got {p!r}"):
+            AtomicSystem(p=p, components=(Cycle.from_values([1]),))
     with pytest.raises(InvalidSystem):
         AtomicSystem(p=2.0, components=())
 
