@@ -77,6 +77,9 @@ def draw_site(rng: random.Random, periods: Sequence[int | None], reach: int) -> 
 
 # How far from 0 log_mu tabulates its folds; past it a miss streams the fold.
 _LOG_MU_TABLE_CAP = 4096
+# Most indices cell_ratio spans from the wobble to the ratio core, one exact
+# entry each: a celled operator of this span shadows in about a second.
+MAX_CELL_SPAN = 10**4
 
 
 class MeasureSequence(Record):
@@ -288,7 +291,7 @@ class DissipativeSystem(Record):
 
         Equals the window ratio times the wobble increment; the wobble is
         finite, so the result is again eventually periodic with the same
-        tails and a widened core.
+        tails and a widened core, of at most MAX_CELL_SPAN indices.
         """
         ratio = self.measures.ratio
         if cell is None or self.cells is None or not self.cells.wobble:
@@ -296,6 +299,9 @@ class DissipativeSystem(Record):
         cells = self.cells
         lo = min(ratio.core_lo, cells.wobble_lo - 1)
         hi = max(ratio.core_hi, cells.wobble_hi)
+        if hi - lo >= MAX_CELL_SPAN:
+            raise InvalidSystem(f"the wobble and the ratio core span k = {lo}..{hi}; "
+                                f"a cell's ratio spans at most {MAX_CELL_SPAN} indices")
         core = tuple(
             ratio.base_at(k) * cells.theta(k + 1, cell) / cells.theta(k, cell)
             for k in range(lo, hi + 1)

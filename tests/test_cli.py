@@ -18,6 +18,7 @@ from shiftlab.cli import (
     EXIT_OK,
     EXIT_VIOLATION,
     FOLD_BUDGET,
+    MAX_HORIZON,
     MAX_ORBIT_STEPS,
     MAX_SHADOW_LENGTH,
     _fmt_log,
@@ -28,6 +29,7 @@ from shiftlab.cli import (
 )
 from shiftlab.classify import Status, Verdict, classify_report, implication_audit
 from shiftlab.presets import decay, flat, growth, peak
+from shiftlab.systems import MAX_CELL_SPAN
 from shiftlab.simulate import (
     BruteMode,
     brute_force_expansivity,
@@ -382,6 +384,8 @@ BAD_FLAG_CONFIGS = {"shadow": DOUBLING_SHIFT, "classify": PEAK, "audit": PEAK}
         ("shadow", "--delta", "nan", "must be a finite number > 0"),
         ("classify", "--horizon", "0", "must be at least 1"),
         ("audit", "--horizon", "-5", "must be at least 1"),
+        ("classify", "--horizon", str(MAX_HORIZON + 1), f"must be at most {MAX_HORIZON}"),
+        ("audit", "--horizon", "1000000000", f"must be at most {MAX_HORIZON}"),
     ],
 )
 def test_rejects_bad_flag(config_file, capsys, command, flag, value, message):
@@ -773,6 +777,54 @@ def test_simulate_range_limits_sit_at_their_documented_edges(config_file, capsys
     for argv, expected in cases:
         code, _, err = run(capsys, "simulate", *argv)
         assert code == expected, (argv, err)
+
+
+def test_horizon_takes_its_documented_maximum(config_file, capsys):
+    start = time.perf_counter()
+    peak_file = config_file(PEAK)
+    code, out, _ = run(capsys, "classify", peak_file, "--json", "--method", "horizon",
+                       "--horizon", str(MAX_HORIZON))
+    assert code == EXIT_OK and json.loads(out)["horizon"] == MAX_HORIZON
+    code, out, _ = run(capsys, "audit", peak_file, "--count", "1", "--json",
+                       "--horizon", str(MAX_HORIZON))
+    assert code == EXIT_OK and json.loads(out)["horizon"] == MAX_HORIZON
+    assert time.perf_counter() - start < 2.0
+
+
+def far_cells(core_lo):
+    """CELLS with its one-entry ratio core at core_lo: the cell ratios span k = -1..core_lo."""
+    config = json.loads(json.dumps(CELLS))
+    config["ratio"]["core_lo"] = core_lo
+    return config
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--nmin", "0", "--nmax", "1"),
+    ("audit", "--count", "1"),
+    ("shadow",),
+    ("shadow", "--json"),
+])
+def test_far_cells_are_refused_past_the_span_cap(config_file, capsys, argv):
+    # Each cell ratio used to materialize every index out to the core: 5 to 14 s here.
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], config_file(far_cells(200000)), *argv[1:])
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_CONFIG and out == ""
+    assert f"at most {MAX_CELL_SPAN} indices" in err and "Traceback" not in err
+
+
+def test_far_cells_still_classify(config_file, capsys):
+    code, out, err = run(capsys, "classify", config_file(far_cells(200000)), "--json")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["verdicts"]["hyperbolic"]["status"] == "Holds"
+
+
+def test_cell_span_cap_sits_at_its_documented_edge(config_file, capsys):
+    argv = ("--nmin", "0", "--nmax", "1", "--cell", "2")
+    code, out, _ = run(capsys, "simulate", config_file(far_cells(MAX_CELL_SPAN - 2)), *argv)
+    assert code == EXIT_OK and out.splitlines()[:2] == ["n,norm", "0,1"]
+    code, _, err = run(capsys, "simulate", config_file(far_cells(MAX_CELL_SPAN - 1)), *argv)
+    assert code == EXIT_CONFIG and f"at most {MAX_CELL_SPAN} indices" in err
 
 
 def test_shadow_takes_the_longest_documented_length():

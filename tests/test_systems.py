@@ -424,6 +424,22 @@ def test_cell_ratio_widens_core():
     assert system.cell_ratio(None) is system.measures.ratio
 
 
+def test_cell_ratio_refuses_a_span_past_its_cap():
+    # The wobble sits at k = 0, so a one-entry core at c spans k = -1..c.
+    def far(core_lo):
+        base = cell_system()
+        ratio = EventuallyPeriodicSequence.from_values(core_lo, ["1/2"], ["1/2"], ["1/2"])
+        return DissipativeSystem(p=1.0, measures=MeasureSequence.from_values(1, ratio),
+                                 cells=base.cells)
+
+    at_cap = far(systems.MAX_CELL_SPAN - 2).cell_ratio(0)
+    assert len(at_cap.core) == systems.MAX_CELL_SPAN
+    past = far(systems.MAX_CELL_SPAN - 1)
+    with pytest.raises(InvalidSystem, match=f"at most {systems.MAX_CELL_SPAN} indices"):
+        past.cell_ratio(0)
+    assert past.cell_ratio(None) is past.measures.ratio
+
+
 # -- weight reduction ------------------------------------------------------------
 
 
