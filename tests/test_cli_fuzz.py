@@ -4,7 +4,10 @@ Every run of ``main(argv)`` must end with exit 0, 2, 3 or 4 and must not
 leak a traceback, whatever the config and flags.  The generated configs
 cover shifts, dissipative systems with and without cells, atomic unions
 of lines and cycles, and malformed documents; entries reach 1e300, so
-orbits leave float range well inside ``--nmax 400``.
+orbits leave float range well inside ``--nmax 400``.  Flags reach the
+edges of their ranges: ``--delta`` up to the largest float, ``--horizon``
+at and past its maximum, and celled systems whose ratio core lies past
+the cell-span cap.
 """
 
 import contextlib
@@ -15,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.cli import main
+from shiftlab.cli import MAX_HORIZON, main
+from shiftlab.systems import MAX_CELL_SPAN
 
 ALLOWED_EXITS = {0, 2, 3, 4}
 
@@ -65,11 +69,18 @@ def cell_tables(draw):
     }
 
 
+# Ratio cores a celled system's cell ratios must reach from its wobble,
+# past the cell-span cap on either side.
+far_core_los = st.sampled_from([MAX_CELL_SPAN, 200_000, -(10**9)])
+
+
 @st.composite
 def dissipative_configs(draw):
     config = {"kind": "dissipative", "p": draw(p_values), "mu0": "1", "ratio": draw(eps_tables())}
     if draw(st.booleans()):
         config["cells"] = draw(cell_tables())
+        if draw(st.booleans()):
+            config["ratio"]["core_lo"] = draw(far_core_los)
     return config
 
 
@@ -106,6 +117,7 @@ configs = st.one_of(
     shift_configs(), dissipative_configs(), atomic_configs(), malformed_configs()
 )
 small_ints = st.integers(-3, 3).map(str)
+horizons = st.sampled_from(["1", "5", "200", str(MAX_HORIZON), str(MAX_HORIZON + 1)])
 
 
 @st.composite
@@ -116,7 +128,7 @@ def invocations(draw):
         if draw(st.booleans()):
             flags.append("--json")
         flags += ["--method", draw(st.sampled_from(["exact", "horizon"]))]
-        flags += ["--horizon", draw(st.sampled_from(["1", "5", "200"]))]
+        flags += ["--horizon", draw(horizons)]
     elif command == "simulate":
         nmin = draw(st.integers(-400, 0))
         flags += ["--nmin", str(nmin), "--nmax", str(draw(st.integers(nmin, 400)))]
@@ -127,13 +139,13 @@ def invocations(draw):
             flags += ["--component", draw(small_ints)]
     elif command == "shadow":
         flags += ["--length", draw(st.sampled_from(["2", "3", "9", "21"]))]
-        flags += ["--delta", draw(st.sampled_from(["1e-3", "0.5", "1e-300"]))]
+        flags += ["--delta", draw(st.sampled_from(["1e-3", "0.5", "1e-300", "1e308", "1.7e308"]))]
         flags += ["--seed", draw(small_ints)]
         if draw(st.booleans()):
             flags.append("--json")
     elif command == "audit":
         flags += ["--count", "1", "--seed", draw(small_ints)]
-        flags += ["--horizon", draw(st.sampled_from(["1", "20"]))]
+        flags += ["--horizon", draw(horizons)]
         if draw(st.booleans()):
             flags.append("--json")
     return command, flags
