@@ -874,6 +874,10 @@ def _shared_crossing(curves: list, horizon: int) -> Verdict:
 # Pseudotrajectories and shadowing
 
 
+class FloatRangeError(OverflowError, ValueError):
+    """Coefficients past float range: a refused value, and an overflow to the CLI (exit 2)."""
+
+
 class Pseudotrajectory(Record):
     __slots__ = _fields = ("start_index", "points", "delta")
 
@@ -887,7 +891,7 @@ class Pseudotrajectory(Record):
         if len(self.points) < 2:
             raise ValueError("a pseudotrajectory needs at least two points")
         if not all(map(math.isfinite, chain.from_iterable(map(dict.values, self.points)))):
-            raise ValueError("pseudotrajectory coefficients must be finite")
+            raise FloatRangeError("pseudotrajectory coefficients must be finite")
 
     def errors(self, op: LineSumOperator) -> list[Vec]:
         """e_i = T x_i - x_{i+1}, each one apply_add."""
@@ -917,10 +921,8 @@ def make_pseudotrajectory(
         points.append(vec_add(current, noise))
         if i + 1 < length:
             current = op.apply(current, 1)
-    # Positive finite factors keep an overflowed coefficient non-finite, so
-    # an orbit past float range shows in the last point, a noise term in its own.
-    if not all(map(math.isfinite, chain.from_iterable(map(dict.values, points)))):
-        raise OverflowError("the orbit of x0 or its noise leaves float range")
+    # Positive finite factors keep an overflowed coefficient non-finite, so an
+    # orbit past float range shows in the last point, and Pseudotrajectory refuses it.
     return Pseudotrajectory(start_index=start, points=tuple(points), delta=delta)
 
 

@@ -920,6 +920,12 @@ def test_non_finite_pseudotrajectory_is_refused():
             Pseudotrajectory(start_index=-5, points=tuple(points), delta=1e-3)
 
 
+def test_non_finite_pseudotrajectory_is_a_float_range_error():
+    # The CLI exits 2 on an OverflowError; callers that catch ValueError still catch it.
+    with pytest.raises(OverflowError, match="finite"):
+        Pseudotrajectory(start_index=0, points=({0: math.inf}, {}), delta=1e-3)
+
+
 def test_start_index_centers_the_window():
     op = ShiftOperator(doubling_weights(), 1.0)
     pt = make_pseudotrajectory(op, {0: 1.0}, 1e-3, 201, seed=0)
