@@ -29,7 +29,6 @@ from shiftlab.cli import (
 )
 from shiftlab.classify import Status, Verdict, classify_report, implication_audit
 from shiftlab.presets import decay, flat, growth, peak
-from shiftlab.systems import MAX_CELL_SPAN
 from shiftlab.simulate import (
     BruteMode,
     brute_force_expansivity,
@@ -37,6 +36,7 @@ from shiftlab.simulate import (
     make_pseudotrajectory,
     operator_for,
 )
+from shiftlab.systems import MAX_CELL_SPAN
 
 from _oracles import shadow_exact_corrections
 
