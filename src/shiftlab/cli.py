@@ -526,12 +526,9 @@ def run_audit(
     margin_gated = 0
     brute_checks = 0
 
-    systems: list[tuple[str, DissipativeSystem]] = []
-    for i in range(count):
-        if i == 0 and base_system is not None:
-            systems.append((base_label or "config", base_system))
-        else:
-            systems.append((f"rand-{i:04d}", random_dissipative(rng)))
+    # Each system is drawn as it is audited, so memory does not grow with count.
+    systems = ((base_label or "config", base_system) if i == 0 and base_system is not None
+               else (f"rand-{i:04d}", random_dissipative(rng)) for i in range(count))
 
     for index, (label, system) in enumerate(systems):
         exact = classify_report(system, label=label, method="exact", horizon=horizon)

@@ -34,7 +34,9 @@ move sites, so each step adds p log|c| to a site log measure, read from
 one table per line that every sample of the probe shares, and builds no
 vector, while a shift applies each step.  The forward walks of a
 two-sided probe are those of a positive probe with the same seed, so one
-pass over a two-sided report's outcomes reads both pointwise verdicts.
+pass over a two-sided probe's sites reads both pointwise verdicts; a
+probe that reads only its verdicts skips the backward walks that cannot
+move them.
 
 Shadowing keeps only the largest of its log norms (the errors, the
 corrections and the orbit residuals).  On a shift each is decided from
@@ -53,7 +55,7 @@ import math
 import random
 import sys
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, neg
 from typing import Iterator
@@ -312,10 +314,31 @@ class ShiftOperator(LineSumOperator):
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         if steps == 1 or steps == -1:  # the one step every recursion and walk takes
-            return self.apply_add(vec, {}) if steps > 0 else self._back_step(vec)
+            return self._step(vec) if steps > 0 else self._back_step(vec)
         for _ in range(abs(steps)):
-            vec = self.apply_add(vec, {}) if steps > 0 else self._back_step(vec)
+            vec = self._step(vec) if steps > 0 else self._back_step(vec)
         return vec
+
+    def _forward_factor(self, k: int) -> float:
+        """The factor at k, kept with those of k - 1 .. k - 31 where the next steps go."""
+        logs = self.weights.values.logs_from(k, -1)
+        try:
+            self._forward.update(zip(range(k, k - 32, -1), map(math.exp, logs)))
+        except OverflowError:  # a weight past float range raises only where a step reads it
+            self._forward[k] = math.exp(self.weights.values.log_at(k))
+        return self._forward[k]
+
+    def _step(self, vec: Vec) -> Vec:
+        """T vec: apply_add(vec, {}) without the lookups into an empty other."""
+        factors = self._forward
+        out: Vec = {}
+        for k, c in vec.items():
+            try:
+                f = factors[k]
+            except KeyError:
+                f = self._forward_factor(k)
+            out[k - 1] = c * f
+        return out
 
     def apply_add(self, vec: Vec, other: Vec, negate: bool = False) -> Vec:
         """T vec + other (T vec - other with negate) in one pass over each, no T vec built.
@@ -330,7 +353,7 @@ class ShiftOperator(LineSumOperator):
             try:
                 f = factors[k]
             except KeyError:
-                f = factors[k] = math.exp(self.weights.values.log_at(k))
+                f = self._forward_factor(k)
             site = k - 1
             if site in other:
                 value = c * f - other[site] if negate else c * f + other[site]
@@ -725,12 +748,13 @@ def brute_force_expansivity(
     computed once per line, direction and tail phase, and shared by every
     later site whose tail room covers what it read (``_shared_line_walk``).
 
-    Outcomes are computed lazily, basis sites first, as one pass reads
-    them.  With ``until_settled`` the report stops at the first sample
-    after which no reading can change, and ``samples`` holds the outcomes
-    read: the first sample whose read walks all certify boundedness, or in
-    the pointwise modes the end of the basis sites, once every reading
-    Fails or is Undecided.  Its verdicts are the full report's.
+    Sites are walked lazily, basis sites first, as one pass reads them
+    (``_pointwise_readings``); the full report walks each both ways and
+    keeps its outcome.  With ``until_settled`` the probe reads only its
+    verdicts, witnesses included, which are the full report's: the pass
+    stops once no reading can change, a pointwise probe walks a site
+    backward only where that can move the two-sided reading, and
+    ``samples`` is ().
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -745,31 +769,41 @@ def brute_force_expansivity(
     outcomes: list[SampleOutcome] = []
     curves: list[list[DirectionalWalk]] = []
 
-    def outcome(label: str, kind: str, walks: list[DirectionalWalk]) -> SampleOutcome:
-        # The forward walk fills crossed_at and certificate, the backward one the backward pair.
-        f, b = walks[0], walks[-1]
-        result = SampleOutcome(label, kind, f.crossed_at, f.certificate,
-                               *((b.crossed_at, b.certificate) if twosided else ()))
-        outcomes.append(result)
-        curves.append(walks)
-        return result
+    def basis_label(index: int, position: int) -> str:
+        return op.site_label(op._key(index, position))
 
-    def stream() -> Iterator[SampleOutcome | None]:
+    def site(kind: str, label, forward: DirectionalWalk, backward) -> tuple:
+        # A settled pointwise probe leaves the backward walk and the label to
+        # the pass; the full report and the uniform curves take both walks now.
+        if until_settled and not uniform:
+            return forward, backward, label
+        walks = [forward, backward()] if twosided else [forward]
+        curves.append(walks)
+        if not until_settled:
+            b = walks[-1]
+            outcomes.append(SampleOutcome(label(), kind, forward.crossed_at, forward.certificate,
+                                          *((b.crossed_at, b.certificate) if twosided else ())))
+        return forward, lambda walk=walks[-1]: walk, label
+
+    def stream() -> Iterator[tuple | None]:
         for index, line in enumerate(op.lines):
             positions = op.basis_positions(index, horizon)
-            tables = [_WalkTable(line, d, positions, horizon, uniform) for d in directions]
+            forward, *backward = [_WalkTable(line, d, positions, horizon, uniform)
+                                  for d in directions]
             for position in positions:
-                yield outcome(op.site_label(op._key(index, position)), "basis",
-                              [_shared_line_walk(table, position) for table in tables])
+                yield site("basis", partial(basis_label, index, position),
+                           _shared_line_walk(forward, position),
+                           partial(_shared_line_walk, backward[0], position) if twosided else None)
         yield None  # the end of the basis sites
         for i, vec in enumerate(vectors):
-            yield outcome(f"rand[{i}]", "random",
-                          [_scan(op.log_norm_walk(vec, d), horizon, uniform) for d in directions])
+            yield site("random", partial("rand[{}]".format, i),
+                       _scan(op.log_norm_walk(vec, 1), horizon, uniform),
+                       lambda vec=vec: _scan(op.log_norm_walk(vec, -1), horizon, uniform))
 
     pending = stream()
     readings = _pointwise_readings(pending, twosided, settle=not uniform)
     if not until_settled:
-        for _ in pending:  # the outcomes past the settling sample, for the full report
+        for _ in pending:  # the outcomes past the settling site, for the full report
             pass
     verdict = readings[-1]
     if uniform and not verdict.fails:
@@ -778,77 +812,80 @@ def brute_force_expansivity(
     return BruteForceReport(verdict, mode, horizon, seed, tuple(outcomes), positive)
 
 
-def _pointwise_readings(
-    outcomes: Iterator[SampleOutcome | None], twosided: bool, settle: bool
-) -> tuple[Verdict, ...]:
-    """The positive reading of a probe's outcomes, then the two-sided one if twosided.
+def _pointwise_readings(sites: Iterator[tuple | None], twosided: bool, settle: bool
+                        ) -> tuple[Verdict, ...]:
+    """The positive reading of a probe's sites, then the two-sided one if twosided.
 
-    Both come from one pass, which reads the outcomes only as far as they
-    can change a reading; a None in them marks the end of the basis sites.
-    A reading Fails at the first sample whose read walks all certify
-    boundedness; otherwise it is Undecided at the first sample that
-    crosses in no read direction, and Holds when every sample crosses,
-    with the latest of their first crossings.  The positive reading reads
-    the forward walks only.  The pass stops once every reading Fails, and
-    with ``settle`` at the end of the basis sites once every reading Fails
-    or is Undecided, since a random sample never certifies.  These are the
-    verdicts of the pointwise modes; the uniform modes keep a Fails and
-    otherwise look for a shared crossing.
+    A site is (forward walk, backward, label): backward and label are
+    calls that give its backward walk and its label, made only where they
+    can move a reading or name its witness; a None marks the end of the
+    basis sites.  Both readings come from one pass, which reads the sites
+    only as far as they can change a reading.  A reading Fails at the
+    first site whose read walks all certify boundedness; otherwise it is
+    Undecided at the first site that crosses in no read direction, and
+    Holds when every site crosses, with the latest of their first
+    crossings.  The positive reading reads the forward walks only; a
+    forward crossing by the two-sided reading's latest first crossing so
+    far leaves that reading as it is (a crossed walk has no certificate),
+    so its backward walk is not read.  The pass stops once every reading
+    Fails, and with ``settle`` at the end of the basis sites once every
+    reading Fails or is Undecided, since a random sample never certifies.
+    These are the verdicts of the pointwise modes; the uniform modes keep
+    a Fails and otherwise look for a shared crossing.
     """
     last = 1 if twosided else 0
-    # Per reading (positive, two-sided): the first certified sample, the
-    # first uncrossed sample, and the latest first crossing.
-    bounded: list[SampleOutcome | None] = [None, None]
-    uncrossed: list[SampleOutcome | None] = [None, None]
+    # Per reading (positive, two-sided): the label and certificates of the
+    # first certified site, the label of the first uncrossed site, and the
+    # latest first crossing.
+    bounded: list[tuple | None] = [None, None]
+    uncrossed: list[str | None] = [None, None]
     latest = [0, 0]
     read = 0
-    for outcome in outcomes:
-        if outcome is None:
+    for site in sites:
+        if site is None:
             if settle and all(bounded[i] is not None or uncrossed[i] is not None
                               for i in range(last + 1)):
                 break
             continue
         read += 1
-        forward = outcome.crossed_at
-        if forward is None:
+        forward, backward, label = site
+        first = forward.crossed_at
+        if first is None:
             if uncrossed[0] is None:
-                uncrossed[0] = outcome
-        elif forward > latest[0]:
-            latest[0] = forward
-        if bounded[0] is None and outcome.certificate is not None:
-            bounded[0] = outcome
-        if twosided:
-            first = outcome.backward_crossed_at
-            if first is None or (forward is not None and forward <= first):
-                first = forward
+                uncrossed[0] = label()
+        elif first > latest[0]:
+            latest[0] = first
+        if bounded[0] is None and forward.certificate is not None:
+            bounded[0] = (label(), forward.certificate, None)
+        if twosided and (first is None or first > latest[1]):
+            walk = backward()
+            if walk.crossed_at is not None and (first is None or walk.crossed_at < first):
+                first = walk.crossed_at
             if first is None:
                 if uncrossed[1] is None:
-                    uncrossed[1] = outcome
+                    uncrossed[1] = label()
             elif first > latest[1]:
                 latest[1] = first
-            if (bounded[1] is None and outcome.certificate is not None
-                    and outcome.backward_certificate is not None):
-                bounded[1] = outcome
+            if (bounded[1] is None and forward.certificate is not None
+                    and walk.certificate is not None):
+                bounded[1] = (label(), forward.certificate, walk.certificate)
         if bounded[last] is not None:
             break  # every reading Fails; a two-sided bound is a forward one too
-    return tuple(_reading(bounded[i], uncrossed[i], latest[i], read, i == 1)
-                 for i in range(last + 1))
+    return tuple(_reading(bounded[i], uncrossed[i], latest[i], read) for i in range(last + 1))
 
 
-def _reading(
-    bounded: SampleOutcome | None, uncrossed: SampleOutcome | None, latest: int,
-    samples: int, twosided: bool,
-) -> Verdict:
-    """One reading's verdict from what the pass over the outcomes found."""
+def _reading(bounded: tuple | None, uncrossed: str | None, latest: int, samples: int) -> Verdict:
+    """One reading's verdict from what the pass over the sites found."""
     if bounded is not None:
-        witness = {"sample": bounded.label, "certificate": bounded.certificate.as_dict()}
-        if twosided:
-            witness["backward_certificate"] = bounded.backward_certificate.as_dict()
+        label, certificate, backward = bounded
+        witness = {"sample": label, "certificate": certificate.as_dict()}
+        if backward is not None:
+            witness["backward_certificate"] = backward.as_dict()
         return Verdict(Status.FAILS, "definition", "brute-force", None, witness)
     if uncrossed is not None:
         return Verdict(
             Status.UNDECIDED, "definition", "brute-force", None,
-            {"sample": uncrossed.label, "reason": "no crossing within the horizon"},
+            {"sample": uncrossed, "reason": "no crossing within the horizon"},
         )
     return Verdict(
         Status.HOLDS, "definition", "brute-force", None,

@@ -291,7 +291,9 @@ class DissipativeSystem(Record):
 
         Equals the window ratio times the wobble increment; the wobble is
         finite, so the result is again eventually periodic with the same
-        tails and a widened core, of at most MAX_CELL_SPAN indices.
+        tails and a widened core, of at most MAX_CELL_SPAN indices.  Each
+        tail is phased from its own core end, so its period is read from
+        the window ratio just outside the widened core.
         """
         ratio = self.measures.ratio
         if cell is None or self.cells is None or not self.cells.wobble:
@@ -306,10 +308,9 @@ class DissipativeSystem(Record):
             ratio.base_at(k) * cells.theta(k + 1, cell) / cells.theta(k, cell)
             for k in range(lo, hi + 1)
         )
-        return EventuallyPeriodicSequence(
-            lo, core, ratio.neg_period, ratio.pos_period, 1.0,
-            ratio.exact and cells.exact,
-        )
+        neg = tuple(map(ratio.base_at, range(lo - len(ratio.neg_period), lo)))
+        pos = tuple(map(ratio.base_at, range(hi + 1, hi + 1 + len(ratio.pos_period))))
+        return EventuallyPeriodicSequence(lo, core, neg, pos, 1.0, ratio.exact and cells.exact)
 
     def to_config(self, label: str | None = None) -> dict:
         config: dict = {

@@ -518,6 +518,25 @@ def test_audit_probes_each_system_once(monkeypatch):
     assert summary["brute_checks"] == 12
 
 
+def test_audit_draws_each_system_as_it_audits_it(monkeypatch):
+    events = []
+    draw, report = shiftlab.cli.random_dissipative, shiftlab.cli.classify_report
+
+    def drawn(rng):
+        events.append("draw")
+        return draw(rng)
+
+    def classified(system, **kwargs):
+        events.append(kwargs["method"])
+        return report(system, **kwargs)
+
+    monkeypatch.setattr(shiftlab.cli, "random_dissipative", drawn)
+    monkeypatch.setattr(shiftlab.cli, "classify_report", classified)
+    run_audit(3, 7, base_system=peak(p=1.0))
+    # The config system is audited first and drawn from no rng.
+    assert events == ["exact", "horizon"] + ["draw", "exact", "horizon"] * 2
+
+
 def test_settled_audit_probes_give_the_full_probes_summary(monkeypatch):
     settled = run_audit(200, 7)
     settled_flags = []

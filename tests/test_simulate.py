@@ -5,10 +5,10 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.canon import canonical_json
@@ -201,6 +201,18 @@ def test_shift_apply_memo_is_per_operator():
     for op in ops + ops:
         for steps in (1, -1):
             assert op.apply(vec, steps) == direct_shift_apply(op.weights, vec, steps)
+
+
+def test_shift_forward_factors_fill_a_block_but_refuse_only_what_a_step_reads():
+    # w_-5 lies past float range; every other weight is 2.
+    weights = WeightSequence(ratio(-5, [10 ** 400], [2], [2]))
+    op = ShiftOperator(weights, 1.0)
+    assert op.apply({10: 1.0}, 3) == {7: 8.0}
+    assert op.apply_add({-4: 1.0}, {-5: 1.0}) == {-5: 3.0}
+    assert len(op._forward) > 4
+    assert op._forward == {k: math.exp(weights.values.log_at(k)) for k in op._forward}
+    with pytest.raises(OverflowError):
+        op.apply({-5: 1.0}, 1)
 
 
 def test_operator_for_dispatch():
@@ -471,6 +483,57 @@ def test_log_norm_walk_is_log_norm_of_repeated_apply(op):
             assert streamed == expected, direction
 
 
+def assert_weight_lines_walk_as_the_norm(op):
+    """Each basis walk the probe sums from a weight line is the log norm walk of its unit vector.
+
+    For sites -20..20 of every line and n <= 30 steps each way, the running
+    sums of the weight logs, read as _WalkTable reads them, equal
+    log_norm_walk(normalized_basis(site), direction) to within 1e-12.
+    """
+    positions = range(-20, 21)
+    for index, line in enumerate(op.lines):
+        for direction in (1, -1):
+            table = simulate._WalkTable(line, direction, positions, 30, True)
+            for position in positions:
+                start = direction * (table.anchor - position)
+                sums = list(accumulate(table.read(start, start + 30)))
+                site = op._key(index, position)
+                walked = islice(op.log_norm_walk(op.normalized_basis(site), direction), 30)
+                gap = max(abs(a - b) for a, b in zip(sums, walked))
+                assert gap <= 1e-12, (site, direction, gap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=18)  # a wobbled cell whose positive tail has period 4
+def test_dissipative_weight_lines_walk_as_the_norm(seed):
+    assert_weight_lines_walk_as_the_norm(CompositionOperator(random_dissipative(random.Random(seed))))
+
+
+ATOM_MEASURES = st.sampled_from(["1/3", "1/2", 1, 2, 3, 0.75])
+
+
+@st.composite
+def atomic_unions(draw):
+    """Unions of one to three components: cycles of one to three atoms and measured lines."""
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            components.append(Cycle.from_values(draw(st.lists(ATOM_MEASURES, min_size=1,
+                                                              max_size=3))))
+        else:
+            parts = [draw(st.lists(ATOM_MEASURES, min_size=1, max_size=3)) for _ in range(3)]
+            components.append(MeasureSequence.from_values(
+                draw(ATOM_MEASURES), ratio(draw(st.integers(-3, 3)), *parts)))
+    return AtomicSystem(p=draw(st.sampled_from([1.0, 2.0, 3.0])), components=tuple(components))
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=atomic_unions())
+def test_atomic_weight_lines_walk_as_the_norm(system):
+    assert_weight_lines_walk_as_the_norm(AtomicOperator(system))
+
+
 @pytest.mark.parametrize("horizon, samples", [(-1, 0), (-1, 2), (0, 3), (5, -1)])
 def test_brute_force_rejects_bad_horizon_and_samples(horizon, samples):
     with pytest.raises(ValueError, match="horizon|samples"):
@@ -718,43 +781,66 @@ def test_random_probes_equal_the_wholly_in_tail_reference():
         [(random_dissipative(random.Random(s)), None, s) for s in range(200)])
 
 
-def assert_settled_reports_agree(probes):
-    """A settled probe reads the full report's verdicts from a prefix of its outcomes.
+def assert_settled_reports_agree(monkeypatch, probes):
+    """A settled probe reads the full report's verdicts, witnesses included, and keeps no outcome.
 
-    A Fails ends the prefix at its witness.  Returns how many settled
-    reports stopped short, and how many of those stopped at the end of the
-    basis sites without a Fails.
+    It walks no more than the full probe: no more forward or backward basis
+    walks (counted by ``_table_walk``) and no more sample scans (``_scan``).
+    Returns how many settled probes walked less, how many of those stopped
+    at the end of the basis sites without a Fails (no sample scanned), and
+    how many two-sided ones took every forward basis walk of the full probe
+    but fewer backward ones: the backward walks that could not move a reading.
     """
-    short = at_basis_end = 0
+    walks = {1: 0, -1: 0, "scans": 0}
+    table_walk, scan = simulate._table_walk, simulate._scan
+
+    def counted_table_walk(table, position):
+        walks[table.direction] += 1
+        return table_walk(table, position)
+
+    def counted_scan(*args):  # only random samples are scanned
+        walks["scans"] += 1
+        return scan(*args)
+
+    def counted_probe(system, mode, **kwargs):
+        walks.update(dict.fromkeys(walks, 0))
+        return brute_force_expansivity(system, mode, **kwargs), dict(walks)
+
+    monkeypatch.setattr(simulate, "_table_walk", counted_table_walk)
+    monkeypatch.setattr(simulate, "_scan", counted_scan)
+    short = at_basis_end = skipped = 0
     for system, p, seed in probes:
         for mode in BruteMode:
             for horizon in (5, 40):
                 kwargs = dict(horizon=horizon, samples=3, seed=seed, p=p)
-                full = brute_force_expansivity(system, mode, **kwargs)
-                settled = brute_force_expansivity(system, mode, until_settled=True, **kwargs)
+                full, full_walks = counted_probe(system, mode, **kwargs)
+                settled, settled_walks = counted_probe(system, mode, until_settled=True, **kwargs)
                 key = (seed, mode, horizon)
                 assert settled.verdict == full.verdict, key
                 assert settled.positive_verdict == full.positive_verdict, key
-                read = len(settled.samples)
-                assert settled.samples == full.samples[:read], key
-                if full.verdict.fails:
-                    assert settled.samples[-1].label == full.verdict.witness["sample"], key
-                if read < len(full.samples):
+                assert settled.samples == (), key
+                assert all(settled_walks[k] <= full_walks[k] for k in walks), (
+                    key, settled_walks, full_walks)
+                if settled_walks != full_walks:
                     short += 1
-                    at_basis_end += settled.samples[-1].kind == "basis" and not full.verdict.fails
-    return short, at_basis_end
+                    at_basis_end += (settled_walks["scans"] == 0 < full_walks["scans"]
+                                     and not full.verdict.fails)
+                skipped += (settled_walks[1] == full_walks[1]
+                            and settled_walks[-1] < full_walks[-1])
+    monkeypatch.undo()
+    return short, at_basis_end, skipped
 
 
-def test_settled_pin_probes_read_the_full_verdicts():
-    short, at_basis_end = assert_settled_reports_agree(
-        [(system, p, i) for i, (system, p) in enumerate(brute_pin_probes())])
-    assert short and at_basis_end
+def test_settled_pin_probes_read_the_full_verdicts(monkeypatch):
+    counts = assert_settled_reports_agree(
+        monkeypatch, [(system, p, i) for i, (system, p) in enumerate(brute_pin_probes())])
+    assert all(counts), counts
 
 
-def test_settled_random_probes_read_the_full_verdicts():
-    short, at_basis_end = assert_settled_reports_agree(
-        [(random_dissipative(random.Random(s)), None, s) for s in range(200)])
-    assert short and at_basis_end
+def test_settled_random_probes_read_the_full_verdicts(monkeypatch):
+    counts = assert_settled_reports_agree(
+        monkeypatch, [(random_dissipative(random.Random(s)), None, s) for s in range(200)])
+    assert all(counts), counts
 
 
 def test_a_settled_probe_stops_at_its_witness(monkeypatch):

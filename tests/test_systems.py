@@ -424,6 +424,29 @@ def test_cell_ratio_widens_core():
     assert system.cell_ratio(None) is system.measures.ratio
 
 
+def test_cell_ratio_tails_keep_their_phase():
+    """A cell ratio is the window ratio times the wobble increment at every k, tails included.
+
+    Widening the core moves where each tail starts, so a tail period longer
+    than one entry is read in a new phase.  Seed 18 draws a positive period
+    of four and a core widened by three: its cell 0 once read 3/4 at k = 2,
+    where the cell measures step by 1/3.
+    """
+    wobbled = []
+    for seed in range(300):
+        system = random_dissipative(random.Random(seed))
+        if system.cells is not None and system.cells.wobble:
+            wobbled.append((seed, system))
+    assert 18 in dict(wobbled) and len(wobbled) > 50
+    for seed, system in wobbled:
+        cells, window = system.cells, system.measures.ratio
+        for cell in range(system.n_cells):
+            line = system.cell_ratio(cell)
+            for k in range(-60, 61):
+                expected = window.base_at(k) * cells.theta(k + 1, cell) / cells.theta(k, cell)
+                assert line.base_at(k) == expected, (seed, cell, k)
+
+
 def test_cell_ratio_refuses_a_span_past_its_cap():
     # The wobble sits at k = 0, so a one-entry core at c spans k = -1..c.
     def far(core_lo):
