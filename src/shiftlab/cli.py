@@ -31,6 +31,7 @@ from .classify import (
 from .seqcore import EventuallyPeriodicSequence, Record, SequenceError, _coerce
 from .simulate import (
     BruteMode,
+    EmptyOrbitRange,
     NoSplitting,
     brute_force_expansivity,
     build_splitting,
@@ -393,8 +394,6 @@ def _check_measured_reach(args) -> None:
 
 def cmd_simulate(args) -> int:
     parsed = load_config(args.config)
-    if args.nmin > args.nmax:
-        raise ConfigError("--nmin", "empty range: nmin exceeds nmax")
     if _orbit_steps(args) > MAX_ORBIT_STEPS:
         raise ConfigError(
             "--nmin/--nmax",
@@ -404,8 +403,9 @@ def cmd_simulate(args) -> int:
     op = operator_for(parsed.system, parsed.p)
     site = _simulate_site(parsed, args)
     vec = op.normalized_basis(site)
+    rows = orbit_log_norms(op, vec, args.nmin, args.nmax)
     print("n,norm")
-    for n, log_norm in orbit_log_norms(op, vec, args.nmin, args.nmax):
+    for n, log_norm in rows:
         print(f"{n},{_fmt_log(log_norm)}")
     return EXIT_OK
 
@@ -729,7 +729,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidSystem, SequenceError, DistortionError) as err:
+    except (ConfigError, EmptyOrbitRange, InvalidSystem, SequenceError, DistortionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as err:

@@ -12,9 +12,8 @@ translate their site keys (integers, ``(k, cell)`` and ``(component,
 index)``) to lines and positions, label sites and apply the map.
 
 Vectors are sparse: a dict from site keys to coefficients.  Norms are
-summed in log space, and every orbit norm is read from one stream per
-direction, ``log_norm_walk``; a shift's stream carries a running log scale,
-so orbit norms stay meaningful far beyond float range.
+summed in log space; an orbit's norms step the map and carry a running
+log scale, so they stay meaningful far beyond float range.
 
 The brute-force expansivity check follows the norm-threshold definition
 directly: a unit vector escapes once some iterate has norm at least 2.
@@ -23,20 +22,15 @@ be certified exactly; random simple functions can only ever cross, never
 certify boundedness, and an uncrossed one leaves the verdict Undecided.
 Each walk is read only as far as the decision needs.  A basis walk is
 the running sum of its weight line's increments, sliced from one table
-per line and direction that all the probe's walks read (taken from the
-line's ``logs_from`` stream as far as some walk reads), and its crossing
-is found by a C-level scan.  A walk is fixed by its line, its direction,
-its phase in the tail it starts in and the increments it read, so it is
-computed once and shared by every later site of that phase whose tail
-room covers what it read.  A random sample's stream (``log_norm_walk``)
-is lazy, so it stops at its crossing; composition and atomic maps only
-move sites, so each step adds p log|c| to a site log measure, read from
-one table per line that every sample of the probe shares, and builds no
-vector, while a shift applies each step.  The forward walks of a
-two-sided probe are those of a positive probe with the same seed, so one
-pass over a two-sided probe's sites reads both pointwise verdicts; a
-probe that reads only its verdicts skips the backward walks that cannot
-move them.
+per line and direction (filled from the line's ``logs_from`` stream as
+far as some walk reads); its crossing is found by a C-level scan, and
+it is shared by every later site of its tail phase whose room covers
+what it read.  The maps move sites one to one, so a random sample is a
+list of (line, position, log term) triples, drawn when the pass reaches
+it, and its walk is the log-sum-exp of each term plus p times its site's
+basis walk.  The forward walks of a two-sided probe are those of a
+positive probe with the same seed, so one pass reads both pointwise
+verdicts, skipping the backward walks and samples that cannot move them.
 
 Shadowing keeps only the largest of its log norms (the errors, the
 corrections and the orbit residuals).  On a shift each is decided from
@@ -57,7 +51,7 @@ import sys
 from enum import Enum
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, neg
+from operator import add, mul, neg
 from typing import Iterator
 
 from .classify import Status, Verdict
@@ -89,6 +83,8 @@ _CERT_GAP = 1e-9
 # read at most 63; a walk whose certificate would need more than the cap
 # stays uncertified, so its reading can only turn Undecided, never wrong.
 _CERT_READ_CAP = 4096
+# Random samples draw positions -12..12 off cycles; walk tables anchor at least this far out.
+_SAMPLE_REACH = 12
 
 
 def _add_into(out: Vec, b: Vec, negate: bool = False) -> Vec:
@@ -141,8 +137,6 @@ class LineSumOperator:
         self._periods = tuple(periods) if periods is not None else (None,) * len(self.lines)
         # Called with the two parts of a site key; None for unit site measures.
         self._log_measure = site_log_measure
-        # Site log measures by position, one table per line, for log_norm_walk.
-        self._site_logs: tuple[dict[int, float], ...] = tuple({} for _ in self.lines)
 
     def _cover(self, site) -> list:
         """The sites a key stands for: itself, unless it is a window over cells."""
@@ -227,35 +221,7 @@ class LineSumOperator:
         return self._draw_site(rng, 2)
 
     def _sample_site(self, rng: random.Random) -> object:
-        return self._draw_site(rng, 12)
-
-    def log_norm_walk(self, vec: Vec, direction: int) -> Iterator[float]:
-        """log ||T^n vec|| for n = 1, 2, ... in one direction, each step computed on demand.
-
-        The map only moves sites, one position per step, and leaves the
-        coefficients alone.  So step n's terms are each entry's p log|c|
-        plus the log measure of its moved site, in the key order of vec:
-        the floats log_norm(apply(vec, n)) sums.  Site measures are read
-        from the operator's table of their line, so every walk on the
-        operator computes each one once.  A shift, whose steps rescale
-        coefficients, overrides this.
-        """
-        p, measure, key, log = self.p, self._log_measure, self._key, math.log
-        entries = []
-        for site, c in vec.items():
-            if c != 0:
-                line, position = self._locate(site)
-                entries.append((p * log(abs(c)), self._site_logs[line], line, position,
-                                self._periods[line]))
-        for n in count(direction, direction):
-            terms = []
-            for coeff_term, table, line, position, period in entries:
-                moved = (position - n) % period if period else position - n
-                site_term = table.get(moved)
-                if site_term is None:
-                    site_term = table[moved] = measure(*key(line, moved))
-                terms.append(coeff_term + site_term)
-            yield logsumexp(terms) / p
+        return self._draw_site(rng, _SAMPLE_REACH)
 
 
 class ShiftOperator(LineSumOperator):
@@ -285,32 +251,13 @@ class ShiftOperator(LineSumOperator):
         return rng.randint(-2, 2)
 
     def _sample_site(self, rng: random.Random) -> object:
-        return rng.randint(-12, 12)
+        return rng.randint(-_SAMPLE_REACH, _SAMPLE_REACH)
 
     def norm_upper_bound(self) -> float:
         return self.weights.sup
 
     def site_label(self, site) -> str:
         return f"e[{site}]"
-
-    def log_norm_walk(self, vec: Vec, direction: int) -> Iterator[float]:
-        """log ||T^n vec|| for n = 1, 2, ...: a shift step rescales coefficients, so apply it.
-
-        A step that would take the coefficients out of the normal float
-        range is taken again from the vector rescaled by an exact power of
-        two, and the scale is carried in log space; steps in range are left
-        bit for bit.
-        """
-        current, log_scale = vec, 0.0
-        while True:
-            moved = self.apply(current, direction)
-            if current and not sys.float_info.min <= max(map(abs, moved.values())) < math.inf:
-                shift = math.frexp(max(map(abs, current.values())))[1]
-                scaled = {s: math.ldexp(c, -shift) for s, c in current.items()}
-                moved = self.apply(scaled, direction)
-                log_scale += shift * _LOG2
-            current = moved
-            yield self.log_norm(current) + log_scale
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         if steps == 1 or steps == -1:  # the one step every recursion and walk takes
@@ -424,7 +371,7 @@ class CompositionOperator(LineSumOperator):
         return [site] if cell is not None else [(k, c) for c in self._cells]
 
     def _sample_site(self, rng: random.Random) -> object:
-        k = rng.randint(-12, 12)  # the position before the cell
+        k = rng.randint(-_SAMPLE_REACH, _SAMPLE_REACH)  # the position before the cell
         return (k, self._cells[rng.randrange(len(self._cells))])
 
     def site_label(self, site) -> str:
@@ -481,15 +428,35 @@ def operator_for(obj, p: float | None = None) -> LineSumOperator:
     raise TypeError(f"no operator model for {type(obj).__name__}")
 
 
-def orbit_log_norms(
-    op: LineSumOperator, vec: Vec, n_lo: int, n_hi: int
-) -> list[tuple[int, float]]:
-    """log ||T^n x|| for n in [n_lo, n_hi]: log ||x|| and the operator's walk each way."""
+class EmptyOrbitRange(ValueError):
+    """An orbit range whose nmin exceeds its nmax; the CLI maps it to exit 2."""
+
+
+def _stepping_walk(op: LineSumOperator, vec: Vec, direction: int) -> Iterator[float]:
+    """log ||T^n vec|| for n = 1, 2, ...: apply, then log_norm.
+
+    A step whose coefficients would leave the normal float range is taken
+    again from the vector rescaled by an exact power of two, the scale
+    carried in log space; steps in range are left bit for bit.
+    """
+    current, log_scale = vec, 0.0
+    while True:
+        moved = op.apply(current, direction)
+        if current and not sys.float_info.min <= max(map(abs, moved.values())) < math.inf:
+            shift = math.frexp(max(map(abs, current.values())))[1]
+            moved = op.apply({s: math.ldexp(c, -shift) for s, c in current.items()}, direction)
+            log_scale += shift * _LOG2
+        current = moved
+        yield op.log_norm(current) + log_scale
+
+
+def orbit_log_norms(op: LineSumOperator, vec: Vec, n_lo: int, n_hi: int) -> list[tuple[int, float]]:
+    """log ||T^n x|| for n in [n_lo, n_hi]: log ||x|| and one stepping walk each way."""
     if n_lo > n_hi:
-        raise ValueError("empty orbit range")
+        raise EmptyOrbitRange(f"empty orbit range: nmin {n_lo} exceeds nmax {n_hi}")
     out = [(0, op.log_norm(vec))] if n_lo <= 0 <= n_hi else []
     for direction, reach in ((1, n_hi), (-1, -n_lo)):
-        values = islice(op.log_norm_walk(vec, direction), max(reach, 0))
+        values = islice(_stepping_walk(op, vec, direction), max(reach, 0))
         out.extend((n, v) for n, v in zip(count(direction, direction), values) if n_lo <= n <= n_hi)
     return sorted(out)
 
@@ -560,8 +527,8 @@ class _WalkTable:
     ``increments`` holds them as far as some walk has read, taken from the
     line's ``logs_from`` stream: entry i is log w at anchor - i forward and
     -log w at anchor + 1 + i backward, the anchor being the line's first
-    basis position in that direction.  ``shared`` holds the walks that
-    later sites reuse, by tail phase.
+    basis or sample position in that direction.  ``shared`` holds the
+    walks that later sites reuse, by tail phase.
     """
 
     __slots__ = ("line", "direction", "horizon", "want_curve", "anchor", "increments",
@@ -571,7 +538,8 @@ class _WalkTable:
                  horizon: int, want_curve: bool):
         self.line, self.direction, self.horizon, self.want_curve = (
             line, direction, horizon, want_curve)
-        self.anchor = positions[-1] if direction > 0 else positions[0]
+        self.anchor = (max(positions[-1], _SAMPLE_REACH) if direction > 0
+                       else min(positions[0], -_SAMPLE_REACH))
         self._stream = (line.logs_from(self.anchor, -1) if direction > 0
                         else map(neg, line.logs_from(self.anchor + 1, 1)))
         self.increments: list[float] = []
@@ -624,12 +592,13 @@ def _table_walk(table: _WalkTable, position: int) -> DirectionalWalk:
     return DirectionalWalk(crossed, certificate, curve)
 
 
-def _random_sample(op: LineSumOperator, rng: random.Random) -> Vec:
-    """Seeded unit-norm simple function with small support.
+def _random_sample(op: LineSumOperator, rng: random.Random) -> list[tuple[int, int, float]]:
+    """Seeded unit-norm simple function with small support: (line, position, log term) triples.
 
-    The sites are kept in draw order (a dict, not a set): a set's order of
-    ``(k, None)`` keys follows ``hash(None)``, which changes between
-    interpreter starts on Python before 3.12.
+    A log term is log ||c e_site||^p less p times the drawn function's log
+    norm, so no norm leaves float range.  Sites stay in draw order: a set's
+    order of ``(k, None)`` keys follows ``hash(None)``, which changes
+    between interpreter starts on Python before 3.12.
     """
     size = rng.randint(2, 8)
     sites: dict = {}
@@ -637,11 +606,25 @@ def _random_sample(op: LineSumOperator, rng: random.Random) -> Vec:
     while len(sites) < size and guard < 200:
         guard += 1
         sites[op._sample_site(rng)] = None
-    vec: Vec = {}
-    for site in sites:
-        vec[site] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-    log_norm = op.log_norm(vec)
-    return vec_scale(vec, math.exp(-log_norm))
+    vec = {site: rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5) for site in sites}
+    scale = op.p * op.log_norm(vec)
+    return [(*op._locate(site), op.log_term(site, c) - scale) for site, c in vec.items()]
+
+
+def _sample_walk(sample: list, tables: list[_WalkTable], p: float) -> Iterator[float]:
+    """log ||T^n x|| for n = 1 .. horizon of a sample, summed only as far as it is read.
+
+    Sites move one to one, so ||T^n x||^p sums ||c e_site||^p times the
+    p-th power of each site's basis walk, read from its line's table.
+    """
+    columns = []
+    for line, position, term in sample:
+        table = tables[line]
+        start = table.direction * (table.anchor - position)
+        sums = accumulate(table.read(start, start + table.horizon))
+        columns.append(map(partial(add, term), map(partial(mul, p), sums)))
+    for terms in zip(*columns):
+        yield logsumexp(list(terms)) / p
 
 
 def _tail_start(
@@ -762,10 +745,9 @@ def brute_force_expansivity(
         raise ValueError(f"samples must be at least 0, got {samples}")
     op = operator_for(system, p)
     rng = random.Random(seed)
-    # Drawn before any walk, so a sample beyond float range raises however far the pass reads.
-    vectors = [_random_sample(op, rng) for _ in range(samples)]
     uniform, twosided = mode.uniform, mode.twosided
     directions = (1, -1) if twosided else (1,)
+    tables: dict[int, list[_WalkTable]] = {d: [] for d in directions}  # by direction, line
     outcomes: list[SampleOutcome] = []
     curves: list[list[DirectionalWalk]] = []
 
@@ -788,17 +770,20 @@ def brute_force_expansivity(
     def stream() -> Iterator[tuple | None]:
         for index, line in enumerate(op.lines):
             positions = op.basis_positions(index, horizon)
-            forward, *backward = [_WalkTable(line, d, positions, horizon, uniform)
-                                  for d in directions]
+            for d in directions:
+                tables[d].append(_WalkTable(line, d, positions, horizon, uniform))
+            forward, *backward = [tables[d][index] for d in directions]
             for position in positions:
                 yield site("basis", partial(basis_label, index, position),
                            _shared_line_walk(forward, position),
                            partial(_shared_line_walk, backward[0], position) if twosided else None)
         yield None  # the end of the basis sites
-        for i, vec in enumerate(vectors):
+        for i in range(samples):
+            sample = _random_sample(op, rng)  # drawn only when the pass reaches it
             yield site("random", partial("rand[{}]".format, i),
-                       _scan(op.log_norm_walk(vec, 1), horizon, uniform),
-                       lambda vec=vec: _scan(op.log_norm_walk(vec, -1), horizon, uniform))
+                       _scan(_sample_walk(sample, tables[1], op.p), horizon, uniform),
+                       lambda sample=sample: _scan(_sample_walk(sample, tables[-1], op.p),
+                                                   horizon, uniform))
 
     pending = stream()
     readings = _pointwise_readings(pending, twosided, settle=not uniform)

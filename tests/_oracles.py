@@ -295,28 +295,42 @@ def _tail_phase(line, position, direction):
     return None
 
 
-def memo_log_norm_walk(op, vec, direction):
-    """log ||T^n vec|| for n = 1, 2, ... with the site measures memoized per walk."""
-    from itertools import count
+def dict_log_norm_walk(op, vec, direction):
+    """log ||T^n vec|| for n = 1, 2, ...: repeated apply, then log_norm of each dict.
 
-    from shiftlab.systems import logsumexp
+    A step that would take the coefficients out of the normal float range
+    is taken again from the vector rescaled by an exact power of two, the
+    scale carried in log space.  This is the walk a shift's random samples
+    took before they were read from the probe's basis-walk tables.
+    """
+    import sys
 
-    p, measure = op.p, op._log_measure
-    entries = []
-    for site, c in vec.items():
-        if c != 0:
-            line, position = op._locate(site)
-            entries.append((p * math.log(abs(c)), line, position, op._periods[line]))
-    memo = {}
-    for n in count(direction, direction):
-        terms = []
-        for coeff_term, line, position, period in entries:
-            moved = (position - n) % period if period else position - n
-            site_term = memo.get((line, moved))
-            if site_term is None:
-                site_term = memo[line, moved] = measure(*op._key(line, moved))
-            terms.append(coeff_term + site_term)
-        yield logsumexp(terms) / p
+    current, log_scale = vec, 0.0
+    while True:
+        moved = op.apply(current, direction)
+        if current and not sys.float_info.min <= max(map(abs, moved.values())) < math.inf:
+            shift = math.frexp(max(map(abs, current.values())))[1]
+            moved = op.apply({s: math.ldexp(c, -shift) for s, c in current.items()}, direction)
+            log_scale += shift * math.log(2.0)
+        current = moved
+        yield op.log_norm(current) + log_scale
+
+
+def random_sample_reference(op, rng):
+    """The probe's random sample as a unit-norm dict, drawn as the probe draws it.
+
+    The drawn function's norm must lie within float range: beyond it the
+    scale below overflows or rounds to 0.
+    """
+    size = rng.randint(2, 8)
+    sites = {}
+    guard = 0
+    while len(sites) < size and guard < 200:
+        guard += 1
+        sites[op._sample_site(rng)] = None
+    vec = {site: rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5) for site in sites}
+    scale = math.exp(-op.log_norm(vec))
+    return {site: c * scale for site, c in vec.items()}
 
 
 def pointwise_reference(outcomes, twosided):
@@ -433,24 +447,17 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
     This is the basis and sample loop the probe had before a walk was
     shared by what it read: a basis walk is shared only when it lies
     wholly in one periodic tail, keyed by ``_tail_phase``, and a random
-    sample memoizes its site measures per walk.  The probe must return an
-    equal report on every input, its readings taken by ``pointwise_reference``.
+    sample is a dict drawn here and walked by ``dict_log_norm_walk``, so
+    no sample walk of the probe is read.  The probe must return an equal
+    report on every input, its readings taken by ``pointwise_reference``.
     """
     import random
 
-    from shiftlab.simulate import (
-        BruteForceReport,
-        SampleOutcome,
-        _random_sample,
-        _shared_crossing,
-        operator_for,
-    )
+    from shiftlab.simulate import BruteForceReport, SampleOutcome, _shared_crossing, operator_for
 
     op = operator_for(system, p)
     rng = random.Random(seed)
     directions = (1, -1) if mode.twosided else (1,)
-    walk_of = op.log_norm_walk if op._log_measure is None else (
-        lambda vec, d: memo_log_norm_walk(op, vec, d))
     probes = []
     tail_walks = {}
     for site in basis_sites(op, horizon):
@@ -467,8 +474,9 @@ def brute_force_reference(system, mode, *, horizon, samples, seed, p=None):
             walks.append(walk)
         probes.append((op.site_label(site), "basis", walks))
     for i in range(samples):
-        vec = _random_sample(op, rng)
-        walks = [scan_reference(walk_of(vec, d), horizon, mode.uniform) for d in directions]
+        vec = random_sample_reference(op, rng)
+        walks = [scan_reference(dict_log_norm_walk(op, vec, d), horizon, mode.uniform)
+                 for d in directions]
         probes.append((f"rand[{i}]", "random", walks))
     outcomes = tuple(
         SampleOutcome(label, kind, *(field for w in walks for field in (w.crossed_at, w.certificate)))

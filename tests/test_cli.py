@@ -305,6 +305,12 @@ def test_simulate_rejects_empty_range(config_file, capsys):
     assert code == EXIT_CONFIG and "nmin" in err
 
 
+def test_simulate_refuses_an_empty_range_before_its_header(config_file, capsys):
+    code, out, err = run(capsys, "simulate", config_file(DECAY), "--nmin", "3", "--nmax", "1")
+    assert code == EXIT_CONFIG and out == ""
+    assert "nmin 3 exceeds nmax 1" in err and "Traceback" not in err
+
+
 # -- shadow -----------------------------------------------------------------------
 
 
@@ -904,16 +910,29 @@ def test_shadow_certificate_beyond_float_range_has_no_splitting(config_file, cap
     assert "float range" in err
 
 
-def test_audit_rejects_samples_beyond_float_range(config_file, capsys):
+def test_audit_reads_samples_beyond_float_range(config_file, capsys):
+    # The random samples' norms lie beyond float range: above it at probe seed
+    # 0, below it at seed -2.  A sample is kept in log scale, so the audit
+    # reads this config as classify does, and every sample walks.
     config = {
         "kind": "dissipative", "p": 1, "mu0": "1",
         "ratio": {"core_lo": -3, "core": ["7"], "neg_period": [1.0, "1e300", 1e-300],
                   "pos_period": ["1e-300"]},
     }
-    code, _, err = run(capsys, "audit", config_file(config), "--count", "1", "--seed", "-2",
-                       "--horizon", "20")
-    assert code == EXIT_CONFIG
-    assert "float range" in err and "Traceback" not in err
+    path = config_file(config)
+    code, out, err = run(capsys, "audit", path, "--count", "1", "--seed", "-2",
+                         "--horizon", "20", "--json")
+    assert code == EXIT_OK and err == ""
+    summary = json.loads(out)
+    assert summary["count"] == 1 and summary["violations"] == []
+    system = parse_config(json.dumps(config)).system
+    crossings = {}
+    for seed in (0, -2):
+        report = brute_force_expansivity(system, BruteMode.TWOSIDED, horizon=20, samples=3,
+                                         seed=seed)
+        crossings[seed] = [o.crossed_at for o in report.samples if o.kind == "random"]
+    # Three samples each; at seed 0 each crosses at its first step.
+    assert crossings[0] == [1, 1, 1] and len(crossings[-2]) == 3
 
 
 # -- shadowing through the line-sum core --------------------------------------------

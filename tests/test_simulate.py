@@ -58,9 +58,10 @@ from _oracles import (
     brute_force_reference,
     line_walk_reference,
     covers_stable,
+    dict_log_norm_walk,
     max_residual,
-    memo_log_norm_walk,
     norm_direct,
+    random_sample_reference,
     shadow_exact_corrections,
     shadow_stepwise,
     site_is_stable,
@@ -282,15 +283,18 @@ def subnormal_coefficient_operators():
 
 
 @pytest.mark.parametrize("op, site", subnormal_coefficient_operators(), ids=["window", "atomic"])
-def test_orbit_log_norms_read_the_operator_walk(op, site, monkeypatch):
+def test_orbit_log_norms_read_the_operator_walk(op, site):
     vec = op.normalized_basis(site)
     assert 0.0 < abs(next(iter(vec.values()))) < 2.2250738585072014e-308
-    backward = list(islice(op.log_norm_walk(vec, -1), 40))
-    forward = list(islice(op.log_norm_walk(vec, 1), 40))
+    backward = list(islice(dict_log_norm_walk(op, vec, -1), 40))
+    forward = list(islice(dict_log_norm_walk(op, vec, 1), 40))
     expected = [*zip(range(-40, 0), reversed(backward)), (0, op.log_norm(vec)),
                 *zip(range(1, 41), forward)]
-    # A map that only moves sites needs no applied vector for its orbit norms.
-    monkeypatch.setattr(type(op), "apply", None)
+    # The walk rescales the subnormal coefficient; each norm stays the moved site's log term.
+    line, position = op._locate(site)
+    for n, value in expected:
+        exact = op.log_term(op._key(line, position - n), vec[site]) / op.p
+        assert value == pytest.approx(exact, rel=1e-14), n
     assert orbit_log_norms(op, vec, -40, 40) == expected
     assert orbit_log_norms(op, vec, 3, 7) == expected[43:48]
     assert orbit_log_norms(op, vec, -7, -3) == expected[33:38]
@@ -456,39 +460,56 @@ def test_random_sample_keeps_its_sites_in_draw_order():
     drawn = [7, 1, 4, 9, 2, 8, 3, 6]
     sites = iter(drawn)
     op._sample_site = lambda rng: next(sites)
-    vec = simulate._random_sample(op, random.Random(0))
-    assert list(vec) == drawn[: len(vec)]
+    sample = simulate._random_sample(op, random.Random(0))
+    assert [position for _, position, _ in sample] == drawn[: len(sample)]
 
 
-def sample_stream_operators():
+def sample_walk_operators():
+    """A shift, a window map, a celled map and an atomic union with a cycle."""
     line = MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"]))
     return [
+        sevens_shift(2.0),
         CompositionOperator(decay(p=2.0)),
         CompositionOperator(cell_system(p=1.0)),
         AtomicOperator(AtomicSystem(p=2.0, components=(Cycle.from_values([1, 2, 3]), line))),
     ]
 
 
-@pytest.mark.parametrize("op", sample_stream_operators(), ids=["window", "celled", "atomic"])
-def test_log_norm_walk_is_log_norm_of_repeated_apply(op):
-    rng = random.Random(3)
-    for _ in range(4):
-        vec = simulate._random_sample(op, rng)
-        for direction in (1, -1):
-            streamed = list(islice(op.log_norm_walk(vec, direction), 60))
-            expected, current = [], vec
-            for _ in range(60):
-                current = op.apply(current, direction)
-                expected.append(op.log_norm(current))
-            assert streamed == expected, direction
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(op=st.sampled_from(sample_walk_operators()), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_walks_are_the_sums_of_their_basis_walks(op, seed):
+    """A random sample walks, through the probe's tables, as its dict walks under apply.
+
+    ||T^n x||^p is the sum over x's sites of ||c e_site||^p times the p-th
+    power of the site's basis walk, so each step of ``_sample_walk`` equals
+    the log norm of the applied dict to within 1e-12: both ways, at a
+    horizon below the sample reach (whose tables anchor at the reach) and
+    at one beyond it.
+    """
+    for horizon in (5, 40):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            sample = simulate._random_sample(op, rng)
+            vec = random_sample_reference(op, reference_rng)
+            assert [(line, k) for line, k, _ in sample] == list(map(op._locate, vec))
+            assert len(sample) >= 2
+            for direction in (1, -1):
+                tables = [simulate._WalkTable(line, direction, op.basis_positions(i, horizon),
+                                              horizon, False)
+                          for i, line in enumerate(op.lines)]
+                walked = list(simulate._sample_walk(sample, tables, op.p))
+                expected = list(islice(dict_log_norm_walk(op, vec, direction), horizon))
+                assert len(walked) == horizon
+                gap = max(abs(a - b) for a, b in zip(walked, expected))
+                assert gap <= 1e-12, (horizon, direction, gap)
 
 
 def assert_weight_lines_walk_as_the_norm(op):
-    """Each basis walk the probe sums from a weight line is the log norm walk of its unit vector.
+    """Each basis walk the probe sums from a weight line is the orbit log norm of its unit vector.
 
     For sites -20..20 of every line and n <= 30 steps each way, the running
     sums of the weight logs, read as _WalkTable reads them, equal
-    log_norm_walk(normalized_basis(site), direction) to within 1e-12.
+    orbit_log_norms of normalized_basis(site) to within 1e-12.
     """
     positions = range(-20, 21)
     for index, line in enumerate(op.lines):
@@ -497,10 +518,11 @@ def assert_weight_lines_walk_as_the_norm(op):
             for position in positions:
                 start = direction * (table.anchor - position)
                 sums = list(accumulate(table.read(start, start + 30)))
-                site = op._key(index, position)
-                walked = islice(op.log_norm_walk(op.normalized_basis(site), direction), 30)
+                vec = op.normalized_basis(op._key(index, position))
+                rows = orbit_log_norms(op, vec, *sorted((direction, 30 * direction)))
+                walked = [v for _, v in (rows if direction > 0 else reversed(rows))]
                 gap = max(abs(a - b) for a, b in zip(sums, walked))
-                assert gap <= 1e-12, (site, direction, gap)
+                assert gap <= 1e-12, (index, position, direction, gap)
 
 
 @settings(max_examples=60, deadline=None)
@@ -561,16 +583,16 @@ def test_tail_walks_are_shared_and_samples_stop_at_their_crossing(monkeypatch):
         sample_crossings.append(walk.crossed_at)
         return walk
 
-    applied = [0]
-    apply = ShiftOperator.apply
+    summed = [0]
+    logsumexp = simulate.logsumexp
 
-    def counted_apply(self, vec, steps=1):
-        applied[0] += 1
-        return apply(self, vec, steps)
+    def counted_logsumexp(values):
+        summed[0] += 1
+        return logsumexp(values)
 
     monkeypatch.setattr(simulate, "_table_walk", counted_table_walk)
     monkeypatch.setattr(simulate, "_scan", recording_scan)
-    monkeypatch.setattr(ShiftOperator, "apply", counted_apply)
+    monkeypatch.setattr(simulate, "logsumexp", counted_logsumexp)
     horizon = 40
     report = brute_force_expansivity(
         weights, BruteMode.POSITIVE, horizon=horizon, samples=5, seed=0, p=1.0
@@ -579,8 +601,9 @@ def test_tail_walks_are_shared_and_samples_stop_at_their_crossing(monkeypatch):
     # 40 sites lie left of the core; one walk per phase of the period serves them all.
     assert 0 < len(left_forward) <= len(line.neg_period)
     assert len(sample_crossings) == 5
-    # Each sample is applied once per step, and no step after its crossing.
-    assert applied[0] == sum(n if n is not None else horizon for n in sample_crossings)
+    # Basis walks sum no log-sum-exp; each sample sums one for its norm and one per
+    # step of its walk, and none after its crossing.
+    assert summed[0] == sum(1 + (n if n is not None else horizon) for n in sample_crossings)
 
 
 def walk_bits(walk):
@@ -879,6 +902,29 @@ def test_a_settled_probe_stops_at_its_witness(monkeypatch):
                for (_, settled), (_, sample_walks) in counts.items()), counts
 
 
+def test_a_settled_probe_draws_no_sample_when_it_settles_at_the_basis_sites(monkeypatch):
+    # flat Fails two-sidedly at a basis site; slow drift is Undecided both ways
+    # by the end of its basis sites.  Only the full reports draw their samples.
+    drawn = [0]
+    random_sample = simulate._random_sample
+
+    def counted_random_sample(op, rng):
+        drawn[0] += 1
+        return random_sample(op, rng)
+
+    monkeypatch.setattr(simulate, "_random_sample", counted_random_sample)
+    slow = WeightSequence(ratio(0, [2], [2, "100/199"], [2, "100/199"]))
+    for system, p, status in ((flat(p=2.0), None, Status.FAILS),
+                              (slow, 1.0, Status.UNDECIDED)):
+        for settled, draws in ((True, 0), (False, 3)):
+            drawn[0] = 0
+            report = brute_force_expansivity(system, BruteMode.TWOSIDED, horizon=40, samples=3,
+                                             seed=0, p=p, until_settled=settled)
+            assert report.verdict.status is status
+            assert report.positive_verdict.status is status
+            assert drawn[0] == draws, (status, settled)
+
+
 def test_walks_that_never_cross_are_not_shared_from_a_finite_room():
     # Forward walks from right of the core read 1/2 for their room, then 48.
     # The one from site 2 (room 5) peaks at 48/2^5 = 1.5 after the core; the
@@ -920,29 +966,6 @@ def test_walks_into_the_core_are_shared_per_phase(monkeypatch):
             assert 0 < len(backward) <= len(line.neg_period), backward
         else:
             assert not backward, backward
-
-
-def test_site_log_measures_are_computed_once_per_operator():
-    line = MeasureSequence(F(2), ratio(-1, ["3", "1/2"], ["1/3"], ["2", "1/2"]))
-    for op in (CompositionOperator(cell_system(p=1.0)), CompositionOperator(decay(p=2.0)),
-               AtomicOperator(AtomicSystem(p=2.0, components=(Cycle.from_values([1, 2]), line)))):
-        rng = random.Random(5)
-        samples = [simulate._random_sample(op, rng) for _ in range(3)]
-        expected = [list(islice(memo_log_norm_walk(op, vec, direction), 40))
-                    for vec in samples for direction in (1, -1)]
-        computed: dict = {}
-        measure = op._log_measure
-
-        def counted(a, b, measure=measure, computed=computed):
-            computed[a, b] = computed.get((a, b), 0) + 1
-            return measure(a, b)
-
-        op._log_measure = counted
-        walks = [list(islice(op.log_norm_walk(vec, direction), 40))
-                 for vec in samples for direction in (1, -1)]
-        assert walks == expected
-        assert set(computed.values()) == {1}, max(computed.values())
-        assert len(computed) > 40
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -1461,7 +1484,7 @@ def test_float_sums_in_simulate_fold_left_to_right():
     walk_vec = {(0, None): 1.0}
     for k in (1, 2):
         walk_vec[k, None] = 1e-16 * math.exp(top - measure(k - 1, None))
-    for n, value in enumerate(islice(composition.log_norm_walk(walk_vec, 1), 4), start=1):
+    for n, value in orbit_log_norms(composition, walk_vec, 1, 4):
         step = [math.log(abs(c)) + measure(k - n, None) for (k, _), c in walk_vec.items()]
         step_exps = [math.exp(v - max(step)) for v in step]
         if n == 1:
