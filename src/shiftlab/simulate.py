@@ -20,17 +20,18 @@ directly: a unit vector escapes once some iterate has norm at least 2.
 Basis vectors have eventually periodic norm walks, so a non-crossing can
 be certified exactly; random simple functions can only ever cross, never
 certify boundedness, and an uncrossed one leaves the verdict Undecided.
-Each walk is read only as far as the decision needs.  A basis walk is
-the running sum of its weight line's increments, sliced from one table
-per line and direction (filled from the line's ``logs_from`` stream as
-far as some walk reads); its crossing is found by a C-level scan, and
-it is shared by every later site of its tail phase whose room covers
-what it read.  The maps move sites one to one, so a random sample is a
-list of (line, position, log term) triples, drawn when the pass reaches
-it, and its walk is the log-sum-exp of each term plus p times its site's
-basis walk.  The forward walks of a two-sided probe are those of a
-positive probe with the same seed, so one pass reads both pointwise
-verdicts, skipping the backward walks and samples that cannot move them.
+Each walk is read only as far as the decision needs.  A weight line has
+one increment stream per direction (``_step_logs``), read by the walk
+tables and the shift's step factors alike.  A basis walk is the running
+sum of its increments, sliced from its line's table as far as some walk
+reads; its crossing is found by a C-level scan, and it is shared by
+every later site of its tail phase whose room covers what it read.
+The maps move sites one to one, so a random sample is a list of (line,
+position, log term) triples, drawn when the pass reaches it, and its
+walk is the log-sum-exp of each term plus p times its site's basis
+walk.  The forward walks of a two-sided probe are those of a positive
+probe with the same seed, so one pass reads both pointwise verdicts,
+skipping the backward walks and samples that cannot move them.
 
 Shadowing keeps only the largest of its log norms (the errors, the
 corrections and the orbit residuals).  On a shift each is decided from
@@ -115,6 +116,11 @@ def vec_scale(a: Vec, factor: float) -> Vec:
     if factor == 0.0:
         return {}
     return {site: c * factor for site, c in a.items()}
+
+
+def _step_logs(line: EventuallyPeriodicSequence, k: int, direction: int) -> Iterator[float]:
+    """The steps' log factors from k: log w_k, log w_{k-1}, ... forward, -log w_{k+1}, ... back."""
+    return line.logs_from(k, -1) if direction > 0 else map(neg, line.logs_from(k + 1, 1))
 
 
 class LineSumOperator:
@@ -236,10 +242,9 @@ class ShiftOperator(LineSumOperator):
         check_exponent(p)
         super().__init__(p, [weights.values])
         self.weights = weights
-        # One-step factors by site, exp(log w_k) forward and exp(-log w_{k+1})
-        # backward: the same floats apply() would compute afresh.
-        self._forward: dict[int, float] = {}
-        self._backward: dict[int, float] = {}
+        # One-step factors by direction and site, exp of the line's step logs:
+        # the same floats apply() would compute afresh.
+        self._factors: dict[int, dict[int, float]] = {1: {}, -1: {}}
 
     def _locate(self, site) -> tuple[int, int]:
         return 0, site
@@ -261,30 +266,32 @@ class ShiftOperator(LineSumOperator):
 
     def apply(self, vec: Vec, steps: int = 1) -> Vec:
         if steps == 1 or steps == -1:  # the one step every recursion and walk takes
-            return self._step(vec) if steps > 0 else self._back_step(vec)
+            return self._step(vec, steps)
+        direction = 1 if steps > 0 else -1
         for _ in range(abs(steps)):
-            vec = self._step(vec) if steps > 0 else self._back_step(vec)
+            vec = self._step(vec, direction)
         return vec
 
-    def _forward_factor(self, k: int) -> float:
-        """The factor at k, kept with those of k - 1 .. k - 31 where the next steps go."""
-        logs = self.weights.values.logs_from(k, -1)
+    def _factor(self, k: int, direction: int) -> float:
+        """The factor of the step from k, kept with those of the 31 sites the next steps go to."""
+        factors, line = self._factors[direction], self.weights.values
         try:
-            self._forward.update(zip(range(k, k - 32, -1), map(math.exp, logs)))
+            factors.update(zip(range(k, k - 32 * direction, -direction),
+                               map(math.exp, _step_logs(line, k, direction))))
         except OverflowError:  # a weight past float range raises only where a step reads it
-            self._forward[k] = math.exp(self.weights.values.log_at(k))
-        return self._forward[k]
+            factors[k] = math.exp(next(_step_logs(line, k, direction)))
+        return factors[k]
 
-    def _step(self, vec: Vec) -> Vec:
-        """T vec: apply_add(vec, {}) without the lookups into an empty other."""
-        factors = self._forward
+    def _step(self, vec: Vec, direction: int) -> Vec:
+        """T vec (apply_add(vec, {}) without the lookups into {}), or T^-1 vec backward."""
+        factors = self._factors[direction]
         out: Vec = {}
         for k, c in vec.items():
             try:
                 f = factors[k]
             except KeyError:
-                f = self._forward_factor(k)
-            out[k - 1] = c * f
+                f = self._factor(k, direction)
+            out[k - direction] = c * f
         return out
 
     def apply_add(self, vec: Vec, other: Vec, negate: bool = False) -> Vec:
@@ -294,13 +301,13 @@ class ShiftOperator(LineSumOperator):
         vec's order, less those that other cancels exactly, then other's
         remaining sites in other's order.
         """
-        factors = self._forward
+        factors = self._factors[1]
         out: Vec = {}
         for k, c in vec.items():
             try:
                 f = factors[k]
             except KeyError:
-                f = self._forward_factor(k)
+                f = self._factor(k, 1)
             site = k - 1
             if site in other:
                 value = c * f - other[site] if negate else c * f + other[site]
@@ -312,16 +319,6 @@ class ShiftOperator(LineSumOperator):
             if b and site + 1 not in vec:
                 out[site] = 0.0 - b if negate else 0.0 + b
         return out
-
-    def _back_step(self, vec: Vec) -> Vec:
-        factors, log_at = self._backward, self.weights.values.log_at
-        moved: Vec = {}
-        for k, c in vec.items():
-            f = factors.get(k)
-            if f is None:
-                f = factors[k] = math.exp(-log_at(k + 1))
-            moved[k + 1] = c * f
-        return moved
 
 
 class CompositionOperator(LineSumOperator):
@@ -525,9 +522,9 @@ class _WalkTable:
     """The increments a probe's basis walks read along one weight line, in one direction.
 
     ``increments`` holds them as far as some walk has read, taken from the
-    line's ``logs_from`` stream: entry i is log w at anchor - i forward and
-    -log w at anchor + 1 + i backward, the anchor being the line's first
-    basis or sample position in that direction.  ``shared`` holds the
+    ``_step_logs`` stream of the anchor, the line's first basis or sample
+    position in that direction: entry i is the log factor of the step
+    from anchor - i forward, anchor + i backward.  ``shared`` holds the
     walks that later sites reuse, by tail phase.
     """
 
@@ -540,8 +537,7 @@ class _WalkTable:
             line, direction, horizon, want_curve)
         self.anchor = (max(positions[-1], _SAMPLE_REACH) if direction > 0
                        else min(positions[0], -_SAMPLE_REACH))
-        self._stream = (line.logs_from(self.anchor, -1) if direction > 0
-                        else map(neg, line.logs_from(self.anchor + 1, 1)))
+        self._stream = _step_logs(line, self.anchor, direction)
         self.increments: list[float] = []
         self.shared: dict = {}
 
@@ -1004,7 +1000,7 @@ def _sup_factor(line: EventuallyPeriodicSequence, j: int, cut: int | None, forwa
         first, last = min(lo, cut) - j + 1, cut
     else:
         first, last = cut + 2, max(hi, cut + 1) + j
-    logs = map(line.log_at, range(first, last + 1))
+    logs = islice(line.logs_from(first, 1), last - first + 1)
     prefix = list(accumulate(logs if forward else map(neg, logs), initial=0.0))
     return max(prefix[i + j] - prefix[i] for i in range(len(prefix) - j))
 

@@ -297,6 +297,13 @@ def test_horizon_rates_close_to_exact():
     assert report.g_plus == pytest.approx(2.0, abs=1e-9)
 
 
+def test_horizon_signs_are_zero_only_within_1e_12_of_one():
+    # The horizon estimate reads sign 0 only within 1e-12 of 1.
+    for tail, signs in (("100000001/100000000", (1, 1)), ("10000000000001/10000000000000", (0, 0))):
+        view = shiftlab.classify._view(ratio(0, [1], [tail], [tail]), method="horizon")
+        assert (view.sign_minus, view.sign_plus) == signs, tail
+
+
 def stream_ratio(period, tainted):
     """Tails of the given period around a core at -1..1; tainted puts floats in all three."""
     neg = ["3/2", "5/9", "7/4", "2/11"][:period]

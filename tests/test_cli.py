@@ -6,6 +6,7 @@ import json
 import math
 import time
 from decimal import Decimal
+from fractions import Fraction as F
 
 import pytest
 
@@ -36,7 +37,8 @@ from shiftlab.simulate import (
     make_pseudotrajectory,
     operator_for,
 )
-from shiftlab.systems import MAX_CELL_SPAN
+from shiftlab.seqcore import EventuallyPeriodicSequence
+from shiftlab.systems import MAX_CELL_SPAN, DissipativeSystem, MeasureSequence
 
 from _oracles import shadow_exact_corrections
 
@@ -605,6 +607,15 @@ def test_audit_computes_no_fingerprint(monkeypatch):
     monkeypatch.setattr(shiftlab.classify, "fingerprint", counted)
     assert run_audit(3, 11)["violations"] == []
     assert calls == [0]
+
+
+def test_audit_compares_the_methods_only_on_margins_past_the_gate():
+    # A line with tail ratios 1 +- delta has every decisive margin about delta,
+    # so all ten verdicts clear the 0.05 gate at delta 0.055 and none at 0.045.
+    for delta, gated in ((F(9, 200), 0), (F(11, 200), 10)):
+        line = EventuallyPeriodicSequence.from_values(0, [1], [1 + delta], [1 - delta])
+        system = DissipativeSystem(p=1.0, measures=MeasureSequence(F(1), line))
+        assert run_audit(1, 0, base_system=system)["margin_gated_comparisons"] == gated, delta
 
 
 # sha256 of canonical_json(run_audit(40, 7)): the summary holds only counts,

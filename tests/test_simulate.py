@@ -210,10 +210,25 @@ def test_shift_forward_factors_fill_a_block_but_refuse_only_what_a_step_reads():
     op = ShiftOperator(weights, 1.0)
     assert op.apply({10: 1.0}, 3) == {7: 8.0}
     assert op.apply_add({-4: 1.0}, {-5: 1.0}) == {-5: 3.0}
-    assert len(op._forward) > 4
-    assert op._forward == {k: math.exp(weights.values.log_at(k)) for k in op._forward}
+    forward = op._factors[1]
+    assert len(forward) > 4
+    assert forward == {k: math.exp(weights.values.log_at(k)) for k in forward}
     with pytest.raises(OverflowError):
         op.apply({-5: 1.0}, 1)
+
+
+def test_shift_backward_factors_fill_a_block_but_refuse_only_what_a_step_reads():
+    # w_-5 lies below float range, so the factor 1 / w_-5 of the backward step
+    # from site -6 lies past it; every other weight is 2.
+    weights = WeightSequence(ratio(-5, [F(1, 10 ** 400)], [2], [2]))
+    op = ShiftOperator(weights, 1.0)
+    assert op.apply({-12: 1.0}, -3) == {-9: 0.125}  # each block reaches site -6
+    assert op.apply({-5: 1.0}, -1) == {-4: 0.5}
+    backward = op._factors[-1]
+    assert len(backward) > 4
+    assert backward == {k: math.exp(-weights.values.log_at(k + 1)) for k in backward}
+    with pytest.raises(OverflowError):
+        op.apply({-6: 1.0}, -1)
 
 
 def test_operator_for_dispatch():
@@ -659,6 +674,46 @@ def test_table_walks_certify_up_to_the_read_cap(direction):
         assert len(table.increments) == 40 + (reach if reach <= cap else 40), reach
 
 
+def test_a_walk_a_millionth_below_norm_two_does_not_cross():
+    # Odd sites walk a * a once: about 4.  Every other walk peaks at
+    # a = 2 - 2e-6, whose log lies 1e-6 below log 2: inside the crossing
+    # tolerance of 1e-12 it certifies, never crosses.
+    a = F(2) - F(2, 10 ** 6)
+    weights = WeightSequence(ratio(0, [a], [a, 1 / a], [a, 1 / a]))
+    report = brute_force_expansivity(weights, BruteMode.POSITIVE, horizon=10, samples=0, p=1.0)
+    assert len(report.samples) == 21 and report.verdict.fails
+    crossed = [o.label for o in report.samples if o.crossed_at is not None]
+    assert crossed == ["e[1]", "e[3]", "e[5]", "e[7]", "e[9]"]
+    sups = {o.certificate.sup_norm for o in report.samples if o.crossed_at is None}
+    assert sorted(sups) == [1.0, pytest.approx(float(a), rel=1e-12)]
+
+
+def test_a_certificate_that_reads_96_values_stays_under_the_read_cap(monkeypatch):
+    # Every weight is 1/2, the one-entry core 98 sites left of site 0: the
+    # walk of e[-5] enters its period after 95 steps, so its certificate
+    # reads 96 values.
+    reads: list[int] = []  # increments read, per basis walk
+    table_walk, read = simulate._table_walk, simulate._WalkTable.read
+
+    def counted_table_walk(table, position):
+        reads.append(0)
+        return table_walk(table, position)
+
+    def counted_read(self, start, stop):
+        reads[-1] += stop - start
+        return read(self, start, stop)
+
+    monkeypatch.setattr(simulate, "_table_walk", counted_table_walk)
+    monkeypatch.setattr(simulate._WalkTable, "read", counted_read)
+    weights = WeightSequence(ratio(-98, ["1/2"], ["1/2"], ["1/2"]))
+    verdict = brute_force_expansivity(weights, BruteMode.POSITIVE, horizon=5, samples=0,
+                                      p=1.0).verdict
+    assert verdict.fails
+    assert verdict.witness == {
+        "sample": "e[-5]", "certificate": {"kind": "decaying", "period": 1, "sup_norm": 1.0}}
+    assert reads[0] == 96
+
+
 def far_core(measure_ratio):
     """measure_ratio everywhere, with the one-entry core a million sites right of site 0."""
     seq = ratio(10 ** 6, [measure_ratio], [measure_ratio], [measure_ratio])
@@ -1079,6 +1134,13 @@ def test_peak_splitting_needs_a_wider_window():
     assert sp.window == 4
 
 
+def test_a_long_expanding_core_needs_a_window_of_128():
+    # Forty steps of 2 in the core: a contracting window must outlast them at 1/2.
+    weights = WeightSequence(ratio(0, [2] * 40, ["1/2"], ["1/2"]))
+    sp = build_splitting(ShiftOperator(weights, 1.0))
+    assert (sp.kind, sp.window) == ("contraction", 128)
+
+
 def test_no_splitting_cases():
     with pytest.raises(NoSplitting):
         build_splitting(CompositionOperator(flat(p=1.0)))
@@ -1148,7 +1210,7 @@ def test_orbit_relation_gate_scales_with_errors_above_one():
     for delta in (1e-3, 1e7):
         op = ShiftOperator(split_weights(), 1.0)
         pt = make_pseudotrajectory(op, {0: 1.0}, delta, 201, seed=1)
-        op._backward.update(dict.fromkeys(range(-300, 300), 1.0))
+        op._factors[-1].update(dict.fromkeys(range(-300, 300), 1.0))
         with pytest.raises(NoSplitting, match="orbit relation failed"):
             shadow(op, pt)
 

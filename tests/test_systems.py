@@ -279,6 +279,17 @@ def test_cell_sum_must_match_base_measure():
         )
 
 
+def test_float_cell_sums_may_miss_the_base_measure_only_by_rounding():
+    def celled(second_beta):
+        cells = CellStructure(beta=(F(0.5), F(second_beta)), wobble_lo=0, wobble=(), exact=False)
+        return DissipativeSystem(p=1.0, measures=MeasureSequence(F(1), ratio(0, [1], [1], [1])),
+                                 cells=cells)
+
+    assert celled(0.5000000000001).n_cells == 2  # a relative 1e-13 off
+    with pytest.raises(InvalidSystem, match="must sum to the base measure"):
+        celled(0.500000001)  # a relative 1e-9 off
+
+
 def test_wobble_row_must_preserve_partition():
     with pytest.raises(InvalidSystem, match="partition sum"):
         DissipativeSystem(
