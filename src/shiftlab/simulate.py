@@ -949,23 +949,34 @@ class NoSplitting(Exception):
 
 
 class Splitting(Record):
-    __slots__ = _fields = ("kind", "cut", "window", "lam_stable", "lam_unstable",
+    __slots__ = _fields = ("cuts", "window", "lam_stable", "lam_unstable",
                            "stable_table", "unstable_table")
 
-    kind: str  # "contraction", "expansion", or "split"
-    cut: int | None
+    cuts: tuple[float, ...]  # per line, its last stable position: inf for all, -inf for none
     window: int
     lam_stable: float | None
     lam_unstable: float | None
     stable_table: tuple[float, ...]
     unstable_table: tuple[float, ...]
 
+    @property
+    def kind(self) -> str:
+        """"contraction", "expansion" or "split": which tables are non-empty."""
+        if not self.unstable_table:
+            return "contraction"
+        return "split" if self.stable_table else "expansion"
+
+    @property
+    def cut(self) -> int | None:
+        """The one finite cut that every line shares, else None."""
+        return self.cuts[0] if len(set(self.cuts)) == 1 and math.isfinite(self.cuts[0]) else None
+
     def a_priori_bound(self, delta: float) -> float:
         """Worst-case shadowing distance for one-step errors of size delta."""
         total = 0.0
-        if self.kind != "expansion":
+        if self.stable_table:
             total += _series_sum(self.stable_table, self.window, include_zero=True)
-        if self.kind != "contraction":
+        if self.unstable_table:
             total += _series_sum(self.unstable_table, self.window, include_zero=False)
         return delta * total
 
@@ -984,22 +995,20 @@ def _series_sum(table: tuple[float, ...], window: int, include_zero: bool) -> fl
     return total
 
 
-def _sup_factor(line: EventuallyPeriodicSequence, j: int, cut: int | None, forward: bool) -> float:
+def _sup_factor(line: EventuallyPeriodicSequence, j: int, cut: float, forward: bool) -> float:
     """Sup over anchors k of the log norm factor of j steps from k.
 
-    Forward, over stable anchors: the log product of w[k-j+1 .. k].
-    Backward, over unstable anchors: that of 1/w over [k+1 .. k+j], summed
-    as negated logs; round-to-nearest makes each window sum exactly the
-    negation of the forward sum over the same logs.
+    Forward, over stable anchors k <= cut: the log product of w[k-j+1 .. k].
+    Backward, over anchors k > cut: that of 1/w over [k+1 .. k+j], summed as
+    negated logs; round-to-nearest makes each window sum exactly the negation
+    of the forward one.  An infinite cut clamps to one period past the core.
     """
     lo = line.core_lo - len(line.neg_period)
     hi = line.core_hi + len(line.pos_period)
-    if cut is None:
-        first, last = lo - j + 1, hi + j
-    elif forward:
-        first, last = min(lo, cut) - j + 1, cut
+    if forward:
+        first, last = min(lo, cut) - j + 1, min(cut, hi + j)
     else:
-        first, last = cut + 2, max(hi, cut + 1) + j
+        first, last = max(cut + 2, lo - j + 1), max(hi, cut + 1) + j
     logs = islice(line.logs_from(first, 1), last - first + 1)
     prefix = list(accumulate(logs if forward else map(neg, logs), initial=0.0))
     return max(prefix[i + j] - prefix[i] for i in range(len(prefix) - j))
@@ -1024,38 +1033,29 @@ _MAX_WINDOW = 256
 def build_splitting(op: LineSumOperator) -> Splitting:
     """Stable/unstable splitting with certified contraction tables.
 
-    The weight-line tails decide the shape: both tail rates below 1 give a
-    contraction, both above 1 an expansion, and contraction on the left
-    with expansion on the right splits the sites at the end of the core.
-    Everything else (any tail rate equal to 1, or the reversed split) has
-    no splitting to offer, and neither have lines whose tails disagree: a
-    cycle's unit rates never split.
+    A direct sum splits line by line.  A weight line with both tail rates
+    below 1 is all stable, both above 1 all unstable, and one contracting on
+    the left and expanding on the right is cut at its core end; any other
+    line (a unit tail rate, as on every cycle, or the reversed split) leaves
+    the sum unsplit.  Each table is the largest over the lines on its side.
     """
     lines = op.lines
-    signs = {(tail_sign_vs_one(line, "neg"), tail_sign_vs_one(line, "pos")) for line in lines}
-    if len(signs) > 1:
-        raise NoSplitting("the lines' weight tail rates differ")
-    ((sign_neg, sign_pos),) = signs
-    if sign_neg < 0 and sign_pos < 0:
-        kind, cut = "contraction", None
-    elif sign_neg > 0 and sign_pos > 0:
-        kind, cut = "expansion", None
-    elif sign_neg < 0 and sign_pos > 0:
-        kind, cut = "split", max(line.core_hi for line in lines)
-    else:
-        raise NoSplitting(
-            "weight tail rates do not separate into contraction and expansion"
-        )
+    cuts = tuple([{(-1, -1): math.inf, (1, 1): -math.inf, (-1, 1): line.core_hi}.get(
+        (tail_sign_vs_one(line, "neg"), tail_sign_vs_one(line, "pos"))) for line in lines])
+    if None in cuts:
+        raise NoSplitting("weight tail rates do not separate into contraction and expansion")
+    stable = [(line, cut) for line, cut in zip(lines, cuts) if cut > -math.inf]
+    unstable = [(line, cut) for line, cut in zip(lines, cuts) if cut < math.inf]
 
     window = math.lcm(*(len(tail) for line in lines for tail in (line.neg_period, line.pos_period)))
     while window <= _MAX_WINDOW:
         tables = [
-            [_table_entry(max(_sup_factor(line, j, cut, forward) for line in lines))
-             for j in range(1, window + 1)] if side_used else []
-            for forward, side_used in ((True, kind != "expansion"), (False, kind != "contraction"))
+            [_table_entry(max(_sup_factor(line, j, cut, forward) for line, cut in sides))
+             for j in range(1, window + 1)] if sides else []
+            for forward, sides in ((True, stable), (False, unstable))
         ]
         if all(table[-1] < 1.0 - 1e-12 for table in tables if table):
-            return Splitting(kind, cut, window, *map(_window_rate, tables), *map(tuple, tables))
+            return Splitting(cuts, window, *map(_window_rate, tables), *map(tuple, tables))
         window *= 2
     raise NoSplitting("no contracting certificate window within the scan bound")
 
@@ -1187,26 +1187,26 @@ def shadow(
             lost = max(lost, logsumexp([log_term(s, c) for s, c in vec.items() if s not in kept]))
         return kept
 
-    # (P_s e_i, P_u e_i); off a split, e_i is on the one side the loops read.
+    # (P_s e_i, P_u e_i) by each line's cut; off a split, e_i is on the one side the loops read.
     stable_errors = unstable_errors = errors
-    if splitting.kind == "split" and splitting.cut is not None:
-        cut, locate = splitting.cut, op._locate
+    if splitting.kind == "split":
+        cuts, locate = splitting.cuts, op._locate
         stable_errors, unstable_errors = [], []
         for e in errors:
-            stable_part: Vec = {}
-            unstable_part: Vec = {}
+            parts: tuple[Vec, Vec] = ({}, {})
             for s, c in e.items():
-                (stable_part if locate(s)[1] <= cut else unstable_part)[s] = c
-            stable_errors.append(stable_part)
-            unstable_errors.append(unstable_part)
+                line, position = locate(s)
+                parts[position > cuts[line]][s] = c
+            stable_errors.append(parts[0])
+            unstable_errors.append(parts[1])
 
     corrections: list[Vec] = [{} for _ in range(count)]
-    if splitting.kind != "expansion":
+    if splitting.stable_table:
         stable: Vec = {}
         for i in range(1, count):
             stable = pruned(apply_add(stable, stable_errors[i - 1]))
             corrections[i] = stable
-    if splitting.kind != "contraction":
+    if splitting.unstable_table:
         unstable: Vec = {}
         for i in range(count - 2, -1, -1):
             unstable = pruned(apply(_add_into(unstable, unstable_errors[i]), -1))

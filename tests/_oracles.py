@@ -149,19 +149,15 @@ def max_residual(op, pt):
     return max((op.norm(e) for e in pt.errors(op)), default=0.0)
 
 
-def covers_stable(splitting, k):
-    """Whether line position k lies on the stable side of a splitting."""
-    if splitting.kind == "contraction":
-        return True
-    if splitting.kind == "expansion":
-        return False
-    assert splitting.cut is not None
-    return k <= splitting.cut
+def covers_stable(splitting, k, line=0):
+    """Whether position k of a line lies on the stable side of a splitting: at or below its cut."""
+    return k <= splitting.cuts[line]
 
 
 def site_is_stable(op, site, splitting):
-    """Whether a site lies on the stable side of a splitting, by its line position."""
-    return covers_stable(splitting, op._locate(site)[1])
+    """Whether a site lies on the stable side of a splitting, by its line's cut."""
+    line, k = op._locate(site)
+    return covers_stable(splitting, k, line)
 
 
 def shadow_exact_corrections(op, pt, splitting):
@@ -237,8 +233,8 @@ def shadow_stepwise(op, pt, splitting=None):
         return kept
 
     def halves(vec):
-        """(P_s vec, P_u vec); without a cut, vec is on the one side the loops read."""
-        if splitting.cut is None:
+        """(P_s vec, P_u vec); off a split, vec is on the one side the loops read."""
+        if splitting.kind != "split":
             return vec, vec
         stable_part = {}
         unstable_part = {}

@@ -984,11 +984,11 @@ def mixed_union(second):
         (TWO_SPLIT_LINES, EXIT_OK),
         (mixed_union({"type": "line", "mu0": "1", "ratio": {
             "core_lo": 0, "core": ["1/2"], "neg_period": ["1/2"], "pos_period": ["1/2"]}}),
-         EXIT_NO_SPLITTING),
+         EXIT_OK),
         (mixed_union({"type": "cycle", "measures": ["1", "2"]}), EXIT_NO_SPLITTING),
         (THREE_CYCLE, EXIT_NO_SPLITTING),
     ],
-    ids=["split-lines", "mismatched-tails", "line-and-cycle", "cycle"],
+    ids=["split-lines", "mixed-tails", "line-and-cycle", "cycle"],
 )
 def test_shadow_atomic_configs(config_file, capsys, config, expected):
     code, out, err = run(capsys, "shadow", config_file(config), "--length", "41", "--json")
@@ -998,3 +998,19 @@ def test_shadow_atomic_configs(config_file, capsys, config, expected):
         assert json.loads(out)["bound_satisfied"] is True
     else:
         assert "no splitting" in err
+
+
+def test_a_union_of_a_contracting_and_an_expanding_line_shadows(config_file, capsys):
+    # measure ratios 2 and 1/2 at p = 2: weights 2^(-1/2) on one line and 2^(1/2) on the other
+    lines = [{"type": "line", "mu0": "1", "ratio": {
+        "core_lo": 0, "core": [r], "neg_period": [r], "pos_period": [r]}} for r in ("2", "1/2")]
+    config = {"kind": "atomic", "p": 2, "components": lines}
+    code, out, err = run(capsys, "shadow", config_file(config), "--delta", "1e-3",
+                         "--length", "51", "--json")
+    assert code == EXIT_OK and err == ""
+    payload = json.loads(out)
+    # stable series 1 / (1 - 2^(-1/2)) plus unstable series 2^(-1/2) / (1 - 2^(-1/2))
+    assert payload["bound_a_priori"] == pytest.approx(1e-3 * (3 + 2 * math.sqrt(2)), rel=1e-11)
+    assert payload["bound_satisfied"] is True
+    assert payload["eps_achieved"] <= payload["bound_a_priori"]
+    assert payload["splitting"]["kind"] == "split" and payload["splitting"]["cut"] is None

@@ -3,7 +3,8 @@
 Every run of ``main(argv)`` must end with exit 0, 2, 3 or 4 and must not
 leak a traceback, whatever the config and flags.  The generated configs
 cover shifts, dissipative systems with and without cells, atomic unions
-of lines and cycles, and malformed documents; entries reach 1e300, so
+of lines and cycles, and malformed documents, and ``shadow`` also meets
+unions of lines alone, which split line by line; entries reach 1e300, so
 orbits leave float range well inside ``--nmax 400``.  Flags reach the
 edges of their ranges: ``--delta`` up to the largest float, ``--horizon``
 at and past its maximum, and celled systems whose ratio core lies past
@@ -96,6 +97,14 @@ def atomic_configs(draw):
 
 
 @st.composite
+def line_unions(draw):
+    """Atomic unions of two or three lines and no cycle: shadow cuts each line on its own."""
+    components = [{"type": "line", "mu0": draw(entries), "ratio": draw(eps_tables())}
+                  for _ in range(draw(st.integers(2, 3)))]
+    return {"kind": "atomic", "p": draw(p_values), "components": components}
+
+
+@st.composite
 def malformed_configs(draw):
     config = draw(st.one_of(shift_configs(), dissipative_configs(), atomic_configs()))
     how = draw(st.sampled_from(["drop", "retype", "zero", "kind", "text"]))
@@ -121,6 +130,16 @@ horizons = st.sampled_from(["1", "5", "200", str(MAX_HORIZON), str(MAX_HORIZON +
 
 
 @st.composite
+def shadow_flags(draw):
+    flags = ["--length", draw(st.sampled_from(["2", "3", "9", "21"]))]
+    flags += ["--delta", draw(st.sampled_from(["1e-3", "0.5", "1e-300", "1e308", "1.7e308"]))]
+    flags += ["--seed", draw(small_ints)]
+    if draw(st.booleans()):
+        flags.append("--json")
+    return flags
+
+
+@st.composite
 def invocations(draw):
     command = draw(st.sampled_from(["classify", "simulate", "shadow", "reduce", "audit"]))
     flags: list[str] = []
@@ -138,11 +157,7 @@ def invocations(draw):
         if draw(st.booleans()):
             flags += ["--component", draw(small_ints)]
     elif command == "shadow":
-        flags += ["--length", draw(st.sampled_from(["2", "3", "9", "21"]))]
-        flags += ["--delta", draw(st.sampled_from(["1e-3", "0.5", "1e-300", "1e308", "1.7e308"]))]
-        flags += ["--seed", draw(small_ints)]
-        if draw(st.booleans()):
-            flags.append("--json")
+        flags += draw(shadow_flags())
     elif command == "audit":
         flags += ["--count", "1", "--seed", draw(small_ints)]
         flags += ["--horizon", draw(horizons)]
@@ -166,17 +181,29 @@ def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(
+fuzz_settings = settings(
     derandomize=True,
     max_examples=250,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(config=configs, invocation=invocations())
-def test_cli_exits_with_a_documented_code(config_dir, config, invocation):
+
+
+def assert_documented_exit(config_dir, config, command, flags):
     path = config_dir / "system.json"
     path.write_text(config if isinstance(config, str) else json.dumps(config))
-    command, flags = invocation
     code, _, err = run_cli([command, str(path), *flags])
     assert code in ALLOWED_EXITS, (code, command, flags, config, err)
     assert "Traceback" not in err
+
+
+@fuzz_settings
+@given(config=configs, invocation=invocations())
+def test_cli_exits_with_a_documented_code(config_dir, config, invocation):
+    assert_documented_exit(config_dir, config, *invocation)
+
+
+@fuzz_settings
+@given(config=line_unions(), flags=shadow_flags())
+def test_shadow_of_line_unions_exits_with_a_documented_code(config_dir, config, flags):
+    assert_documented_exit(config_dir, config, "shadow", flags)

@@ -130,7 +130,7 @@ def test_report_repr_leaves_out_the_system_and_the_cached_fingerprint():
 # -- the generated __init__ ------------------------------------------------------
 
 CELLS = ((F(1), F(2)), 0, ((F(3, 2), F(3, 4)),))
-SPLIT = ("split", 0, 1, 0.5, 0.5, (0.5,), (0.5,))
+SPLIT = ((0,), 1, 0.5, 0.5, (0.5,), (0.5,))
 
 # record -> (a value for each field, in order; the defaults its trailing fields declare).
 # Every value differs from its field's default, so an ignored argument shows.

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.canon import canonical_json
-from shiftlab.classify import Status, classify_report
+from shiftlab.classify import Status, classify_report, classify_shift
 from shiftlab.cli import random_dissipative
 from shiftlab.presets import (
     CANONICAL,
@@ -1620,9 +1620,19 @@ def two_split_lines(p=1.0):
     ))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_atomic_union_shadows_like_the_exact_series(seed):
-    op = AtomicOperator(two_split_lines())
+def contracting_and_expanding_lines(p):
+    # measure ratios 2 and 1/2: one weight line contracts everywhere, the other expands
+    return AtomicSystem(p=p, components=tuple(
+        MeasureSequence(F(1), ratio(0, [r], [r], [r])) for r in ("2", "1/2")))
+
+
+@pytest.mark.parametrize("system, seed", [
+    *[pytest.param(two_split_lines(), seed, id=str(seed)) for seed in range(3)],
+    *[pytest.param(contracting_and_expanding_lines(p), seed, id=f"mixed-p{p:g}-{seed}")
+      for p in (1.0, 2.0) for seed in range(3)],
+])
+def test_atomic_union_shadows_like_the_exact_series(system, seed):
+    op = AtomicOperator(system)
     pt = make_pseudotrajectory(op, op.normalized_basis(op.origin), 1e-3, 41, seed)
     result = shadow(op, pt)
     assert result.splitting.kind == "split"
@@ -1634,15 +1644,58 @@ def test_atomic_union_shadows_like_the_exact_series(seed):
     assert exact_max <= result.eps_achieved <= exact_max + 1e-12 * pt.delta
     for z, x, d in zip(result.z_points, pt.points, exact):
         assert op.norm(vec_sub(vec_sub(z, x), d)) <= 1e-15
+    stepwise = shadow_stepwise(op, pt, result.splitting)
+    assert result.eps_achieved.hex() == stepwise.eps_achieved.hex()
+    for z, expected in zip(result.z_points, stepwise.z_points, strict=True):
+        assert [(s, c.hex()) for s, c in z.items()] == [(s, c.hex()) for s, c in expected.items()]
 
 
 def test_atomic_unions_without_a_common_splitting():
+    # Each line splits on its own; one line that cannot leaves the union unsplit.
     split = two_split_lines().components[0]
     expanding = MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"]))
-    for components in ((split, expanding), (split, Cycle.from_values([1, 2]))):
+    sp = build_splitting(AtomicOperator(AtomicSystem(p=1.0, components=(split, expanding))))
+    assert sp.cuts == (1, -math.inf)
+    assert (sp.kind, sp.cut) == ("split", None)
+    reversed_split = MeasureSequence(F(1), ratio(0, ["1"], ["1/2"], ["2"]))
+    unit_tail = MeasureSequence(F(1), ratio(0, ["2"], ["1"], ["1/2"]))
+    for components in ((split, Cycle.from_values([1, 2])), (expanding, reversed_split),
+                       (split, unit_tail)):
         op = AtomicOperator(AtomicSystem(p=1.0, components=components))
         with pytest.raises(NoSplitting):
             build_splitting(op)
+
+
+def splits(op):
+    try:
+        build_splitting(op)
+    except NoSplitting:
+        return False
+    return True
+
+
+def shadowing_holds(report):
+    return report.verdicts["shadowing"].status is Status.HOLDS
+
+
+def test_a_splitting_exists_exactly_where_classify_says_shadowing_holds():
+    systems = [factory(p=p) for factory in CANONICAL.values() for p in (1.0, 2.0, 3.0)]
+    for seed in (7, 11):
+        rng = random.Random(seed)
+        systems += [random_dissipative(rng) for _ in range(200)]
+    for system in systems:
+        assert splits(CompositionOperator(system)) == shadowing_holds(classify_report(system))
+    for weights in (doubling_weights(), split_weights()):
+        assert splits(ShiftOperator(weights, 1.0)) == shadowing_holds(classify_shift(weights))
+    # A union splits iff every line shadows on its own.
+    rng = random.Random(3)
+    lines = [system.measures for system in systems if system.cells is None]
+    for _ in range(200):
+        p = float(rng.choice([1, 2, 3]))
+        union = rng.sample(lines, rng.randint(1, 3))
+        expected = all(shadowing_holds(classify_report(DissipativeSystem(p=p, measures=line)))
+                       for line in union)
+        assert splits(AtomicOperator(AtomicSystem(p=p, components=tuple(union)))) == expected
 
 
 def test_eps_carries_the_dropped_mass():
