@@ -7,24 +7,17 @@ from fractions import Fraction
 from typing import Any
 
 
+# Escaped: the quote, the backslash and U+0000..U+001F; every other character prints raw.
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _canon_scalar(value: Any) -> str:
     # Strings first: keys and labels are most of what a report holds.  The
     # Fraction test comes last because Fraction is a numbers.Rational, so
     # each miss runs the ABC machinery.  No value fits two branches, so the
     # order changes no output.
     if isinstance(value, str):
-        out = ['"']
-        for ch in value:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + value.translate(_ESCAPES) + '"'
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -55,7 +48,8 @@ def canonical_json(obj: Any) -> str:
     through here so repeated runs can be compared with a plain diff.
     """
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
+        # Keys are unique, so the sort never compares two values.
+        items = sorted(obj.items())
         inner = ",".join(f"{_canon_scalar(str(k))}:{canonical_json(v)}" for k, v in items)
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):

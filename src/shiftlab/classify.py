@@ -330,6 +330,7 @@ REPORT_PROPERTIES = (
 _IMPLICATIONS = (
     ("hyperbolic", "uniformly_expansive"),
     ("hyperbolic", "generalized_hyperbolic"),
+    ("hyperbolic", "strong_structural_stability"),
     ("generalized_hyperbolic", "shadowing"),
     ("generalized_hyperbolic", "strong_structural_stability"),
     ("strong_structural_stability", "structurally_stable"),
@@ -475,21 +476,14 @@ def classify_shift(
     branch = _SHIFT_BRANCH.get(mirrored)
     rates = _rates_witness(view)
     margin = view.margin_both
-    conditioned = dict(rates, condition=branch) if branch is not None else rates
-    hyperbolic_branch = branch if branch in ("B-a", "B-b") else None
-    sss = _decided(branch is not None, branch or "B", view, margin, rates)
-    shadowing = _decided(branch is not None, "B", view, margin, conditioned)
-    hyperbolic = _decided(bool(hyperbolic_branch), hyperbolic_branch or "B", view, margin, rates)
+    split = branch is not None
+    conditioned = dict(rates, condition=branch) if split else rates
+    hyperbolic = branch if branch in ("B-a", "B-b") else None
     verdicts = {
-        "strong_structural_stability": sss,
-        "shadowing": shadowing,
-        "hyperbolic": hyperbolic,
+        "strong_structural_stability": _decided(split, branch or "B", view, margin, rates),
+        "shadowing": _decided(split, "B", view, margin, conditioned),
+        "hyperbolic": _decided(hyperbolic is not None, hyperbolic or "B", view, margin, rates),
     }
-    violations: list[str] = []
-    if hyperbolic.holds and sss.fails:
-        violations.append("hyperbolic=Holds but strong_structural_stability=Fails")
-    if sss.status is not shadowing.status:
-        violations.append("strong_structural_stability must match shadowing for shifts")
     return ClassificationReport(
         kind="shift",
         label=label,
@@ -500,7 +494,7 @@ def classify_shift(
         method=view.method,
         horizon=horizon,
         verdicts=verdicts,
-        violations=tuple(violations),
+        violations=implication_audit(verdicts),
     )
 
 

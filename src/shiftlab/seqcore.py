@@ -341,9 +341,7 @@ def _tail_sign(seq: EventuallyPeriodicSequence, side: str) -> int:
     else:
         raise SequenceError(f"side must be 'neg' or 'pos', got {side!r}")
     if seq.exact:
-        product = Fraction(1)
-        for frac in period:
-            product *= frac
+        product = math.prod(period)
         if product == 1:
             return 0
         raw_sign = 1 if product > 1 else -1

@@ -207,6 +207,15 @@ class CellStructure(Record):
         return Fraction(1)
 
 
+def _check_sum(total: Fraction, target: Fraction, exact: bool, message: str) -> None:
+    """Refuse a sum off its target: exactly, or by 1e-12 relative once a float entered."""
+    if exact and total != target:
+        got = f"got {fraction_text(total)}, expected {fraction_text(target)}"
+        raise InvalidSystem(f"{message} ({got})")
+    if not exact and abs(float(total) - float(target)) > 1e-12 * float(target):
+        raise InvalidSystem(message)
+
+
 class DissipativeSystem(Record):
     """A dissipative system: window measures, optional cells, distortion constant K.
 
@@ -249,26 +258,12 @@ class DissipativeSystem(Record):
         cells = self.cells
         assert cells is not None
         mu0 = self.measures.mu0
-        total = sum(cells.beta, Fraction(0))
-        if cells.exact and self.measures.exact:
-            if total != mu0:
-                raise InvalidSystem(
-                    f"cell measures must sum to the base measure "
-                    f"(got {fraction_text(total)}, expected {fraction_text(mu0)})"
-                )
-        elif abs(float(total) - float(mu0)) > 1e-12 * float(mu0):
-            raise InvalidSystem("cell measures must sum to the base measure")
+        exact = cells.exact and self.measures.exact
+        _check_sum(sum(cells.beta, Fraction(0)), mu0, exact,
+                   "cell measures must sum to the base measure")
         for i, row in enumerate(cells.wobble):
-            k = cells.wobble_lo + i
-            row_sum = sum((b / mu0) * t for b, t in zip(cells.beta, row))
-            if cells.exact and self.measures.exact:
-                if row_sum != 1:
-                    raise InvalidSystem(
-                        f"wobble row at k={k} breaks the partition sum "
-                        f"(got {fraction_text(row_sum)}, expected 1)"
-                    )
-            elif abs(float(row_sum) - 1.0) > 1e-12:
-                raise InvalidSystem(f"wobble row at k={k} breaks the partition sum")
+            _check_sum(sum((b / mu0) * t for b, t in zip(cells.beta, row)), Fraction(1), exact,
+                       f"wobble row at k={cells.wobble_lo + i} breaks the partition sum")
 
     @property
     def n_cells(self) -> int:
@@ -337,8 +332,9 @@ class DissipativeSystem(Record):
 class Cycle(Record):
     """Finitely many atoms permuted cyclically: f(a_i) = a_{i+1 mod r}."""
 
-    __slots__ = _fields = ("measures", "exact")
+    _fields = ("measures", "exact")
     _defaults = {"exact": True}
+    __slots__ = _fields + ("_logs",)
 
     measures: tuple[Fraction, ...]
     exact: bool
@@ -349,6 +345,8 @@ class Cycle(Record):
         for m in self.measures:
             if m <= 0:
                 raise InvalidSystem("atom measures must be positive")
+        # The atoms' log measures, read by log_mu; not a field, so ==, hash and repr ignore it.
+        object.__setattr__(self, "_logs", tuple(map(_log_fraction, self.measures)))
 
     @classmethod
     def from_values(cls, measures: Sequence[ScalarLike]) -> "Cycle":
@@ -359,7 +357,7 @@ class Cycle(Record):
 
     def log_mu(self, index: int) -> float:
         """log of the measure of atom index (mod r)."""
-        return _log_fraction(self.measures[index % len(self.measures)])
+        return self._logs[index % len(self._logs)]
 
     @property
     def ratio(self) -> EventuallyPeriodicSequence:

@@ -493,6 +493,38 @@ def test_shift_outside_the_table():
     assert classify_shift(reversed_split).verdicts["shadowing"].fails
 
 
+def drawn_weight_line(rng, tainted):
+    """A seeded weight line, entries in [1/7, 7]; floats when ``tainted``."""
+    def entry():
+        value = F(rng.randint(1, 7), rng.randint(1, 7))
+        return float(value) if tainted else value
+
+    core, neg, pos = ([entry() for _ in range(rng.randint(1, n))] for n in (3, 4, 4))
+    return WeightSequence(ratio(rng.randint(-2, 0), core, neg, pos))
+
+
+def test_shift_stability_and_shadowing_share_one_status():
+    """Both read the one branch, so the shift report's audit stays clean."""
+    rng = random.Random(3)
+    lines = [doubling_weights(), split_weights()]
+    lines += [drawn_weight_line(rng, tainted=i % 2 == 1) for i in range(200)]
+    seen = set()
+    for weights in lines:
+        report = classify_shift(weights)
+        status = report.verdicts["shadowing"].status
+        assert report.verdicts["strong_structural_stability"].status is status
+        assert report.violations == ()
+        seen.add((status, weights.values.exact))
+    assert seen == {(status, exact) for status in (Status.HOLDS, Status.FAILS)
+                    for exact in (True, False)}
+
+
+def test_audit_flags_a_hyperbolic_shift_without_stability():
+    table = dict(classify_shift(doubling_weights()).verdicts)
+    table["strong_structural_stability"] = Verdict(Status.FAILS, "B")
+    assert implication_audit(table) == ("hyperbolic=Holds but strong_structural_stability=Fails",)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("name", sorted(CANONICAL))
 def test_weight_reduction_preserves_the_splitting_trio(name, p):

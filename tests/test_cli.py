@@ -252,6 +252,64 @@ def test_non_number_entries_are_refused_with_their_path(config_file, capsys, ent
         assert f"{path}: {message}" in err and "Traceback" not in err
 
 
+def with_entry(config, path, value):
+    """A copy of a config with the entry at ``path`` (a tuple of keys) set to value."""
+    copy = json.loads(json.dumps(config))
+    *parents, last = path
+    target = copy
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return copy
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    (with_entry(PEAK, ("ratio",), 5), (), "ratio: expected an object, got int"),
+    (with_entry(PEAK, ("ratio", "core_lo"), "x"), (),
+     "ratio.core_lo: expected an integer, got 'x'"),
+    (with_entry(PEAK, ("ratio", "core"), []), (), "ratio: core table must be nonempty"),
+    (with_entry(CELLS, ("cells",), {"beta": []}), (),
+     "cells: cell decomposition needs at least one cell"),
+    (with_entry(CELLS, ("cells",), {"beta": ["1"], "wobble": [["1", "1"]]}), (),
+     "cells: each wobble row must cover every cell"),
+    (with_entry(PEAK, ("label",), 5), (), "label: expected a string, got 5"),
+    (with_entry(THREE_CYCLE, ("components", 0, "measures"), []), (),
+     "components[0]: a cycle needs at least one atom"),
+    (with_entry(THREE_CYCLE, ("components", 0, "type"), "ring"), (),
+     "components[0].type: expected 'cycle' or 'line', got 'ring'"),
+    (with_entry(THREE_CYCLE, ("components",), []), (),
+     "components: an atomic system needs at least one component"),
+    (None, ("audit", "--count", "0"), "--count: count must be at least 1"),
+    (PEAK, ("classify", "--horizon", "x"), "argument --horizon: expected an integer, got 'x'"),
+    (DOUBLING_SHIFT, ("shadow", "--delta", "abc"),
+     "argument --delta: expected a number, got 'abc'"),
+], ids=["ratio-object", "core_lo-integer", "empty-core", "no-cells", "short-wobble-row",
+        "label-string", "empty-cycle", "component-type", "no-components", "audit-count",
+        "horizon-integer", "delta-number"])
+def test_refusals_name_their_path(config_file, capsys, config, argv, message):
+    command, *flags = argv or ("classify",)
+    paths = [config_file(config)] if config is not None else []
+    try:
+        code = main([command, *paths, *flags])
+    except SystemExit as exited:  # argparse refuses the flag before any command runs
+        code = exited.code
+    out, err = capsys.readouterr()
+    assert code == EXIT_CONFIG and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_classify_text_lists_violations(config_file, capsys, monkeypatch):
+    real = shiftlab.cli.classify_report
+
+    def violated_report(system, **kwargs):
+        return replaced(real(system, **kwargs), violations=("injected=Holds but other=Fails",))
+
+    monkeypatch.setattr(shiftlab.cli, "classify_report", violated_report)
+    code, out, _ = run(capsys, "classify", config_file(PEAK))
+    assert code == EXIT_VIOLATION
+    assert out.endswith("\nviolations  :\n  - injected=Holds but other=Fails\n")
+
+
 def test_parse_config_round_trips_the_preset():
     parsed = parse_config(json.dumps(PEAK))
     assert parsed.kind == "dissipative"

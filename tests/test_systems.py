@@ -290,6 +290,21 @@ def test_float_cell_sums_may_miss_the_base_measure_only_by_rounding():
         celled(0.500000001)  # a relative 1e-9 off
 
 
+def test_float_wobble_rows_may_miss_the_partition_sum_only_by_rounding():
+    def celled(theta, exact=False):
+        cells = CellStructure(beta=(F(1, 2), F(1, 2)), wobble_lo=0,
+                              wobble=((F(1), F(theta)),), exact=exact)
+        return DissipativeSystem(p=1.0, measures=MeasureSequence(F(1), ratio(0, [1], [1], [1])),
+                                 cells=cells)
+
+    assert celled(1 + 2e-13).n_cells == 2  # a relative 1e-13 off
+    with pytest.raises(InvalidSystem, match=r"^wobble row at k=0 breaks the partition sum$"):
+        celled(1 + 2e-9)  # a relative 1e-9 off
+    with pytest.raises(InvalidSystem, match=r"^wobble row at k=0 breaks the partition sum "
+                                            r"\(got 2, expected 1\)$"):
+        celled(3, exact=True)
+
+
 def test_wobble_row_must_preserve_partition():
     with pytest.raises(InvalidSystem, match="partition sum"):
         DissipativeSystem(
