@@ -90,10 +90,6 @@ class Verdict(Record):
         }
 
 
-class DistortionError(ValueError):
-    """Classification was asked for a system whose declared K fails its check."""
-
-
 # ---------------------------------------------------------------------------
 # Rate views
 
@@ -149,34 +145,13 @@ def _view(
 ) -> _RateView:
     if method == "exact":
         rates = side_geometric_means(seq)
-        return _RateView(
-            g_minus=rates.gm_neg,
-            g_plus=rates.gm_pos,
-            sign_minus=tail_sign_vs_one(seq, "neg"),
-            sign_plus=tail_sign_vs_one(seq, "pos"),
-            method="exact",
-        )
+        return _RateView(rates.gm_neg, rates.gm_pos, tail_sign_vs_one(seq, "neg"),
+                         tail_sign_vs_one(seq, "pos"), "exact")
     if method != "horizon":
         raise ValueError(f"unknown method {method!r}")
     g_minus = _aligned_tail_estimate(seq, "neg", horizon)
     g_plus = _aligned_tail_estimate(seq, "pos", horizon)
-    return _RateView(
-        g_minus=g_minus,
-        g_plus=g_plus,
-        sign_minus=_sign_of(g_minus),
-        sign_plus=_sign_of(g_plus),
-        method="horizon",
-    )
-
-
-def _dissipative_view(system: DissipativeSystem, method: Method, horizon: int) -> _RateView:
-    cert = system.distortion_certificate
-    if not cert.ok:
-        raise DistortionError(
-            f"declared distortion constant {cert.declared} is below the "
-            f"minimal value {cert.k_min}"
-        )
-    return _view(system.measures.ratio, method, horizon)
+    return _RateView(g_minus, g_plus, _sign_of(g_minus), _sign_of(g_plus), "horizon")
 
 
 # The rule tags each strict sign pattern (sign_minus, sign_plus) fires:
@@ -345,42 +320,27 @@ def implication_audit(verdicts: Mapping[str, Verdict]) -> tuple[str, ...]:
     Undecided entries are skipped: only a decided pair can witness a
     violation.  Returns human-readable violation lines, empty when clean.
     """
-    failures: list[str] = []
-
-    def decided(name: str) -> Verdict | None:
-        verdict = verdicts.get(name)
-        if verdict is None or verdict.status is Status.UNDECIDED:
-            return None
-        return verdict
-
-    for stronger, weaker in _IMPLICATIONS:
-        a, b = decided(stronger), decided(weaker)
-        if a is not None and b is not None and a.holds and b.fails:
-            failures.append(f"{stronger}=Holds but {weaker}=Fails")
-
-    nss = decided("not_structurally_stable")
-    stable = decided("structurally_stable")
-    if nss is not None and stable is not None and nss.holds and stable.holds:
+    by_status: dict[Status, set[str]] = {status: set() for status in Status}
+    for name, verdict in verdicts.items():
+        by_status[verdict.status].add(name)
+    holds, fails = by_status[Status.HOLDS], by_status[Status.FAILS]
+    failures = [f"{stronger}=Holds but {weaker}=Fails"
+                for stronger, weaker in _IMPLICATIONS if stronger in holds and weaker in fails]
+    if {"not_structurally_stable", "structurally_stable"} <= holds:
         failures.append("not_structurally_stable=Holds but structurally_stable=Holds")
-
-    pe = decided("positively_expansive")
-    hyp = decided("hyperbolic")
-    if pe is not None and hyp is not None and stable is not None:
-        if pe.holds and hyp.fails and stable.holds:
-            failures.append(
-                "positively_expansive=Holds and hyperbolic=Fails "
-                "but structurally_stable=Holds"
-            )
-
-    sss = decided("strong_structural_stability")
-    shadowing = decided("shadowing")
-    if pe is not None and pe.holds and sss is not None and shadowing is not None:
-        if sss.holds != shadowing.holds:
-            failures.append(
-                "under positively_expansive=Holds, strong_structural_stability="
-                f"{verdicts['strong_structural_stability'].status.value} disagrees with "
-                f"shadowing={verdicts['shadowing'].status.value}"
-            )
+    if {"positively_expansive", "structurally_stable"} <= holds and "hyperbolic" in fails:
+        failures.append(
+            "positively_expansive=Holds and hyperbolic=Fails but structurally_stable=Holds"
+        )
+    # Stability and shadowing are equivalent under positive expansivity (C).
+    pair = {"strong_structural_stability", "shadowing"}
+    if "positively_expansive" in holds and pair & holds and pair & fails:
+        sss = "Holds" if "strong_structural_stability" in holds else "Fails"
+        shadowing = "Holds" if "shadowing" in holds else "Fails"
+        failures.append(
+            f"under positively_expansive=Holds, strong_structural_stability={sss} "
+            f"disagrees with shadowing={shadowing}"
+        )
     return tuple(failures)
 
 
@@ -428,6 +388,15 @@ class ClassificationReport(Record):
         }
 
 
+def _report(
+    kind: str, label: str | None, p: float | None, system: DissipativeSystem | WeightSequence,
+    view: _RateView, horizon: int, verdicts: dict[str, Verdict],
+) -> ClassificationReport:
+    """A report of the view's rates and method, with the audit of its verdicts."""
+    return ClassificationReport(kind, label, p, system, view.g_minus, view.g_plus, view.method,
+                                horizon, verdicts, implication_audit(verdicts))
+
+
 def classify_report(
     system: DissipativeSystem,
     *,
@@ -436,20 +405,9 @@ def classify_report(
     horizon: int = DEFAULT_HORIZON,
 ) -> ClassificationReport:
     """Full verdict table for a dissipative system, with the audit attached."""
-    view = _dissipative_view(system, method, horizon)
-    verdicts = _dissipative_verdicts(system, view)
-    return ClassificationReport(
-        kind="dissipative",
-        label=label,
-        p=system.p,
-        system=system,
-        g_minus=view.g_minus,
-        g_plus=view.g_plus,
-        method=view.method,
-        horizon=horizon,
-        verdicts=verdicts,
-        violations=implication_audit(verdicts),
-    )
+    view = _view(system.measures.ratio, method, horizon)
+    return _report("dissipative", label, system.p, system, view, horizon,
+                   _dissipative_verdicts(system, view))
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +442,7 @@ def classify_shift(
         "shadowing": _decided(split, "B", view, margin, conditioned),
         "hyperbolic": _decided(hyperbolic is not None, hyperbolic or "B", view, margin, rates),
     }
-    return ClassificationReport(
-        kind="shift",
-        label=label,
-        p=None,
-        system=weights,
-        g_minus=view.g_minus,
-        g_plus=view.g_plus,
-        method=view.method,
-        horizon=horizon,
-        verdicts=verdicts,
-        violations=implication_audit(verdicts),
-    )
+    return _report("shift", label, None, weights, view, horizon, verdicts)
 
 
 # ---------------------------------------------------------------------------

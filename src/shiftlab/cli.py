@@ -22,7 +22,6 @@ from .canon import canonical_json, float_text
 from .classify import (
     DEFAULT_HORIZON,
     REPORT_PROPERTIES,
-    DistortionError,
     Status,
     classify_atomic,
     classify_report,
@@ -153,6 +152,14 @@ def _parse_eps(raw, path: str) -> EventuallyPeriodicSequence:
         raise ConfigError(path, str(err)) from err
 
 
+def _parse_measures(table: dict, path: str) -> tuple[MeasureSequence, bool]:
+    """The measured line of a table's ``mu0`` and ``ratio``, and whether mu0 was exact."""
+    prefix = f"{path}." if path else ""
+    mu0, mu0_exact = _coerce_config_scalar(_require(table, "mu0", path), prefix + "mu0")
+    ratio = _parse_eps(_require(table, "ratio", path), prefix + "ratio")
+    return MeasureSequence(mu0, ratio, mu0_exact and ratio.exact), mu0_exact
+
+
 def _parse_cells(raw, path: str, mu0_exact: bool) -> CellStructure:
     table = _as_dict(raw, path)
     beta, exact = _parse_scalars(_require(table, "beta", path), f"{path}.beta")
@@ -181,8 +188,7 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
 
     if kind == "dissipative":
         p = _parse_p(_require(table, "p", ""))
-        mu0, mu0_exact = _coerce_config_scalar(_require(table, "mu0", ""), "mu0")
-        ratio = _parse_eps(_require(table, "ratio", ""), "ratio")
+        measures, mu0_exact = _parse_measures(table, "")
         cells = None
         if table.get("cells") is not None:
             cells = _parse_cells(table["cells"], "cells", mu0_exact)
@@ -191,10 +197,7 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
             declared = float(_as_number(declared, "distortion_constant"))
         try:
             system = DissipativeSystem(
-                p=p,
-                measures=MeasureSequence(mu0, ratio, mu0_exact and ratio.exact),
-                cells=cells,
-                distortion_constant=declared,
+                p=p, measures=measures, cells=cells, distortion_constant=declared
             )
         except InvalidSystem as err:
             raise ConfigError("cells" if cells is not None else "ratio", str(err)) from err
@@ -221,13 +224,7 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
                 except InvalidSystem as err:
                     raise ConfigError(f"components[{i}]", str(err)) from err
             elif ctype == "line":
-                mu0, mu0_exact = _coerce_config_scalar(
-                    _require(comp, "mu0", f"components[{i}]"), f"components[{i}].mu0"
-                )
-                ratio = _parse_eps(
-                    _require(comp, "ratio", f"components[{i}]"), f"components[{i}].ratio"
-                )
-                comps.append(MeasureSequence(mu0, ratio, mu0_exact and ratio.exact))
+                comps.append(_parse_measures(comp, f"components[{i}]")[0])
             else:
                 raise ConfigError(
                     f"components[{i}].type", f"expected 'cycle' or 'line', got {ctype!r}"
@@ -729,7 +726,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EmptyOrbitRange, InvalidSystem, SequenceError, DistortionError) as err:
+    except (ConfigError, EmptyOrbitRange, InvalidSystem, SequenceError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OverflowError as err:

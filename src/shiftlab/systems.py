@@ -222,7 +222,7 @@ class DissipativeSystem(Record):
     The distortion certificate is computed once, at construction, and kept
     as ``distortion_certificate`` (not a field, so ==, hash and repr ignore
     it).  An undeclared K is set to its certified minimum; a declared K
-    below that minimum is accepted here and refused by classification.
+    below that minimum is refused.
     """
 
     _fields = ("p", "measures", "cells", "distortion_constant")
@@ -250,6 +250,9 @@ class DissipativeSystem(Record):
         if declared is not None and not declared >= 1:
             raise InvalidSystem("distortion constant must be at least 1")
         cert = check_bounded_distortion(self)
+        if not cert.ok:
+            raise InvalidSystem(f"declared distortion constant {declared} is below the "
+                                f"minimal value {cert.k_min}")
         object.__setattr__(self, "distortion_certificate", cert)
         if declared is None:
             object.__setattr__(self, "distortion_constant", cert.k_min)

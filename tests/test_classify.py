@@ -10,6 +10,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +19,6 @@ import shiftlab.systems
 from shiftlab.canon import canonical_json
 from shiftlab.classify import (
     ClassificationReport,
-    DistortionError,
     ExpansivityMode,
     REPORT_PROPERTIES,
     Status,
@@ -46,6 +46,7 @@ from shiftlab.systems import (
     CellStructure,
     Cycle,
     DissipativeSystem,
+    InvalidSystem,
     MeasureSequence,
     WeightSequence,
     induced_weights,
@@ -398,6 +399,45 @@ def test_audit_skips_undecided_entries():
     assert implication_audit(table) == ()
 
 
+# sha256 of the concatenated reprs of implication_audit over every canonical
+# table (in CANONICAL's order) with every pair of its entries set to every
+# pair of statuses: it pins each rule's lines, their wording and their order.
+AUDIT_TABLES_DIGEST = "5b0a9d8df4f950268d6ce36ccb8ff73c656d8704d97df5b3029e695a76e971a5"
+
+
+def test_implication_audit_lines_are_pinned():
+    outputs = []
+    for factory in CANONICAL.values():
+        base = classify_report(factory(2.0)).verdicts
+        for a, b in combinations(REPORT_PROPERTIES, 2):
+            for status_a, status_b in product(Status, repeat=2):
+                table = dict(base, **{a: Verdict(status_a, "X"), b: Verdict(status_b, "X")})
+                outputs.append(implication_audit(table))
+    assert len(outputs) == 2430 and sum(map(len, outputs)) == 1256
+    assert sum(any(line.startswith("under ") for line in lines) for lines in outputs) == 98
+    text = "".join(map(repr, outputs))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == AUDIT_TABLES_DIGEST
+
+
+@pytest.mark.parametrize("statuses, expected", [
+    ({"positively_expansive": "Holds", "strong_structural_stability": "Holds",
+      "shadowing": "Fails"},
+     "under positively_expansive=Holds, strong_structural_stability=Holds disagrees with "
+     "shadowing=Fails"),
+    ({"positively_expansive": "Holds", "strong_structural_stability": "Fails",
+      "shadowing": "Holds"},
+     "under positively_expansive=Holds, strong_structural_stability=Fails disagrees with "
+     "shadowing=Holds"),
+    ({"not_structurally_stable": "Holds", "structurally_stable": "Holds"},
+     "not_structurally_stable=Holds but structurally_stable=Holds"),
+    ({"positively_expansive": "Holds", "hyperbolic": "Fails", "structurally_stable": "Holds"},
+     "positively_expansive=Holds and hyperbolic=Fails but structurally_stable=Holds"),
+], ids=["sss-without-shadowing", "shadowing-without-sss", "nss-and-stable", "pe-not-hyperbolic"])
+def test_audit_rules_beside_the_implications(statuses, expected):
+    table = {name: Verdict(Status(status), "X") for name, status in statuses.items()}
+    assert implication_audit(table) == (expected,)
+
+
 def test_sweep_of_random_systems_is_coherent():
     """Seeded mini-sweep: every report must carry a clean audit."""
     from shiftlab.cli import random_dissipative
@@ -421,14 +461,14 @@ def test_undersized_distortion_constant_blocks_classification():
     cells = CellStructure(
         beta=(F(1, 3), F(2, 3)), wobble_lo=0, wobble=((F(2), F(1, 2)),)
     )
-    system = DissipativeSystem(
-        p=1.0,
-        measures=MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"])),
-        cells=cells,
-        distortion_constant=1.5,
-    )
-    with pytest.raises(DistortionError):
-        classify_report(system)
+    with pytest.raises(InvalidSystem, match="declared distortion constant 1.5 is below the "
+                                            "minimal value 2.0"):
+        DissipativeSystem(
+            p=1.0,
+            measures=MeasureSequence(F(1), ratio(0, ["1/2"], ["1/2"], ["1/2"])),
+            cells=cells,
+            distortion_constant=1.5,
+        )
 
 
 # -- weighted shifts --------------------------------------------------------------

@@ -89,6 +89,13 @@ THREE_CYCLE = {
     "components": [{"type": "cycle", "measures": ["1", "2", "3"]}],
 }
 
+CYCLE_AND_LINE = {
+    "kind": "atomic",
+    "p": 1,
+    "components": [THREE_CYCLE["components"][0],
+                   {"type": "line", "mu0": "1", "ratio": FLAT["ratio"]}],
+}
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -201,6 +208,16 @@ def test_undersized_distortion_constant_rejected(config_file, capsys):
     assert "distortion" in err
 
 
+# Every command builds the system when it loads the config, and the system
+# refuses a declared K below its certified minimum.
+@pytest.mark.parametrize("command", ["classify", "simulate", "shadow", "reduce", "audit"])
+def test_every_command_refuses_an_undersized_distortion_constant(config_file, capsys, command):
+    code, out, err = run(capsys, command, config_file(dict(CELLS, distortion_constant=1.5)))
+    assert code == EXIT_CONFIG and out == ""
+    assert "declared distortion constant 1.5 is below the minimal value 2.0" in err
+    assert "Traceback" not in err
+
+
 def test_nan_distortion_constant_rejected(config_file, capsys):
     bad = json.loads(json.dumps(CELLS))
     bad["distortion_constant"] = float("nan")
@@ -279,13 +296,25 @@ def with_entry(config, path, value):
      "components[0].type: expected 'cycle' or 'line', got 'ring'"),
     (with_entry(THREE_CYCLE, ("components",), []), (),
      "components: an atomic system needs at least one component"),
+    (with_entry(CYCLE_AND_LINE, ("components", 1), {"type": "line", "ratio": FLAT["ratio"]}),
+     (), "components[1].mu0: missing required field"),
+    (with_entry(CYCLE_AND_LINE, ("components", 1, "mu0"), "-1"), (),
+     "components[1].mu0: sequence values must be positive, got '-1'"),
+    (with_entry(CYCLE_AND_LINE, ("components", 1, "ratio", "core_lo"), "x"), (),
+     "components[1].ratio.core_lo: expected an integer, got 'x'"),
+    (with_entry(CYCLE_AND_LINE, ("components", 1), {"type": "line", "mu0": "1"}), (),
+     "components[1].ratio: missing required field"),
+    (with_entry(PEAK, ("mu0",), "0"), (), "mu0: sequence values must be positive, got '0'"),
+    ({name: value for name, value in PEAK.items() if name != "ratio"}, (),
+     "ratio: missing required field"),
     (None, ("audit", "--count", "0"), "--count: count must be at least 1"),
     (PEAK, ("classify", "--horizon", "x"), "argument --horizon: expected an integer, got 'x'"),
     (DOUBLING_SHIFT, ("shadow", "--delta", "abc"),
      "argument --delta: expected a number, got 'abc'"),
 ], ids=["ratio-object", "core_lo-integer", "empty-core", "no-cells", "short-wobble-row",
-        "label-string", "empty-cycle", "component-type", "no-components", "audit-count",
-        "horizon-integer", "delta-number"])
+        "label-string", "empty-cycle", "component-type", "no-components", "line-no-mu0",
+        "line-mu0-positive", "line-core_lo-integer", "line-no-ratio", "mu0-positive", "no-ratio",
+        "audit-count", "horizon-integer", "delta-number"])
 def test_refusals_name_their_path(config_file, capsys, config, argv, message):
     command, *flags = argv or ("classify",)
     paths = [config_file(config)] if config is not None else []
@@ -544,6 +573,24 @@ def test_audit_detects_injected_corruption(config_file, capsys, monkeypatch):
     assert "generalized_hyperbolic" in out and "shadowing" in out
 
 
+def test_audit_flags_a_horizon_verdict_that_disagrees_past_the_gate(capsys, monkeypatch):
+    """The first random system of seed 0 has shadowing Fails at margin 0.3486, past the gate."""
+    real = shiftlab.cli.classify_report
+
+    def flipped_report(system, *, label, method, **kwargs):
+        report = real(system, label=label, method=method, **kwargs)
+        if method != "horizon":
+            return report
+        return replaced(report, verdicts=dict(report.verdicts,
+                                              shadowing=Verdict(Status.HOLDS, "flipped")))
+
+    monkeypatch.setattr(shiftlab.cli, "classify_report", flipped_report)
+    code, out, _ = run(capsys, "audit", "--count", "1", "--seed", "0")
+    assert code == EXIT_VIOLATION
+    line = "rand-0000: shadowing exact=Fails horizon=Holds at margin 0.3486"
+    assert f"violations: 1\n  - {line}\n" in out
+
+
 def test_audit_of_a_far_core_exits_cleanly(config_file, capsys):
     # The backward basis walks enter their tail a billion steps out; their
     # certificates are capped, and the forward walks decide both readings.
@@ -786,14 +833,6 @@ def test_simulate_rejects_out_of_range_site_flags(config_file, capsys, config, f
     code, _, err = run(capsys, "simulate", config_file(config), flag, value)
     assert code == EXIT_CONFIG
     assert flag in err and "Traceback" not in err
-
-
-CYCLE_AND_LINE = {
-    "kind": "atomic",
-    "p": 1,
-    "components": [THREE_CYCLE["components"][0],
-                   {"type": "line", "mu0": "1", "ratio": FLAT["ratio"]}],
-}
 
 
 @pytest.mark.parametrize("config, argv", [

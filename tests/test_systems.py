@@ -331,9 +331,8 @@ def test_distortion_frozen_table():
 
 
 def test_distortion_rejects_undersized_declaration():
-    cert = cell_system(declared=1.5).distortion_certificate
-    assert not cert.ok
-    assert cert.declared == 1.5
+    with pytest.raises(InvalidSystem, match="declared distortion constant 1.5 is below"):
+        cell_system(declared=1.5)
 
 
 def test_distortion_matches_exhaustive_scan():
