@@ -200,7 +200,8 @@ def parse_config(text: str, source: str = "config") -> ParsedConfig:
                 p=p, measures=measures, cells=cells, distortion_constant=declared
             )
         except InvalidSystem as err:
-            raise ConfigError("cells" if cells is not None else "ratio", str(err)) from err
+            field = err.field or ("cells" if cells is not None else "ratio")
+            raise ConfigError(field, str(err)) from err
         return ParsedConfig("dissipative", system, label, p)
 
     if kind == "shift":

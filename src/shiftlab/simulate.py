@@ -33,11 +33,11 @@ walk.  The forward walks of a two-sided probe are those of a positive
 probe with the same seed, so one pass reads both pointwise verdicts,
 skipping the backward walks and samples that cannot move them.
 
-Shadowing keeps only the largest of its log norms (the errors, the
-corrections and the orbit residuals).  On a shift each is decided from
-a certified upper bound, log(S)/p + 1e-9 with S the fsum of |c|^p
-(``log_norm_bound``), and the exact log norm is taken only for a vector
-whose bound reaches the running maximum (``_max_log_norm``).
+Shadowing builds no dict only to fold it into another (``add_basis``,
+``apply_back_sum``, ``add_residual``: one loop each on a shift) and keeps
+only the largest log norm: on a shift a vector's exact log norm is taken
+only where its certified bound log(S)/p + 1e-9, S the fsum of |c|^p
+(``log_norm_bounds``), reaches the running maximum (``_max_log_norm``).
 
 Float sums are folded left to right with ``reduce(add, ..., 0.0)``:
 ``sum()`` compensates float sums from Python 3.12 on, which would move
@@ -91,8 +91,8 @@ _SAMPLE_REACH = 12
 def _add_into(out: Vec, b: Vec, negate: bool = False) -> Vec:
     """out + b (out + (-b) with negate), in place; a sum of exactly 0 drops its site.
 
-    The one home of the zero rule: vec_add and shadow's passes add here.
-    New sites follow out's in b's order.
+    The zero rule: vec_add and the line-sum kernels add here, and a shift's
+    fused kernels keep its floats.  New sites follow out's in b's order.
     """
     for site, coeff in b.items():
         if negate:
@@ -159,8 +159,8 @@ class LineSumOperator:
             terms = [p * log(abs(c)) + measure(a, b) for (a, b), c in vec.items() if c]
         return logsumexp(terms) / p
 
-    def log_norm_bound(self, vec: Vec) -> float:
-        """A certified upper bound on log_norm(vec) from its l^p sum; inf where there is none.
+    def log_norm_bounds(self, vecs) -> Iterator[float]:
+        """A certified upper bound on each log_norm(vec) from its l^p sum, in turn; inf where there is none.
 
         On unit-measure lines log_norm(vec) is log(S) / p with
         S = sum |c|^p, up to the rounding of its log-sum-exp: under 1e-12
@@ -171,21 +171,17 @@ class LineSumOperator:
         Measured lines, sums that are tiny, non-finite or beyond float
         range, and NaN entries get inf.
         """
-        if not vec:
-            return _NEG_INF
-        if self._log_measure is not None:
-            return math.inf
-        p = self.p
-        try:
-            if p == 1:
-                total = math.fsum(map(abs, vec.values()))
-            else:
-                total = math.fsum(map(pow, map(abs, vec.values()), repeat(p)))
-        except OverflowError:
-            return math.inf
-        if 1e-290 <= total < math.inf:
-            return math.log(total) / p + _BOUND_MARGIN
-        return math.inf
+        p, fsum, log, inf = self.p, math.fsum, math.log, math.inf
+        for vec in vecs:
+            if not vec or self._log_measure is not None:
+                yield inf if vec else _NEG_INF
+                continue
+            try:
+                total = fsum(map(abs, vec.values()) if p == 1 else
+                             map(pow, map(abs, vec.values()), repeat(p)))
+            except OverflowError:
+                total = inf
+            yield log(total) / p + _BOUND_MARGIN if 1e-290 <= total < inf else inf
 
     def log_term(self, site, c: float) -> float:
         """log ||c e_site||^p of one entry: its term inside log_norm (-inf at 0)."""
@@ -219,6 +215,18 @@ class LineSumOperator:
         """T vec + other (T vec - other with negate), under _add_into's floats and key order."""
         return _add_into(self.apply(vec, 1), other, negate)
 
+    def apply_back_sum(self, vec: Vec, other: Vec) -> Vec:
+        """T^-1 (vec + other); vec takes other in place first."""
+        return self.apply(_add_into(vec, other), -1)
+
+    def add_residual(self, acc: Vec, vec: Vec, other: Vec) -> Vec:
+        """acc + (T vec - other), in place."""
+        return _add_into(acc, self.apply_add(vec, other, negate=True))
+
+    def add_basis(self, vec: Vec, site, magnitude: float) -> Vec:
+        """vec + magnitude times the unit vector on site, a new dict."""
+        return vec_add(vec, vec_scale(self.normalized_basis(site), magnitude))
+
     def _draw_site(self, rng: random.Random, reach: int):
         """A seeded site near position 0: the line first, then the position."""
         return self._key(*draw_site(rng, self._periods, reach))
@@ -234,6 +242,9 @@ class ShiftOperator(LineSumOperator):
     """Bilateral weighted backward shift: (B x)_j = w_{j+1} x_{j+1}.
 
     One line with unit site measures; the sites are its integer positions.
+    Its fused kernels (apply_add, apply_back_sum, add_residual, add_basis)
+    take one pass over each input and build no intermediate dict, with the
+    floats, zero rule and key order of the base class's compositions.
     """
 
     origin = 0
@@ -253,7 +264,7 @@ class ShiftOperator(LineSumOperator):
         return position
 
     def noise_sites(self, rng: random.Random) -> object:
-        return rng.randint(-2, 2)
+        return rng.randrange(-2, 3)  # randint(-2, 2), one call less
 
     def _sample_site(self, rng: random.Random) -> object:
         return rng.randint(-_SAMPLE_REACH, _SAMPLE_REACH)
@@ -295,12 +306,8 @@ class ShiftOperator(LineSumOperator):
         return out
 
     def apply_add(self, vec: Vec, other: Vec, negate: bool = False) -> Vec:
-        """T vec + other (T vec - other with negate) in one pass over each, no T vec built.
-
-        _add_into's floats, zero rule and key order: the moved entries in
-        vec's order, less those that other cancels exactly, then other's
-        remaining sites in other's order.
-        """
+        """T vec + other (T vec - other with negate): the moved entries in vec's order,
+        less those that other cancels exactly, then other's remaining sites."""
         factors = self._factors[1]
         out: Vec = {}
         for k, c in vec.items():
@@ -318,6 +325,65 @@ class ShiftOperator(LineSumOperator):
         for site, b in other.items():
             if b and site + 1 not in vec:
                 out[site] = 0.0 - b if negate else 0.0 + b
+        return out
+
+    def apply_back_sum(self, vec: Vec, other: Vec) -> Vec:
+        """T^-1 (vec + other), no sum built and neither input changed."""
+        factors, out = self._factors[-1], {}
+        for k, c in vec.items():
+            if k in other:
+                c += other[k]
+                if not c:
+                    continue
+            try:
+                out[k + 1] = c * factors[k]
+            except KeyError:
+                out[k + 1] = c * self._factor(k, -1)
+        for k, b in other.items():
+            if b and k not in vec:  # an absent site adds to 0.0, and 0.0 + b is b
+                try:
+                    out[k + 1] = b * factors[k]
+                except KeyError:
+                    out[k + 1] = b * self._factor(k, -1)
+        return out
+
+    def add_residual(self, acc: Vec, vec: Vec, other: Vec) -> Vec:
+        """acc + (T vec - other) in place, acc neither vec nor other: each entry of
+        apply_add(vec, other, negate=True) goes into acc as _add_into adds it."""
+        factors, get = self._factors[1], acc.get
+        for k, c in vec.items():
+            try:
+                c *= factors[k]
+            except KeyError:
+                c *= self._factor(k, 1)
+            site = k - 1
+            if site in other:
+                c -= other[site]
+                if not c:
+                    continue
+            value = get(site, 0.0) + c
+            if value:
+                acc[site] = value
+            elif site in acc:
+                del acc[site]
+        for site, b in other.items():
+            if b and site + 1 not in vec:
+                value = get(site, 0.0) - b
+                if value:
+                    acc[site] = value
+                else:  # only a site of acc cancels: -b is not 0
+                    del acc[site]
+        return acc
+
+    def add_basis(self, vec: Vec, site, magnitude: float) -> Vec:
+        """vec + magnitude e_site in one new dict."""
+        out = dict(vec)
+        if magnitude:
+            value = out.get(site, 0.0) + magnitude
+            if value:
+                out[site] = value
+            else:
+                del out[site]
         return out
 
 
@@ -913,9 +979,8 @@ class Pseudotrajectory(Record):
 
     def errors(self, op: LineSumOperator) -> list[Vec]:
         """e_i = T x_i - x_{i+1}, each one apply_add."""
-        points = self.points
-        return [op.apply_add(points[i], points[i + 1], negate=True)
-                for i in range(len(points) - 1)]
+        apply_add = op.apply_add
+        return [apply_add(x, y, True) for x, y in zip(self.points, self.points[1:])]
 
 
 def make_pseudotrajectory(
@@ -925,7 +990,9 @@ def make_pseudotrajectory(
 
     Each point is the exact orbit point plus a single-site perturbation of
     norm at most delta / (1 + ||T||), which keeps every one-step residual
-    within delta at any orbit scale; the seed makes runs repeatable.
+    within delta at any orbit scale; add_basis adds it into a copy of the
+    orbit point.  The draws are a contract that pinned results rest on:
+    per point the site, then the uniform factor in [0.5, 1], then the sign.
     """
     rng = random.Random(seed)
     scale = delta / (1.0 + op.norm_upper_bound())
@@ -934,9 +1001,9 @@ def make_pseudotrajectory(
     current = dict(x0)
     for i in range(length):
         site = op.noise_sites(rng)
-        magnitude = scale * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
-        noise = vec_scale(op.normalized_basis(site), magnitude)
-        points.append(vec_add(current, noise))
+        # rng.uniform(0.5, 1.0) is 0.5 + 0.5 * rng.random(), spelled out to save a call.
+        magnitude = scale * (0.5 + 0.5 * rng.random()) * rng.choice((-1.0, 1.0))
+        points.append(op.add_basis(current, site, magnitude))
         if i + 1 < length:
             current = op.apply(current, 1)
     # Positive finite factors keep an overflowed coefficient non-finite, so an
@@ -1108,21 +1175,20 @@ def _keep_without_log(op: LineSumOperator, floor: float) -> float:
     return math.nan
 
 
-def _max_log_norm(op: LineSumOperator, vecs, start: float | None = None) -> float:
+def _max_log_norm(op: LineSumOperator, vecs: list[Vec], start: float | None = None) -> float:
     """max(map(op.log_norm, vecs), default=-inf), or max(start, ...) of them when start is given.
 
-    A vector whose log_norm_bound lies below a finite running maximum
+    A vector whose log_norm_bounds entry lies below a finite running maximum
     cannot beat it, so its exact log norm is skipped; every other one is
     computed and compared as max compares, so the first maximum wins and a
     NaN reads as max reads it.  So the result is max's, to the last bit.
     """
-    log_norm, bound = op.log_norm, op.log_norm_bound
-    vecs, top = iter(vecs), start
+    log_norm, top = op.log_norm, start
     if top is None:
-        first = next(vecs, None)
-        top = _NEG_INF if first is None else log_norm(first)
-    for vec in vecs:
-        if _NEG_INF < top < math.inf and bound(vec) < top:
+        top = log_norm(vecs[0]) if vecs else _NEG_INF
+        vecs = vecs[1:]
+    for vec, bound in zip(vecs, op.log_norm_bounds(vecs)):
+        if bound < top < math.inf:
             continue
         value = log_norm(vec)
         if value > top:
@@ -1150,23 +1216,21 @@ def shadow(
     the orbit relation before being returned: shadowing is linear, so the
     largest residual may be 1e-9 times the largest error once that exceeds 1.
 
-    The passes are fused: a stable step is one apply_add (on a shift one
-    pass, building no T s_{i-1}) and one prune, an unstable step one
-    in-place add, one apply and one prune, and a prune returns its input
-    when no entry lies below keep_at.  One closing pass only verifies,
-    building each orbit residual e_i + T d_i - d_{i+1}; the result keeps
-    the x_i and d_i and builds the z_i when first read.  The largest
-    error, ||d_i|| and residual are read through _max_log_norm: on a shift
-    a vector's exact log norm is computed only when its certified l^p
-    bound reaches the running maximum.  Every float and key order is that of the
-    step-by-step recursions, which build each quantity from fresh copies
-    in a loop of its own.
+    Each step is fused, on a shift one pass that builds no intermediate
+    dict: a stable step is one apply_add and a prune, an unstable step one
+    apply_back_sum and a prune, and a prune returns its input when no entry
+    lies below keep_at.  The closing pass only verifies: add_residual adds
+    each residual e_i + T d_i - d_{i+1} into e_i in place.  The result keeps
+    the x_i and d_i and builds the z_i when first read; the largest error,
+    ||d_i|| and residual are read through _max_log_norm.  Every float and
+    key order is that of the step-by-step recursions, which build each
+    quantity from fresh copies in a loop of its own.
     """
     if splitting is None:
         splitting = build_splitting(op)
     errors = pt.errors(op)
     count = len(pt.points)
-    apply, apply_add, p = op.apply, op.apply_add, op.p
+    apply_add, apply_back_sum, p = op.apply_add, op.apply_back_sum, op.p
     # _exp is monotone, so the largest norm is _exp of the largest log norm.
     delta_eff = _exp(_max_log_norm(op, errors))
     floor = p * (math.log(_TRUNC) + math.log(delta_eff)) if delta_eff > 0 else -math.inf
@@ -1209,14 +1273,14 @@ def shadow(
     if splitting.unstable_table:
         unstable: Vec = {}
         for i in range(count - 2, -1, -1):
-            unstable = pruned(apply(_add_into(unstable, unstable_errors[i]), -1))
+            unstable = pruned(apply_back_sum(unstable, unstable_errors[i]))
             _add_into(corrections[i], unstable, negate=True)
 
     # The closing pass only verifies.  The recursions are done, so each e_i
     # takes its residual e_i + T d_i - d_{i+1} in place; the largest log
     # norms of the d_i and of the residuals go through _exp once.
     for i in range(count - 1):
-        _add_into(errors[i], apply_add(corrections[i], corrections[i + 1], negate=True))
+        op.add_residual(errors[i], corrections[i], corrections[i + 1])
     log_eps = _max_log_norm(op, corrections)
     log_residual = _max_log_norm(op, errors, start=-math.inf)
 

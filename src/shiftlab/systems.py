@@ -34,7 +34,15 @@ from .seqcore import (
 
 
 class InvalidSystem(ValueError):
-    """A system presentation violates its structural constraints."""
+    """A system presentation violates its structural constraints.
+
+    ``field`` names the system field a refusal rests on, where the check
+    knows it (the declared distortion constant); otherwise None.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def check_exponent(p: float) -> None:
@@ -248,11 +256,11 @@ class DissipativeSystem(Record):
                                tuple(tuple(_log_fraction(t) for t in row) for row in cells.wobble))
         # Written as "not >= 1" so that a NaN constant is refused too.
         if declared is not None and not declared >= 1:
-            raise InvalidSystem("distortion constant must be at least 1")
+            raise InvalidSystem("distortion constant must be at least 1", "distortion_constant")
         cert = check_bounded_distortion(self)
         if not cert.ok:
             raise InvalidSystem(f"declared distortion constant {declared} is below the "
-                                f"minimal value {cert.k_min}")
+                                f"minimal value {cert.k_min}", "distortion_constant")
         object.__setattr__(self, "distortion_certificate", cert)
         if declared is None:
             object.__setattr__(self, "distortion_constant", cert.k_min)

@@ -282,6 +282,33 @@ def shadow_stepwise(op, pt, splitting=None):
     )
 
 
+def pseudotrajectory_stepwise(op, x0, delta, length, seed):
+    """A seeded delta-pseudotrajectory through normalized_basis, vec_scale and vec_add.
+
+    This is the body ``simulate.make_pseudotrajectory`` had before it added
+    each noise entry straight into its orbit point, kept verbatim as the
+    reference: per point the draws are the site, then the uniform factor,
+    then the sign, and the noise is a fresh dict added to a copy.
+    """
+    import random
+
+    from shiftlab.simulate import Pseudotrajectory, vec_add, vec_scale
+
+    rng = random.Random(seed)
+    scale = delta / (1.0 + op.norm_upper_bound())
+    start = -((length - 1) // 2)
+    points = []
+    current = dict(x0)
+    for i in range(length):
+        site = op.noise_sites(rng)
+        magnitude = scale * rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+        noise = vec_scale(op.normalized_basis(site), magnitude)
+        points.append(vec_add(current, noise))
+        if i + 1 < length:
+            current = op.apply(current, 1)
+    return Pseudotrajectory(start_index=start, points=tuple(points), delta=delta)
+
+
 def _tail_phase(line, position, direction):
     """Phase of a basis walk that lies wholly in one periodic tail, else None."""
     if direction > 0 and position < line.core_lo:

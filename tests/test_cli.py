@@ -214,7 +214,8 @@ def test_undersized_distortion_constant_rejected(config_file, capsys):
 def test_every_command_refuses_an_undersized_distortion_constant(config_file, capsys, command):
     code, out, err = run(capsys, command, config_file(dict(CELLS, distortion_constant=1.5)))
     assert code == EXIT_CONFIG and out == ""
-    assert "declared distortion constant 1.5 is below the minimal value 2.0" in err
+    assert ("distortion_constant: declared distortion constant 1.5 is below the minimal "
+            "value 2.0") in err
     assert "Traceback" not in err
 
 
@@ -311,10 +312,16 @@ def with_entry(config, path, value):
     (PEAK, ("classify", "--horizon", "x"), "argument --horizon: expected an integer, got 'x'"),
     (DOUBLING_SHIFT, ("shadow", "--delta", "abc"),
      "argument --delta: expected a number, got 'abc'"),
+    # The system refuses its declared constant, under that field, with or without cells.
+    (dict(CELLS, distortion_constant=1.5), (),
+     "distortion_constant: declared distortion constant 1.5 is below the minimal value 2.0"),
+    (dict(DECAY, distortion_constant=0.5), (),
+     "distortion_constant: distortion constant must be at least 1"),
 ], ids=["ratio-object", "core_lo-integer", "empty-core", "no-cells", "short-wobble-row",
         "label-string", "empty-cycle", "component-type", "no-components", "line-no-mu0",
         "line-mu0-positive", "line-core_lo-integer", "line-no-ratio", "mu0-positive", "no-ratio",
-        "audit-count", "horizon-integer", "delta-number"])
+        "audit-count", "horizon-integer", "delta-number", "undersized-distortion",
+        "distortion-below-one"])
 def test_refusals_name_their_path(config_file, capsys, config, argv, message):
     command, *flags = argv or ("classify",)
     paths = [config_file(config)] if config is not None else []

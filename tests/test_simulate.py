@@ -61,6 +61,7 @@ from _oracles import (
     dict_log_norm_walk,
     max_residual,
     norm_direct,
+    pseudotrajectory_stepwise,
     random_sample_reference,
     shadow_exact_corrections,
     shadow_stepwise,
@@ -1314,23 +1315,27 @@ def test_shadow_survives_subnormal_errors():
     assert result.eps_achieved <= result.bound_a_priori
 
 
-def shadow_grid():
-    """(label, op, pseudotrajectory, splitting) over the families the fused passes must match.
-
-    Shift families at p = 1 and 2, a peak and a celled composition map and
-    an atomic union of two split lines, each at a normal and a subnormal
-    delta, four lengths and five seeds; then the error-free trajectory.
-    """
+def shadow_grid_ops():
+    """(label, op): shift families at p = 1 and 2, a peak and a celled composition
+    map, and an atomic union of two split lines."""
     half = WeightSequence(ratio(0, ["1/2"], ["1/2"], ["1/2"]))
     ops = [(f"{name} p={p:g}", ShiftOperator(weights, p))
            for name, weights in (("doubling", doubling_weights()), ("split", split_weights()),
                                  ("half", half))
            for p in (1.0, 2.0)]
-    ops += [("peak p=2", CompositionOperator(peak(p=2.0))),
-            ("cells p=1", CompositionOperator(cell_system(p=1.0))),
-            ("two split lines p=1", AtomicOperator(two_split_lines()))]
+    return ops + [("peak p=2", CompositionOperator(peak(p=2.0))),
+                  ("cells p=1", CompositionOperator(cell_system(p=1.0))),
+                  ("two split lines p=1", AtomicOperator(two_split_lines()))]
+
+
+def shadow_grid():
+    """(label, op, pseudotrajectory, splitting) over the families the fused passes must match.
+
+    shadow_grid_ops, each at a normal and a subnormal delta, four lengths
+    and five seeds; then the error-free trajectory.
+    """
     cases = []
-    for name, op in ops:
+    for name, op in shadow_grid_ops():
         splitting = build_splitting(op)
         x0 = op.normalized_basis(op.origin)
         for delta in (1e-3, 1e-320):
@@ -1490,6 +1495,69 @@ def test_shift_apply_add_is_apply_then_add_into(vec, other, negate, cancel):
     assert hex_items(op.apply_add(vec, other, negate)) == hex_items(expected)
 
 
+@settings(max_examples=300, deadline=None)
+@given(vec=SHIFT_VECS, other=SHIFT_VECS, cancel=st.lists(st.integers(-6, 6), max_size=4))
+def test_shift_apply_back_sum_is_the_base_composition(vec, other, cancel):
+    op = sevens_shift(1.0)
+    for site in cancel:  # exact cancellations inside vec + other
+        if site in vec:
+            other[site] = -vec[site]
+    before = (hex_items(vec), hex_items(other))
+    expected = simulate.LineSumOperator.apply_back_sum(op, dict(vec), other)
+    assert hex_items(op.apply_back_sum(vec, other)) == hex_items(expected)
+    assert (hex_items(vec), hex_items(other)) == before  # the override adds in no input
+
+
+@settings(max_examples=300, deadline=None)
+@given(acc=SHIFT_VECS, vec=SHIFT_VECS, other=SHIFT_VECS,
+       cancel=st.lists(st.integers(-6, 4), max_size=4),
+       clear=st.lists(st.integers(-6, 4), max_size=4))
+def test_shift_add_residual_is_the_base_composition(acc, vec, other, cancel, clear):
+    op = sevens_shift(1.0)
+    moved = op.apply(vec, 1)
+    for site in cancel:  # T vec - other cancels exactly here
+        if site in moved:
+            other[site] = moved[site]
+    residual = op.apply_add(vec, other, negate=True)
+    for site in clear:  # acc + residual cancels exactly here
+        if site in residual:
+            acc[site] = -residual[site]
+    expected = simulate.LineSumOperator.add_residual(op, dict(acc), vec, other)
+    out = dict(acc)
+    assert op.add_residual(out, vec, other) is out  # in place
+    assert hex_items(out) == hex_items(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vec=SHIFT_VECS, site=st.integers(-6, 6), magnitude=EDGE_COEFFS, cancel=st.booleans())
+def test_shift_add_basis_is_the_base_composition(vec, site, magnitude, cancel):
+    op = sevens_shift(1.0)
+    if cancel and site in vec:  # vec + magnitude e_site cancels exactly at site
+        magnitude = -vec[site]
+    before = hex_items(vec)
+    expected = simulate.LineSumOperator.add_basis(op, vec, site, magnitude)
+    assert hex_items(op.add_basis(vec, site, magnitude)) == hex_items(expected)
+    assert hex_items(vec) == before
+
+
+def test_pseudotrajectories_are_bit_identical_to_the_stepwise_draws():
+    # At delta 5e-324 and ||T|| >= 1 the noise magnitude rounds to a signed
+    # zero, which adds nothing; below, it is the least subnormal or zero.
+    for name, op in shadow_grid_ops():
+        x0 = op.normalized_basis(op.origin)
+        for delta in (1e-3, 1e-320, 5e-324):
+            for length in (2, 3, 41, 201):
+                for seed in range(5):
+                    label = f"{name} delta={delta:g} n={length} seed={seed}"
+                    pt = make_pseudotrajectory(op, x0, delta, length, seed)
+                    expected = pseudotrajectory_stepwise(op, x0, delta, length, seed)
+                    assert (pt.start_index, pt.delta) == (expected.start_index, delta), label
+                    assert [hex_items(x) for x in pt.points] == [
+                        hex_items(x) for x in expected.points], label
+                    if delta == 5e-324 and op.norm_upper_bound() >= 1:
+                        assert pt.points[0] == x0, label
+
+
 def test_z_points_are_built_on_first_read_and_kept():
     op, pt = shadow_case("split", 41, 0)
     result = shadow(op, pt, build_splitting(op))
@@ -1505,20 +1573,26 @@ def test_z_points_are_built_on_first_read_and_kept():
 def test_log_norm_bound_lies_above_the_log_norm(p):
     op = ShiftOperator(split_weights(), p)
     rng = random.Random(int(p))
+    vecs = []
     for _ in range(2000):
         scale = 10.0 ** rng.uniform(-320, 307)  # entries stay finite
-        vec = {k: rng.choice([-1.0, 1.0]) * scale * rng.uniform(0.0, 2.0)
-               for k in range(rng.randint(1, 40))}
-        exact, bound = op.log_norm(vec), op.log_norm_bound(vec)
+        vecs.append({k: rng.choice([-1.0, 1.0]) * scale * rng.uniform(0.0, 2.0)
+                     for k in range(rng.randint(1, 40))})
+    bounds = list(op.log_norm_bounds(vecs))
+    assert len(bounds) == len(vecs)
+    for vec, bound in zip(vecs, bounds):
+        exact = op.log_norm(vec)
         assert exact <= bound, (vec, exact, bound)
         if bound < math.inf:
             assert bound - exact <= 2e-9
-    assert op.log_norm_bound({}) == -math.inf == op.log_norm({})
-    for vec in ({0: math.nan}, {0: math.inf, 1: 1.0}, {0: 1e-310}):
-        assert op.log_norm_bound(vec) == math.inf
+    assert list(op.log_norm_bounds([{}])) == [-math.inf] == [op.log_norm({})]
+    # A sum past float range, NaN, inf or tiny reads inf for its own vector only.
+    edges = [{0: math.nan}, {0: math.inf, 1: 1.0}, {0: 1e-310}, {0: 1e308, 1: 1e308}]
+    assert list(op.log_norm_bounds(edges + [{}, {0: 1.0}])) == (
+        [math.inf] * 4 + [-math.inf, simulate._BOUND_MARGIN])
     # Site measures need every entry's log term: a composition map has no bound.
     composition = CompositionOperator(peak(p=p))
-    assert composition.log_norm_bound({(0, None): 1.0}) == math.inf
+    assert list(composition.log_norm_bounds([{(0, None): 1.0}, {}])) == [math.inf, -math.inf]
 
 
 def _fold(values):

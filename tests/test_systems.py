@@ -335,6 +335,21 @@ def test_distortion_rejects_undersized_declaration():
         cell_system(declared=1.5)
 
 
+@pytest.mark.parametrize("declared, message", [
+    (1.5, "declared distortion constant 1.5 is below the minimal value 2.0"),
+    (0.5, "distortion constant must be at least 1"),
+    (math.nan, "distortion constant must be at least 1"),
+])
+def test_distortion_refusals_name_their_field(declared, message):
+    # The config parser files the refusal under this field, not under cells.
+    with pytest.raises(InvalidSystem, match=message) as refused:
+        cell_system(declared=declared)
+    assert refused.value.field == "distortion_constant"
+    with pytest.raises(InvalidSystem) as other:
+        CellStructure(beta=(), wobble_lo=0, wobble=())
+    assert other.value.field is None
+
+
 def test_distortion_matches_exhaustive_scan():
     system = cell_system()
     k_min, witness = kmin_direct(system)
