@@ -402,9 +402,8 @@ def cmd_simulate(args) -> int:
     site = _simulate_site(parsed, args)
     vec = op.normalized_basis(site)
     rows = orbit_log_norms(op, vec, args.nmin, args.nmax)
-    print("n,norm")
-    for n, log_norm in rows:
-        print(f"{n},{_fmt_log(log_norm)}")
+    # One write: unbuffered, each print would reach the file as two.
+    sys.stdout.write("".join(["n,norm\n", *(f"{n},{_fmt_log(v)}\n" for n, v in rows)]))
     return EXIT_OK
 
 

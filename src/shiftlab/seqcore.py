@@ -172,7 +172,7 @@ class EventuallyPeriodicSequence(Record):
     _fields = ("core_lo", "core", "neg_period", "pos_period", "exp", "exact")
     _defaults = {"exp": 1.0, "exact": True}
     __slots__ = _fields + (
-        "_core_logs", "_neg_logs", "_pos_logs", "_scaled_logs", "core_hi", "_tail_signs",
+        "_neg_logs", "_core_logs", "_pos_logs", "_scaled_logs", "core_hi", "_tail_signs",
     )
 
     core_lo: int
@@ -190,7 +190,7 @@ class EventuallyPeriodicSequence(Record):
             raise SequenceError("both periodic tails must be nonempty")
         for part in (core, neg_period, pos_period):
             for frac in part:
-                if not isinstance(frac, Fraction) or frac <= 0:
+                if not isinstance(frac, Fraction) or frac.numerator <= 0:
                     raise SequenceError("sequence bases must be positive fractions")
         if not math.isfinite(exp):
             raise SequenceError("sequence exponent must be finite")
@@ -272,19 +272,36 @@ class EventuallyPeriodicSequence(Record):
         return (k - self.core_hi - 1) % len(self.pos_period)
 
     def elementwise_pow(self, power: float) -> "EventuallyPeriodicSequence":
+        """Sequence u with u_k = v_k ** power, derived as ``shifted`` is."""
         if power == 0 or not math.isfinite(power):
             raise SequenceError("power must be finite and nonzero")
-        return EventuallyPeriodicSequence(
-            self.core_lo, self.core, self.neg_period, self.pos_period,
-            self.exp * power, self.exact,
-        )
+        return self._derived(0, power)
 
     def shifted(self, offset: int) -> "EventuallyPeriodicSequence":
-        """Sequence u with u_k = v_{k - offset}."""
-        return EventuallyPeriodicSequence(
-            self.core_lo + offset, self.core, self.neg_period, self.pos_period,
-            self.exp, self.exact,
-        )
+        """Sequence u with u_k = v_{k - offset}.
+
+        A derived record (this or elementwise_pow) equals one constructed
+        from its fields, core_hi, scaled logs and tail signs included, but
+        takes this record's checked raw logs and tail-sign memo (flipped
+        with the exponent's sign): only its exponent is checked again.
+        """
+        return self._derived(offset, 1.0)
+
+    def _derived(self, offset: int, power: float) -> "EventuallyPeriodicSequence":
+        exp = self.exp * power  # bit for bit self.exp when power is 1
+        if not math.isfinite(exp):
+            raise SequenceError("sequence exponent must be finite")
+        raw = (self._neg_logs, self._core_logs, self._pos_logs)
+        scaled = (self._scaled_logs if power == 1
+                  else tuple(tuple(exp * log for log in part) for part in raw))
+        flip = 0 if exp == 0 else 1 if power > 0 else -1
+        values = (self.core_lo + offset, self.core, self.neg_period, self.pos_period, exp,
+                  self.exact, *raw, scaled, self.core_hi + offset,
+                  {side: sign * flip for side, sign in self._tail_signs.items()})
+        out = object.__new__(EventuallyPeriodicSequence)
+        for name, value in zip(EventuallyPeriodicSequence.__slots__, values):
+            object.__setattr__(out, name, value)
+        return out
 
     def sup_value(self) -> float:
         return math.exp(max(self.exp * raw for raw in

@@ -669,15 +669,23 @@ def _random_sample(op: LineSumOperator, rng: random.Random) -> list[tuple[int, i
         guard += 1
         sites[op._sample_site(rng)] = None
     vec = {site: rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5) for site in sites}
-    scale = op.p * op.log_norm(vec)
-    return [(*op._locate(site), op.log_term(site, c) - scale) for site, c in vec.items()]
+    terms = [op.log_term(site, c) for site, c in vec.items()]
+    scale = op.p * (logsumexp(terms) / op.p)  # p * op.log_norm(vec), each site measured once
+    return [(*op._locate(site), term - scale) for site, term in zip(vec, terms)]
 
 
-def _sample_walk(sample: list, tables: list[_WalkTable], p: float) -> Iterator[float]:
+def _sample_walk(sample: list, tables: list[_WalkTable], p: float,
+                 gated: bool = False) -> Iterator[float]:
     """log ||T^n x|| for n = 1 .. horizon of a sample, summed only as far as it is read.
 
     Sites move one to one, so ||T^n x||^p sums ||c e_site||^p times the
     p-th power of each site's basis walk, read from its line's table.
+    ``gated`` serves a scan that only tests value >= _THRESHOLD.  The
+    log-sum-exp of k terms with largest term top lies in [top / p,
+    (top + log k) / p], up to rounding far under _BOUND_MARGIN, so where
+    top / p reaches the threshold or lies that margin plus log(k) / p below
+    it, the step yields top / p, which passes the test iff the exact value
+    does.  Samples with a non-finite term (p near float max) are not gated.
     """
     columns = []
     for line, position, term in sample:
@@ -685,8 +693,14 @@ def _sample_walk(sample: list, tables: list[_WalkTable], p: float) -> Iterator[f
         start = table.direction * (table.anchor - position)
         sums = accumulate(table.read(start, start + table.horizon))
         columns.append(map(partial(add, term), map(partial(mul, p), sums)))
+    if not gated or not all(math.isfinite(term) for *_, term in sample):
+        yield from (logsumexp(list(terms)) / p for terms in zip(*columns))
+        return
+    below = _THRESHOLD - _BOUND_MARGIN - math.log(len(columns)) / p
     for terms in zip(*columns):
-        yield logsumexp(list(terms)) / p
+        value = max(terms) / p
+        yield (value if _THRESHOLD <= value < math.inf or value < below
+               else logsumexp(list(terms)) / p)
 
 
 def _tail_start(
@@ -843,9 +857,9 @@ def brute_force_expansivity(
         for i in range(samples):
             sample = _random_sample(op, rng)  # drawn only when the pass reaches it
             yield site("random", partial("rand[{}]".format, i),
-                       _scan(_sample_walk(sample, tables[1], op.p), horizon, uniform),
-                       lambda sample=sample: _scan(_sample_walk(sample, tables[-1], op.p),
-                                                   horizon, uniform))
+                       _scan(_sample_walk(sample, tables[1], op.p, not uniform), horizon, uniform),
+                       lambda sample=sample: _scan(
+                           _sample_walk(sample, tables[-1], op.p, not uniform), horizon, uniform))
 
     pending = stream()
     readings = _pointwise_readings(pending, twosided, settle=not uniform)
@@ -1178,17 +1192,17 @@ def _keep_without_log(op: LineSumOperator, floor: float) -> float:
 def _max_log_norm(op: LineSumOperator, vecs: list[Vec], start: float | None = None) -> float:
     """max(map(op.log_norm, vecs), default=-inf), or max(start, ...) of them when start is given.
 
-    A vector whose log_norm_bounds entry lies below a finite running maximum
-    cannot beat it, so its exact log norm is skipped; every other one is
-    computed and compared as max compares, so the first maximum wins and a
-    NaN reads as max reads it.  So the result is max's, to the last bit.
+    An empty vector (-inf) or one whose log_norm_bounds entry lies below a
+    finite running maximum cannot beat it, so its exact log norm is skipped;
+    every other one is computed and compared as max compares: the first
+    maximum wins, a NaN reads as max reads it, the result is max's to the bit.
     """
     log_norm, top = op.log_norm, start
     if top is None:
-        top = log_norm(vecs[0]) if vecs else _NEG_INF
+        top = log_norm(vecs[0]) if vecs and vecs[0] else _NEG_INF
         vecs = vecs[1:]
     for vec, bound in zip(vecs, op.log_norm_bounds(vecs)):
-        if bound < top < math.inf:
+        if bound < top < math.inf or not vec:
             continue
         value = log_norm(vec)
         if value > top:

@@ -2,8 +2,10 @@
 
 import argparse
 import hashlib
+import io
 import json
 import math
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction as F
@@ -373,6 +375,21 @@ ROUNDING_TIE = {
     "ratio": {"core_lo": 0, "core": ["4/6", "4/2", "2/6"], "neg_period": ["2/3", "4/7"],
               "pos_period": ["5/6", "6/1", "6/5"]},
 }
+
+
+def test_simulate_writes_its_rows_in_one_write(config_file, monkeypatch):
+    # Unbuffered, every write is a system call of its own: the header and all
+    # rows go out in one.
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["simulate", config_file(DECAY), "--nmin", "-2", "--nmax", "2"]) == EXIT_OK
+    assert writes == ["n,norm\n-2,0.25\n-1,0.5\n0,1\n1,2\n2,4\n"]
 
 
 def test_simulate_rows_keep_the_rounding_tie_of_the_sequential_fold(config_file, capsys):

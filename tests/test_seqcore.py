@@ -171,6 +171,64 @@ def test_filled_tail_sign_memo_leaves_eq_hash_and_repr_alone():
     assert "core_hi" not in wide._fields
 
 
+DERIVED_VALUES = st.sampled_from([1, 2, 3, "1/2", "1/3", "7/5", 0.5, 2.0, 0.501, 1.0000000001])
+# Steps of a derivation: an offset for shifted, a power for elementwise_pow,
+# "w" for weight_line at p = 3.  1e-200 twice underflows the exponent to 0.
+DERIVE_STEPS = st.one_of(st.integers(-5, 5), st.sampled_from([1.0, -1.0, 0.5, -2.0, -1 / 3, 3.0,
+                                                               1e-200, "w"]))
+
+
+def fresh(s):
+    return EPS(s.core_lo, s.core, s.neg_period, s.pos_period, s.exp, s.exact)
+
+
+def log_tables(s):
+    return [[log.hex() for log in part] for part in
+            (s._neg_logs, s._core_logs, s._pos_logs, *s._scaled_logs)]
+
+
+@given(core_lo=st.integers(-3, 3),
+       core=st.lists(DERIVED_VALUES, min_size=1, max_size=3),
+       neg=st.lists(DERIVED_VALUES, min_size=1, max_size=3),
+       pos=st.lists(DERIVED_VALUES, min_size=1, max_size=3),
+       steps=st.lists(DERIVE_STEPS, min_size=1, max_size=4),
+       memo=st.lists(st.sampled_from(["neg", "pos"]), max_size=2))
+def test_derived_records_equal_fresh_ones(core_lo, core, neg, pos, steps, memo):
+    """shifted, elementwise_pow and weight_line give the records construction gives.
+
+    Field for field, with the same core_hi, the same raw and scaled logs
+    to the bit, and the same tail signs, whether or not the parent's memo
+    was filled first.
+    """
+    s = seq(core_lo, core, neg, pos)
+    for step in steps:
+        for side in memo:
+            tail_sign_vs_one(s, side)
+        if step == "w":
+            s = weight_line(s, 3.0)
+        elif isinstance(step, int):
+            s = s.shifted(step)
+        else:
+            s = s.elementwise_pow(step)
+        expected = fresh(s)
+        assert s == expected and repr(s) == repr(expected)
+        assert (s.exp.hex(), s.exact, s.core_hi) == (expected.exp.hex(), expected.exact,
+                                                      expected.core_hi)
+        assert log_tables(s) == log_tables(expected)
+        inherited = dict(s._tail_signs)
+        for side in ("neg", "pos"):
+            assert tail_sign_vs_one(s, side) == seqcore._tail_sign(expected, side)
+            assert inherited.get(side, tail_sign_vs_one(s, side)) == tail_sign_vs_one(s, side)
+
+
+def test_derived_records_check_their_exponent():
+    big = seq(0, [2], [3], ["1/2"]).elementwise_pow(1e200)
+    with pytest.raises(SequenceError, match="exponent must be finite"):
+        big.elementwise_pow(1e200)
+    with pytest.raises(SequenceError, match="power must be finite and nonzero"):
+        big.elementwise_pow(math.nan)
+
+
 def test_tail_sign_rejects_unknown_side():
     with pytest.raises(SequenceError):
         tail_sign_vs_one(VALLEY, "up")

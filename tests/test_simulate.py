@@ -520,6 +520,73 @@ def test_sample_walks_are_the_sums_of_their_basis_walks(op, seed):
                 assert gap <= 1e-12, (horizon, direction, gap)
 
 
+def gated_and_exact_walks(op, seed, horizon):
+    """(gated, exact) step lists of three seeded samples of op, each way, on shared tables."""
+    rng = random.Random(seed)
+    for _ in range(3):
+        sample = simulate._random_sample(op, rng)
+        for direction in (1, -1):
+            tables = [simulate._WalkTable(line, direction, op.basis_positions(i, horizon),
+                                          horizon, False)
+                      for i, line in enumerate(op.lines)]
+            walk = functools.partial(simulate._sample_walk, sample, tables, op.p)
+            yield walk(True), walk()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(op=st.sampled_from(sample_walk_operators()), seed=st.integers(0, 2 ** 32 - 1),
+       horizon=st.sampled_from([5, 40, 120]))
+def test_gated_sample_steps_cross_where_the_exact_ones_do(op, seed, horizon):
+    """A gated step reaches the threshold exactly where the exact log-sum-exp does.
+
+    So _scan reads the same crossing from both walks of every sample, both ways.
+    """
+    threshold = simulate._THRESHOLD
+    for gated, exact in gated_and_exact_walks(op, seed, horizon):
+        gated, exact = list(gated), list(exact)
+        assert len(gated) == len(exact) == horizon
+        assert [v >= threshold for v in gated] == [v >= threshold for v in exact]
+        assert (simulate._scan(iter(gated), horizon, False)
+                == simulate._scan(iter(exact), horizon, False))
+
+
+def test_gated_sample_steps_take_both_shortcuts_and_the_exact_sum(monkeypatch):
+    """The operators' samples reach each branch of the gate: at or above the threshold
+    by the largest term alone, clearly below it, and in between (an exact sum)."""
+    summed, logsumexp = [0], simulate.logsumexp
+
+    def counted_logsumexp(values):
+        summed[0] += 1
+        return logsumexp(values)
+
+    monkeypatch.setattr(simulate, "logsumexp", counted_logsumexp)
+    threshold, shortcuts, exact_sums = simulate._THRESHOLD, set(), 0
+    for op in sample_walk_operators():
+        for seed in range(10):
+            for gated, exact in gated_and_exact_walks(op, seed, 40):
+                exact, before = list(exact), summed[0]
+                gated = list(gated)
+                exact_sums += summed[0] - before
+                for g, e in zip(gated, exact):
+                    assert (g >= threshold) == (e >= threshold) and g <= e
+                    if g != e:
+                        shortcuts.add("above" if g >= threshold else "below")
+    assert shortcuts == {"above", "below"} and exact_sums > 0
+
+
+@pytest.mark.parametrize("term", [math.nan, math.inf, -math.inf])
+def test_a_sample_with_a_non_finite_term_walks_exactly(term):
+    # Samples at p = 1.7e308 draw infinite terms, and a step adding inf to
+    # -inf is NaN; max() passes over a NaN after the first entry, the exact
+    # sum does not.  So a sample with a non-finite term is never gated.
+    op = sevens_shift(1.0)
+    tables = [simulate._WalkTable(op.lines[0], 1, range(-5, 6), 5, False)]
+    sample = [(0, 0, 0.0), (0, 1, term)]
+    gated = list(simulate._sample_walk(sample, tables, op.p, True))
+    assert [v.hex() for v in gated] == [
+        v.hex() for v in simulate._sample_walk(sample, tables, op.p)]
+
+
 def assert_weight_lines_walk_as_the_norm(op):
     """Each basis walk the probe sums from a weight line is the orbit log norm of its unit vector.
 
@@ -1478,6 +1545,23 @@ SHIFT_VECS = st.dictionaries(st.integers(-5, 5), EDGE_COEFFS, max_size=8)
 
 def hex_items(vec):
     return [(site, c.hex()) for site, c in vec.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vecs=st.lists(st.one_of(st.just({}), SHIFT_VECS), max_size=6),
+       start=st.one_of(st.none(), st.sampled_from([-math.inf, math.inf, math.nan, 0.0]),
+                       st.floats()),
+       measured=st.booleans())
+def test_max_log_norm_is_max_and_reads_no_empty_vector(vecs, start, measured):
+    op = CompositionOperator(decay(p=2.0)) if measured else sevens_shift(1.0)
+    if measured:
+        vecs = [{(k, None): c for k, c in vec.items()} for vec in vecs]
+    log_norm, read = op.log_norm, []
+    expected = (max(map(log_norm, vecs), default=-math.inf) if start is None
+                else max([start, *map(log_norm, vecs)]))
+    op.log_norm = lambda vec: read.append(vec) or log_norm(vec)
+    assert simulate._max_log_norm(op, vecs, start).hex() == expected.hex()
+    assert all(read), "an empty vector's log norm was taken"
 
 
 @settings(max_examples=300, deadline=None)
