@@ -5,11 +5,18 @@ config or bad invocation, 3 when any internal audit finds a violation
 (the report is still emitted first), 4 when shadowing is requested for a
 system without a certified splitting.  A config whose measures or weights
 put a vector beyond float range is a rejected config.
+
+``simulate`` is bound lazily (``importlib.util.LazyLoader``): importing this
+module registers it, and the first read of one of its names runs it, which
+only the ``simulate``, ``shadow`` and ``audit`` commands do.  It is no
+function-level import, so that it sits in ``sys.modules`` from the start and
+a tracer that wraps the functions of loaded shiftlab modules finds them too.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import random
@@ -28,22 +35,12 @@ from .classify import (
     classify_shift,
 )
 from .seqcore import EventuallyPeriodicSequence, Record, SequenceError, _coerce
-from .simulate import (
-    BruteMode,
-    EmptyOrbitRange,
-    NoSplitting,
-    brute_force_expansivity,
-    build_splitting,
-    make_pseudotrajectory,
-    operator_for,
-    orbit_log_norms,
-    shadow,
-)
 from .systems import (
     AtomicSystem,
     CellStructure,
     Cycle,
     DissipativeSystem,
+    EmptyOrbitRange,
     InvalidSystem,
     MeasureSequence,
     WeightSequence,
@@ -52,6 +49,14 @@ from .systems import (
     check_exponent,
     induced_weights,
 )
+
+simulate = sys.modules.get("shiftlab.simulate")
+if simulate is None:
+    _spec = importlib.util.find_spec("shiftlab.simulate")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    simulate = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(simulate)
+    sys.modules["shiftlab"].simulate = simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -251,7 +256,7 @@ def load_config(path: str) -> ParsedConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(path, str(err)) from err
     return parse_config(text, source=path)
 
@@ -398,10 +403,10 @@ def cmd_simulate(args) -> int:
             f"the orbit walks max(nmax, 0) + max(-nmin, 0) = {_orbit_steps(args)} steps; "
             f"expected at most {MAX_ORBIT_STEPS}",
         )
-    op = operator_for(parsed.system, parsed.p)
+    op = simulate.operator_for(parsed.system, parsed.p)
     site = _simulate_site(parsed, args)
     vec = op.normalized_basis(site)
-    rows = orbit_log_norms(op, vec, args.nmin, args.nmax)
+    rows = simulate.orbit_log_norms(op, vec, args.nmin, args.nmax)
     # One write: unbuffered, each print would reach the file as two.
     sys.stdout.write("".join(["n,norm\n", *(f"{n},{_fmt_log(v)}\n" for n, v in rows)]))
     return EXIT_OK
@@ -409,13 +414,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_shadow(args) -> int:
     parsed = load_config(args.config)
-    op = operator_for(parsed.system, parsed.p)
+    op = simulate.operator_for(parsed.system, parsed.p)
     try:
-        splitting = build_splitting(op)
+        splitting = simulate.build_splitting(op)
         x0 = op.normalized_basis(op.origin)
-        pt = make_pseudotrajectory(op, x0, args.delta, args.length, args.seed)
-        result = shadow(op, pt, splitting)
-    except NoSplitting as err:
+        pt = simulate.make_pseudotrajectory(op, x0, args.delta, args.length, args.seed)
+        result = simulate.shadow(op, pt, splitting)
+    except simulate.NoSplitting as err:
         print(f"no splitting: {err}", file=sys.stderr)
         return EXIT_NO_SPLITTING
     if not all(map(math.isfinite, (result.eps_achieved, result.bound_a_priori,
@@ -548,17 +553,17 @@ def run_audit(
         # One two-sided probe yields both pointwise checks: its forward
         # walks are the ones a positive probe with the same seed makes.
         # Only the verdicts are read, so it stops once they are settled.
-        brute = brute_force_expansivity(
+        brute = simulate.brute_force_expansivity(
             system,
-            BruteMode.TWOSIDED,
+            simulate.BruteMode.TWOSIDED,
             horizon=_BRUTE_HORIZON,
             samples=_BRUTE_SAMPLES,
             seed=seed + index,
             until_settled=True,
         )
         for mode, prop, verdict in (
-            (BruteMode.POSITIVE, "positively_expansive", brute.positive_verdict),
-            (BruteMode.TWOSIDED, "expansive", brute.verdict),
+            (simulate.BruteMode.POSITIVE, "positively_expansive", brute.positive_verdict),
+            (simulate.BruteMode.TWOSIDED, "expansive", brute.verdict),
         ):
             brute_checks += 1
             rule = exact.verdicts[prop]
@@ -682,17 +687,17 @@ def build_parser() -> argparse.ArgumentParser:
                           default=DEFAULT_HORIZON, metavar="N")
     classify.set_defaults(func=cmd_classify)
 
-    simulate = sub.add_parser("simulate", help="orbit norms as CSV")
-    simulate.add_argument("config")
-    simulate.add_argument("--site", type=int, default=0, metavar="K",
+    simulate_cmd = sub.add_parser("simulate", help="orbit norms as CSV")
+    simulate_cmd.add_argument("config")
+    simulate_cmd.add_argument("--site", type=int, default=0, metavar="K",
                           help="basis site (window image index, or atom index)")
-    simulate.add_argument("--cell", type=int, default=None, metavar="J",
+    simulate_cmd.add_argument("--cell", type=int, default=None, metavar="J",
                           help="1-based cell index (dissipative configs)")
-    simulate.add_argument("--component", type=int, default=0, metavar="I",
+    simulate_cmd.add_argument("--component", type=int, default=0, metavar="I",
                           help="component index (atomic configs)")
-    simulate.add_argument("--nmin", type=int, default=-10)
-    simulate.add_argument("--nmax", type=int, default=10)
-    simulate.set_defaults(func=cmd_simulate)
+    simulate_cmd.add_argument("--nmin", type=int, default=-10)
+    simulate_cmd.add_argument("--nmax", type=int, default=10)
+    simulate_cmd.set_defaults(func=cmd_simulate)
 
     shadow_cmd = sub.add_parser("shadow", help="correct a seeded pseudotrajectory")
     shadow_cmd.add_argument("config")

@@ -16,6 +16,7 @@ otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, cycle, islice
@@ -261,7 +262,9 @@ class EventuallyPeriodicSequence(Record):
             near_count = k - hi
             core_part = core[min(k, hi) - lo::-1] if k >= lo else ()
             far_start = min(k, lo - 1)
-        near_run = (islice(cycle(_rotated(near, self._tail_index(k), step)), near_count)
+        # No reader takes more than sys.maxsize values, islice's largest stop.
+        near_run = (islice(cycle(_rotated(near, self._tail_index(k), step)),
+                           min(near_count, sys.maxsize))
                     if near_count > 0 else ())
         return chain(near_run, core_part, cycle(_rotated(far, self._tail_index(far_start), step)))
 

@@ -60,6 +60,7 @@ from .seqcore import EventuallyPeriodicSequence, Record, tail_sign_vs_one
 from .systems import (
     AtomicSystem,
     DissipativeSystem,
+    EmptyOrbitRange,
     WeightSequence,
     _exp,
     check_exponent,
@@ -489,10 +490,6 @@ def operator_for(obj, p: float | None = None) -> LineSumOperator:
     if isinstance(obj, AtomicSystem):
         return AtomicOperator(obj)
     raise TypeError(f"no operator model for {type(obj).__name__}")
-
-
-class EmptyOrbitRange(ValueError):
-    """An orbit range whose nmin exceeds its nmax; the CLI maps it to exit 2."""
 
 
 def _stepping_walk(op: LineSumOperator, vec: Vec, direction: int) -> Iterator[float]:

@@ -45,6 +45,10 @@ class InvalidSystem(ValueError):
         self.field = field
 
 
+class EmptyOrbitRange(ValueError):
+    """An orbit range whose nmin exceeds its nmax; the CLI maps it to exit 2."""
+
+
 def check_exponent(p: float) -> None:
     """Refuse a norm exponent that is not a finite real >= 1 (NaN included)."""
     if not math.isfinite(p):
@@ -299,7 +303,8 @@ class DissipativeSystem(Record):
         finite, so the result is again eventually periodic with the same
         tails and a widened core, of at most MAX_CELL_SPAN indices.  Each
         tail is phased from its own core end, so its period is read from
-        the window ratio just outside the widened core.
+        the window ratio just outside the widened core.  An exact result
+        takes the window ratio's memoized tail signs.
         """
         ratio = self.measures.ratio
         if cell is None or self.cells is None or not self.cells.wobble:
@@ -316,7 +321,11 @@ class DissipativeSystem(Record):
         )
         neg = tuple(map(ratio.base_at, range(lo - len(ratio.neg_period), lo)))
         pos = tuple(map(ratio.base_at, range(hi + 1, hi + 1 + len(ratio.pos_period))))
-        return EventuallyPeriodicSequence(lo, core, neg, pos, 1.0, ratio.exact and cells.exact)
+        out = EventuallyPeriodicSequence(lo, core, neg, pos, 1.0, ratio.exact and cells.exact)
+        if out.exact:
+            # Exact tails are rotations of the window's: same period products.
+            out._tail_signs.update(ratio._tail_signs)
+        return out
 
     def to_config(self, label: str | None = None) -> dict:
         config: dict = {

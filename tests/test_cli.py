@@ -14,6 +14,7 @@ import pytest
 
 import shiftlab.classify
 import shiftlab.cli
+import shiftlab.simulate
 from shiftlab.canon import canonical_json
 from shiftlab.cli import (
     EXIT_CONFIG,
@@ -649,7 +650,7 @@ def test_audit_probes_each_system_once(monkeypatch):
         probes.append((mode, kwargs.get("until_settled")))
         return brute_force_expansivity(system, mode, **kwargs)
 
-    monkeypatch.setattr(shiftlab.cli, "brute_force_expansivity", counted)
+    monkeypatch.setattr(shiftlab.simulate, "brute_force_expansivity", counted)
     summary = run_audit(6, 7)
     assert probes == [(BruteMode.TWOSIDED, True)] * 6
     assert summary["brute_checks"] == 12
@@ -682,7 +683,7 @@ def test_settled_audit_probes_give_the_full_probes_summary(monkeypatch):
         settled_flags.append(kwargs.pop("until_settled"))
         return brute_force_expansivity(system, mode, **kwargs)
 
-    monkeypatch.setattr(shiftlab.cli, "brute_force_expansivity", full)
+    monkeypatch.setattr(shiftlab.simulate, "brute_force_expansivity", full)
     assert canonical_json(run_audit(200, 7)) == canonical_json(settled)
     assert settled_flags == [True] * 200
 
@@ -1135,3 +1136,33 @@ def test_a_union_of_a_contracting_and_an_expanding_line_shadows(config_file, cap
     assert payload["bound_satisfied"] is True
     assert payload["eps_achieved"] <= payload["bound_a_priori"]
     assert payload["splitting"]["kind"] == "split" and payload["splitting"]["cut"] is None
+
+
+# -- inputs that once ended in a traceback -----------------------------------
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate", "shadow", "reduce", "audit"])
+def test_every_command_refuses_a_config_that_is_not_utf8(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "far.json"),
+    ("simulate", "far-shift.json"),
+    ("audit", "far.json", "--count", "1"),
+    ("simulate", "shift.json", "--site", str(sys.maxsize + 1)),
+    ("simulate", "shift.json", "--site", str(-sys.maxsize - 2)),
+])
+def test_indices_past_sys_maxsize_are_read(tmp_path, capsys, argv):
+    ratio = {"core_lo": 10**20, "core": ["1/2"], "neg_period": ["1/2", "3"], "pos_period": ["2"]}
+    for name, payload in (("far.json", dict(DECAY, ratio=ratio)),
+                          ("far-shift.json", {"kind": "shift", "weights": ratio}),
+                          ("shift.json", DOUBLING_SHIFT)):
+        (tmp_path / name).write_text(json.dumps(payload))
+    code, out, err = run(capsys, argv[0], str(tmp_path / argv[1]), *argv[2:])
+    assert code == EXIT_OK and err == "", err
+    assert out

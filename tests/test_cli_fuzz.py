@@ -3,12 +3,13 @@
 Every run of ``main(argv)`` must end with exit 0, 2, 3 or 4 and must not
 leak a traceback, whatever the config and flags.  The generated configs
 cover shifts, dissipative systems with and without cells, atomic unions
-of lines and cycles, and malformed documents, and ``shadow`` also meets
-unions of lines alone, which split line by line; entries reach 1e300, so
-orbits leave float range well inside ``--nmax 400``.  Flags reach the
+of lines and cycles, and malformed documents (bytes that are not UTF-8
+among them), and ``shadow`` also meets unions of lines alone, which split
+line by line; entries reach 1e300, so orbits leave float range well
+inside ``--nmax 400``.  Flags reach the
 edges of their ranges: ``--delta`` up to the largest float, ``--horizon``
-at and past its maximum, and celled systems whose ratio core lies past
-the cell-span cap.
+at and past its maximum, ``--site`` past ``sys.maxsize``, and celled
+systems whose ratio core lies past the cell-span cap or ``sys.maxsize``.
 """
 
 import contextlib
@@ -71,8 +72,8 @@ def cell_tables(draw):
 
 
 # Ratio cores a celled system's cell ratios must reach from its wobble,
-# past the cell-span cap on either side.
-far_core_los = st.sampled_from([MAX_CELL_SPAN, 200_000, -(10**9)])
+# past the cell-span cap on either side, and past sys.maxsize.
+far_core_los = st.sampled_from([MAX_CELL_SPAN, 200_000, -(10**9), 2**63 + 5, -(2**63 + 5)])
 
 
 @st.composite
@@ -107,9 +108,11 @@ def line_unions(draw):
 @st.composite
 def malformed_configs(draw):
     config = draw(st.one_of(shift_configs(), dissipative_configs(), atomic_configs()))
-    how = draw(st.sampled_from(["drop", "retype", "zero", "kind", "text"]))
+    how = draw(st.sampled_from(["drop", "retype", "zero", "kind", "text", "bytes"]))
     if how == "text":
         return json.dumps(config)[: draw(st.integers(0, 20))]
+    if how == "bytes":
+        return draw(st.sampled_from([b"\xff\xfe", b"\xc3"])) + json.dumps(config).encode()
     key = draw(st.sampled_from(sorted(config)))
     if how == "drop":
         del config[key]
@@ -126,6 +129,7 @@ configs = st.one_of(
     shift_configs(), dissipative_configs(), atomic_configs(), malformed_configs()
 )
 small_ints = st.integers(-3, 3).map(str)
+sites = st.one_of(small_ints, st.sampled_from([2**63, 2**63 + 2, -(2**63) - 1]).map(str))
 horizons = st.sampled_from(["1", "5", "200", str(MAX_HORIZON), str(MAX_HORIZON + 1)])
 
 
@@ -151,7 +155,7 @@ def invocations(draw):
     elif command == "simulate":
         nmin = draw(st.integers(-400, 0))
         flags += ["--nmin", str(nmin), "--nmax", str(draw(st.integers(nmin, 400)))]
-        flags += ["--site", draw(small_ints)]
+        flags += ["--site", draw(sites)]
         if draw(st.booleans()):
             flags += ["--cell", draw(small_ints)]
         if draw(st.booleans()):
@@ -191,7 +195,10 @@ fuzz_settings = settings(
 
 def assert_documented_exit(config_dir, config, command, flags):
     path = config_dir / "system.json"
-    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
     code, _, err = run_cli([command, str(path), *flags])
     assert code in ALLOWED_EXITS, (code, command, flags, config, err)
     assert "Traceback" not in err

@@ -96,6 +96,17 @@ def test_logs_from_is_log_at_index_by_index(neg, pos, p):
             assert streamed == [line.log_at(start + step * i) for i in range(60)], (start, step)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("j", range(4))
+def test_logs_from_starts_past_sys_maxsize(sign, j):
+    # The run through the near tail is longer than islice's largest stop.
+    line = seq(0, ["2"], ["3/2", "5/9", "7/4"], ["4/3", "9/5"])
+    start = sign * (2**63 + j)
+    for step in (1, -1):
+        streamed = list(islice(line.logs_from(start, step), 12))
+        assert streamed == [line.log_at(start + step * i) for i in range(12)], step
+
+
 # -- tail means and the trichotomy -------------------------------------------
 
 def test_side_geometric_means_frozen():

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from shiftlab.cli import random_dissipative
 from shiftlab.presets import decay, flat, growth, peak, valley
-from shiftlab.seqcore import EventuallyPeriodicSequence, side_geometric_means, tail_sign_vs_one
+from shiftlab.seqcore import (
+    EventuallyPeriodicSequence,
+    _tail_sign,
+    side_geometric_means,
+    tail_sign_vs_one,
+)
 from shiftlab import systems
 from shiftlab.systems import (
     AtomicSystem,
@@ -485,6 +490,53 @@ def test_cell_ratio_tails_keep_their_phase():
             for k in range(-60, 61):
                 expected = window.base_at(k) * cells.theta(k + 1, cell) / cells.theta(k, cell)
                 assert line.base_at(k) == expected, (seed, cell, k)
+
+
+tail_entries = st.lists(st.sampled_from(["1", "2", "1/2", "3/2", "2/3", "4/9", "9/4", "3"]),
+                        min_size=1, max_size=4)
+
+
+@st.composite
+def wobbled_systems(draw, float_entry=False):
+    """Celled systems with at least one wobble row, on a drawn ratio; all exact unless asked."""
+    neg, pos = draw(tail_entries), draw(tail_entries)
+    if float_entry:
+        pos = pos + [draw(st.sampled_from([0.5, 1.0, 2.0]))]
+    window = ratio(draw(st.integers(-3, 3)), draw(tail_entries), neg, pos)
+    base = draw(wobble_systems())
+    cells = base.cells
+    if not cells.wobble:
+        cells = CellStructure(cells.beta, cells.wobble_lo, (tuple(F(1) for _ in cells.beta),))
+    return DissipativeSystem(p=base.p, measures=MeasureSequence(F(1), window), cells=cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=wobbled_systems(), filled=st.booleans())
+def test_exact_cell_ratios_take_the_window_tail_signs(system, filled):
+    window = system.measures.ratio
+    if filled:
+        for side in ("neg", "pos"):
+            tail_sign_vs_one(window, side)
+    seeded = dict(window._tail_signs)
+    for cell in range(system.n_cells):
+        line = system.cell_ratio(cell)
+        assert line is not window and line.exact
+        assert line._tail_signs == seeded
+        for side in ("neg", "pos"):
+            assert tail_sign_vs_one(line, side) == _tail_sign(line, side) == _tail_sign(window, side)
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=wobbled_systems(float_entry=True))
+def test_float_cell_ratios_compute_their_own_tail_signs(system):
+    window = system.measures.ratio
+    for side in ("neg", "pos"):
+        tail_sign_vs_one(window, side)
+    for cell in range(system.n_cells):
+        line = system.cell_ratio(cell)
+        assert not line.exact and line._tail_signs == {}
+        for side in ("neg", "pos"):
+            assert tail_sign_vs_one(line, side) == _tail_sign(line, side)
 
 
 def test_cell_ratio_refuses_a_span_past_its_cap():
